@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="directory for report files")
     _config_flags(p)
     p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (default 1)")
+                   help="worker processes, at most one per bundle (default 1)")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("aggregate", help="fold reports into corpus statistics")
@@ -133,8 +133,9 @@ def cmd_corpus(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     jobs = [(str(p), args.widgets, args.lexicon, args.sinks) for p in apps]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(apps))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             texts = list(pool.map(_analyze_to_text, *zip(*jobs)))
     else:
         texts = [_analyze_to_text(*job) for job in jobs]

@@ -78,3 +78,7 @@ class InvalidSpec(ConfigError):
 
 class EmptyCorpus(AnalysisError):
     pass
+
+
+class BadEnvironment(AnalysisError):
+    """An environment variable set to a value the analyzer cannot use."""

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyCorpus
+from .errors import BadEnvironment, EmptyCorpus
 from .gui import ViewElement
-from .ir import AppBundle, render_method_sig, render_statement
+from .ir import AppBundle, StmtId, render_method_sig, render_statement
 from .pi import CATEGORY_OF, KIND_ORDER, PI_GROUPS, PiKind
 from .sources_sinks import DestCategory, SourceDiagnostics
 from .taint import Leak
@@ -29,8 +29,11 @@ _PARTIES = ("first", "third")
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = int(epoch) if epoch is not None else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(stamp))
+    try:
+        stamp = time.gmtime(int(epoch) if epoch is not None else int(time.time()))
+    except (ValueError, OverflowError, OSError) as exc:
+        raise BadEnvironment(f"SOURCE_DATE_EPOCH={epoch!r}: {exc}") from exc
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp)
 
 
 def _sid_list(sid):
@@ -52,7 +55,7 @@ def _view_doc(v: ViewElement):
     return doc
 
 
-def _leak_doc(leak: Leak, bundle: AppBundle):
+def _leak_doc(leak: Leak, rendered: dict[StmtId, str]):
     return {
         "pi_kind": leak.pi.value,
         "pi_category": CATEGORY_OF[leak.pi].value,
@@ -67,7 +70,7 @@ def _leak_doc(leak: Leak, bundle: AppBundle):
             "signature": render_method_sig(leak.sink_spec.sig),
         },
         "path": [_sid_list(s) for s in leak.path],
-        "path_text": [render_statement(bundle.statement(s)) for s in leak.path],
+        "path_text": [rendered[s] for s in leak.path],
         "path_len": leak.path_len,
         "alt_third_party_path": leak.alt_third_party_path,
     }
@@ -83,6 +86,10 @@ def emit_report(
     """Build the per-app report document (plain dict, JSON-serializable)."""
     diagnostics = diagnostics or SourceDiagnostics()
     labeled = [v for v in views if v.pi is not None]
+    rendered = {
+        sid: render_statement(bundle.statement(sid))
+        for sid in {s for lk in leaks for s in lk.path}
+    }
     return {
         "schema_version": SCHEMA_VERSION,
         "app_package": bundle.app_package,
@@ -90,7 +97,7 @@ def emit_report(
         "views_total": len(views),
         "views_labeled": len(labeled),
         "views": [_view_doc(v) for v in labeled],
-        "leaks": [_leak_doc(lk, bundle) for lk in leaks],
+        "leaks": [_leak_doc(lk, rendered) for lk in leaks],
         "diagnostics": {
             "findviewbyid_sites": diagnostics.sites,
             "sources_resolved": diagnostics.resolved,

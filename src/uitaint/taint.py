@@ -65,16 +65,6 @@ class TaintGraph:
     adjacency: dict[Node, list[tuple[Node, StmtId]]]
     seeds: dict[SourcePoint, Node]
     sink_feeds: dict[Node, list[tuple[StmtId, SinkSpec]]]
-    _reverse: dict[Node, list[tuple[Node, StmtId]]] | None = None
-
-    def reverse_adjacency(self):
-        if self._reverse is None:
-            rev: dict[Node, list[tuple[Node, StmtId]]] = {}
-            for src, edges in self.adjacency.items():
-                for dst, label in edges:
-                    rev.setdefault(dst, []).append((src, label))
-            self._reverse = rev
-        return self._reverse
 
 
 @dataclass(frozen=True)
@@ -241,58 +231,66 @@ def classify_package(pkg: str, app_package: str) -> str:
     return "third"
 
 
+def _third_party_classes(class_names, app_package: str) -> frozenset[str]:
+    return frozenset(
+        c for c in class_names if classify_package(package_of(c), app_package) == "third"
+    )
+
+
+def _party(path: tuple[StmtId, ...], third: frozenset[str]) -> Party:
+    return Party.THIRD if any(sid.cls in third for sid in path) else Party.FIRST
+
+
 def classify_party(path: tuple[StmtId, ...], app_package: str) -> Party:
     """Third party iff any statement on the path sits in third-party code.
 
     Only the enclosing class of each path statement matters; the platform
     signature a sink call invokes never affects the verdict.
     """
-    for sid in path:
-        if classify_package(package_of(sid.cls), app_package) == "third":
-            return Party.THIRD
-    return Party.FIRST
+    return _party(path, _third_party_classes({sid.cls for sid in path}, app_package))
 
 
-def _has_third_party_alternative(graph: TaintGraph, seed: Node, sink_key, app_package):
-    """Whether some other source-to-sink path crosses third-party code."""
-    fwd = set(_reach(graph.adjacency, seed))
-    feed_nodes = [
-        n for n, fs in graph.sink_feeds.items() if any((s, sp) == sink_key for s, sp in fs)
-    ]
-    back = set()
-    for n in feed_nodes:
-        back.update(_reach(graph.reverse_adjacency(), n))
-    for src, edge_list in graph.adjacency.items():
-        if src not in fwd:
-            continue
-        for dst, label in edge_list:
-            if dst not in back:
-                continue
-            if classify_package(package_of(label.cls), app_package) == "third":
-                return True
-    return False
-
-
-def _reach(adjacency, start: Node):
-    seen = {start}
-    stack = [start]
+def _reach(adjacency: dict[Node, list[Node]], starts) -> set[Node]:
+    seen = set(starts)
+    stack = list(seen)
     while stack:
-        node = stack.pop()
-        for succ, _ in adjacency.get(node, ()):
+        for succ in adjacency.get(stack.pop(), ()):
             if succ not in seen:
                 seen.add(succ)
                 stack.append(succ)
     return seen
 
 
-def extract_leaks(graph: TaintGraph, registry: SinkRegistry | None = None) -> list[Leak]:
+def extract_leaks(graph: TaintGraph) -> list[Leak]:
     """All (source, sink statement, sink spec) leaks with shortest witness paths.
 
     For each pair exactly one leak is reported; among equal-length shortest
     paths the lexicographically smallest statement-id sequence is retained.
     Output is sorted by (source stmt, sink stmt, category, signature).
+
+    A first-party leak is flagged alt_third_party_path iff some edge labeled
+    by a third-party statement has its tail reachable from the source and its
+    head reaching a register that feeds the same sink statement and spec.
+    The flag costs one pass over the graph (reverse adjacency, third-party
+    edges, feed nodes per sink key) plus one reverse reach per sink key that
+    a first-party leak hits; each leak then only intersects two sets.
     """
-    app_package = graph.bundle.app_package
+    bundle = graph.bundle
+    third = _third_party_classes(bundle.code_units, bundle.app_package)
+    reverse: dict[Node, list[Node]] = {}
+    third_edges: list[tuple[Node, Node]] = []
+    for src, edges in graph.adjacency.items():
+        for dst, label in edges:
+            reverse.setdefault(dst, []).append(src)
+            if label.cls in third:
+                third_edges.append((src, dst))
+    feed_nodes: dict[tuple[StmtId, SinkSpec], list[Node]] = {}
+    for node, feeds in graph.sink_feeds.items():
+        for key in feeds:
+            feed_nodes.setdefault(key, []).append(node)
+    # sink key -> tails of the third-party edges whose head reaches its feeds
+    tails: dict[tuple[StmtId, SinkSpec], set[Node]] = {}
+
     leaks = []
     for sp, seed in graph.seeds.items():
         best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,))
@@ -304,11 +302,15 @@ def extract_leaks(graph: TaintGraph, registry: SinkRegistry | None = None) -> li
                 prev = hits.get(key)
                 if prev is None or (len(cand), cand) < (len(prev), prev):
                     hits[key] = cand
-        for (sink_sid, spec), path in hits.items():
-            party = classify_party(path, app_package)
-            alt = party is Party.FIRST and _has_third_party_alternative(
-                graph, seed, (sink_sid, spec), app_package
-            )
+        for key, path in hits.items():
+            party = _party(path, third)
+            alt = False
+            if party is Party.FIRST:
+                if key not in tails:
+                    back = _reach(reverse, feed_nodes[key])
+                    tails[key] = {src for src, dst in third_edges if dst in back}
+                alt = not best.keys().isdisjoint(tails[key])
+            sink_sid, spec = key
             leaks.append(
                 Leak(
                     source=sp,

@@ -10,6 +10,7 @@ import pytest
 from uitaint.gui import ViewElement
 from uitaint.ir import AppBundle, RTable, parse_code_unit
 from uitaint.pi import PiKind
+from uitaint.taint import classify_package, package_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -60,6 +61,8 @@ MINI_CLS = "com.mini.app.M"
 MINI_IDS = (100, 101)
 _LOG_D = "<android.util.Log: int d(java.lang.String,java.lang.String)>"
 _FIND = f"<{MINI_CLS}: android.view.View findViewById(int)>"
+MINI_RELAY_CLS = "io.mini.sdk.Relay"
+_RELAY = f"<{MINI_RELAY_CLS}: java.lang.String send(java.lang.String)>"
 
 
 def mini_labeled_views():
@@ -70,12 +73,17 @@ def mini_labeled_views():
     ]
 
 
-def random_mini_bundle(rng: random.Random, n_statements: int = 12) -> AppBundle:
+def random_mini_bundle(
+    rng: random.Random, n_statements: int = 12, relay: bool = False
+) -> AppBundle:
     """One in-memory class of up to n_statements random statements.
 
     Sources are findViewById calls on the ids of mini_labeled_views, sinks
     are Log.d calls; copies, static-field traffic and opaque library calls
-    provide the plumbing in between.
+    provide the plumbing in between. With relay, the bundle also holds the
+    third-party class io.mini.sdk.Relay (static send(p0): return p0), which
+    some statements call; without it the random stream is the same as if
+    the option did not exist.
     """
     lines = ["  r0 = this"]
     regs = ["r0"]
@@ -105,6 +113,10 @@ def random_mini_bundle(rng: random.Random, n_statements: int = 12) -> AppBundle:
             regs.append(f"$c{fresh}")
         elif roll < 0.9:
             lines.append(f'  staticinvoke {_LOG_D}("t", {pick()})')
+        elif relay and roll < 0.95:
+            fresh += 1
+            lines.append(f"  $c{fresh} = staticinvoke {_RELAY}({pick()})")
+            regs.append(f"$c{fresh}")
         else:
             fresh += 1
             lines.append(
@@ -117,8 +129,15 @@ def random_mini_bundle(rng: random.Random, n_statements: int = 12) -> AppBundle:
         f"class {MINI_CLS} extends android.app.Activity\n\n{fields}\n"
         "method void run():\n" + "\n".join(lines) + "\n"
     )
-    unit = parse_code_unit(text, "M.jtac")
-    return AppBundle("com.mini.app", [], RTable({}), {MINI_CLS: unit})
+    units = {MINI_CLS: parse_code_unit(text, "M.jtac")}
+    if relay:
+        units[MINI_RELAY_CLS] = parse_code_unit(
+            f"class {MINI_RELAY_CLS}\n"
+            "method static java.lang.String send(java.lang.String p0):\n"
+            "  return p0\n",
+            "Relay.jtac",
+        )
+    return AppBundle("com.mini.app", [], RTable({}), units)
 
 
 def enumerate_min_paths(graph, seed_node, prefix):
@@ -144,3 +163,45 @@ def enumerate_min_paths(graph, seed_node, prefix):
 
     visit(seed_node, (), frozenset({seed_node}))
     return best
+
+
+def brute_force_alt_third_party(graph, seed, sink_key, app_package):
+    """Brute-force oracle for Leak.alt_third_party_path.
+
+    Rescans the whole graph: forward reach from the seed, every sink feed,
+    a reverse reach from each feed node of sink_key, then every edge. True
+    iff some edge labeled by a third-party statement has its tail in the
+    forward reach and its head in the reverse reach.
+    """
+    reverse = {}
+    for src, edge_list in graph.adjacency.items():
+        for dst, label in edge_list:
+            reverse.setdefault(dst, []).append((src, label))
+    fwd = set(_reach(graph.adjacency, seed))
+    feed_nodes = [
+        n for n, fs in graph.sink_feeds.items() if any((s, sp) == sink_key for s, sp in fs)
+    ]
+    back = set()
+    for n in feed_nodes:
+        back.update(_reach(reverse, n))
+    for src, edge_list in graph.adjacency.items():
+        if src not in fwd:
+            continue
+        for dst, label in edge_list:
+            if dst not in back:
+                continue
+            if classify_package(package_of(label.cls), app_package) == "third":
+                return True
+    return False
+
+
+def _reach(adjacency, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for succ, _ in adjacency.get(node, ()):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen

@@ -146,6 +146,21 @@ def test_corpus_parallel_matches_serial(tmp_path):
         assert p.read_bytes() == (parallel / p.name).read_bytes()
 
 
+def test_corpus_more_jobs_than_bundles_runs_in_process(tmp_path, monkeypatch):
+    apps = _gen_corpus(tmp_path, n=1)
+    serial = tmp_path / "serial"
+    assert main(["corpus", "--apps", str(apps), "--out", str(serial)]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one bundle needs no worker pool")
+
+    monkeypatch.setattr("uitaint.cli.ProcessPoolExecutor", no_pool)
+    wide = tmp_path / "wide"
+    assert main(["corpus", "--apps", str(apps), "--out", str(wide), "-j", "4"]) == 0
+    (report,) = serial.glob("*.json")
+    assert report.read_bytes() == (wide / report.name).read_bytes()
+
+
 def test_corpus_empty_dir_exits_2(tmp_path, capsys):
     (tmp_path / "apps").mkdir()
     rc = main(["corpus", "--apps", str(tmp_path / "apps"),
@@ -193,3 +208,13 @@ def test_explain_bad_index_exits_2(tmp_path, capsys):
     rc = main(["explain", "--report", str(report), "--leak", "99"])
     assert rc == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999999"])
+def test_bad_source_date_epoch_exits_2(monkeypatch, capsys, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    rc = main(["analyze", "--app", str(PANIC)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"BadEnvironment: SOURCE_DATE_EPOCH='{epoch}'" in err
+    assert "Traceback" not in err
