@@ -11,17 +11,11 @@ from .errors import AnalysisError
 from .ir import parse_bundle, parse_code_unit, render_code_unit, resolve_call
 from .gui import extract_views, join_rtable, load_widget_registry, default_widget_registry
 from .pi import PiCategory, PiKind, classify, load_default_lexicon, load_lexicon, tokenize
-from .sources_sinks import (
-    DestCategory,
-    load_default_sinks,
-    load_sinks,
-    match_sink,
-    resolve_sources,
-)
+from .sources_sinks import DestCategory, load_default_sinks, load_sinks, resolve_sources
 from .taint import Party, build_graph, classify_party, extract_leaks
 from .report import aggregate, emit_report, export_csv, serialize_report
 from .fixtures import FixtureSpec, generate
-from .pipeline import analyze_bundle
+from .pipeline import analyze_bundle, load_config
 
 __all__ = [
     "AnalysisError",
@@ -42,12 +36,12 @@ __all__ = [
     "extract_views",
     "generate",
     "join_rtable",
+    "load_config",
     "load_default_lexicon",
     "load_default_sinks",
     "load_lexicon",
     "load_sinks",
     "load_widget_registry",
-    "match_sink",
     "parse_bundle",
     "parse_code_unit",
     "render_code_unit",

@@ -18,9 +18,7 @@ from pathlib import Path
 
 from .errors import AnalysisError, EmptyCorpus, InvalidSpec
 from .fixtures import FixtureSpec, generate
-from .gui import load_widget_registry
-from .pi import load_lexicon
-from .pipeline import analyze_bundle
+from .pipeline import analyze_bundle, load_config
 from .report import (
     aggregate,
     export_csv,
@@ -28,7 +26,6 @@ from .report import (
     serialize_report,
     write_summary,
 )
-from .sources_sinks import load_sinks
 
 log = logging.getLogger(__name__)
 
@@ -84,13 +81,6 @@ def _config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--widgets", help="widget registry file (default: built-in)")
 
 
-def _load_configs(args):
-    widgets = load_widget_registry(args.widgets) if args.widgets else None
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-    sinks = load_sinks(args.sinks) if args.sinks else None
-    return widgets, lexicon, sinks
-
-
 def _diag_line(report: dict) -> str:
     d = report["diagnostics"]
     return (
@@ -104,8 +94,7 @@ def _diag_line(report: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    widgets, lexicon, sinks = _load_configs(args)
-    report = analyze_bundle(args.app, widgets=widgets, lexicon=lexicon, sinks=sinks)
+    report = analyze_bundle(args.app, load_config(args.widgets, args.lexicon, args.sinks))
     text = serialize_report(report)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -115,13 +104,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _analyze_to_text(app_dir: str, widgets_path, lexicon_path, sinks_path) -> str:
-    """Worker for corpus analysis; loads configs from paths so it pickles."""
-    widgets = load_widget_registry(widgets_path) if widgets_path else None
-    lexicon = load_lexicon(lexicon_path) if lexicon_path else None
-    sinks = load_sinks(sinks_path) if sinks_path else None
-    report = analyze_bundle(app_dir, widgets=widgets, lexicon=lexicon, sinks=sinks)
-    return serialize_report(report)
+def _analyze_to_text(app_dir: str, config_paths: tuple) -> str:
+    """Worker for corpus analysis; takes config paths so the job pickles."""
+    return serialize_report(analyze_bundle(app_dir, load_config(*config_paths)))
 
 
 def cmd_corpus(args) -> int:
@@ -132,7 +117,9 @@ def cmd_corpus(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(str(p), args.widgets, args.lexicon, args.sinks) for p in apps]
+    paths = (args.widgets, args.lexicon, args.sinks)
+    load_config(*paths)  # a bad config fails once, here; forked workers inherit it
+    jobs = [(str(p), paths) for p in apps]
     workers = min(args.jobs, len(apps))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -155,7 +142,7 @@ def cmd_aggregate(args) -> int:
     write_summary(summary, out_dir / "summary.json")
     export_csv(summary, out_dir)
     print(
-        f"aggregated {summary.n_apps} reports, {summary.total_leaks} leaks -> {out_dir}",
+        f"aggregated {summary['n_apps']} reports, {summary['total_leaks']} leaks -> {out_dir}",
         file=sys.stderr,
     )
     return 0
@@ -187,7 +174,7 @@ def cmd_gen_fixtures(args) -> int:
 
 def cmd_explain(args) -> int:
     report = parse_report(args.report)
-    leaks = report.get("leaks", [])
+    leaks = report["leaks"]
     if not 0 <= args.leak < len(leaks):
         print(
             f"error: leak index {args.leak} out of range (report has {len(leaks)})",

@@ -76,6 +76,10 @@ class InvalidSpec(ConfigError):
     """A fixture generation spec with impossible or missing parameters."""
 
 
+class ReportError(AnalysisError):
+    """A report file that aggregate or explain cannot read."""
+
+
 class EmptyCorpus(AnalysisError):
     pass
 

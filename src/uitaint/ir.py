@@ -230,7 +230,8 @@ class AppBundle:
 
 _PUNCT = set("<>(),:.=[]")
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_DIGITS = set("0123456789")  # str.isdigit() also accepts "²" and "٣"
+_IDENT_CONT = _IDENT_START | _DIGITS
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
@@ -263,7 +264,7 @@ def _lex(text, filename):
                 i += 1
             toks.append(_Tok("ident", text[start:i], line, col))
             col += i - start
-        elif c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        elif c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             start = i
             if c == "-":
                 i += 1
@@ -276,7 +277,7 @@ def _lex(text, filename):
                 except ValueError:
                     raise IrSyntaxError("bad hex literal", filename, line, col)
             else:
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
                 value = int(text[start:i])
             toks.append(_Tok("int", value, line, col))

@@ -4,6 +4,7 @@ graph to report document."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 
 from .gui import (
@@ -11,40 +12,57 @@ from .gui import (
     default_widget_registry,
     extract_views,
     join_rtable,
+    load_widget_registry,
 )
 from .ir import parse_bundle
-from .pi import Lexicon, classify, load_default_lexicon
+from .pi import Lexicon, classify, load_default_lexicon, load_lexicon
 from .report import emit_report
-from .sources_sinks import SinkRegistry, load_default_sinks, resolve_sources
+from .sources_sinks import SinkRegistry, load_default_sinks, load_sinks, resolve_sources
 from .taint import build_graph, extract_leaks
 
 log = logging.getLogger(__name__)
 
 
-def analyze_bundle(
-    app_dir,
-    widgets: WidgetRegistry | None = None,
-    lexicon: Lexicon | None = None,
-    sinks: SinkRegistry | None = None,
-) -> dict:
+@dataclasses.dataclass(frozen=True)
+class Config:
+    """The widget registry, PI lexicon and sink registry an analysis uses."""
+
+    widgets: WidgetRegistry
+    lexicon: Lexicon
+    sinks: SinkRegistry
+
+
+@functools.cache
+def load_config(widgets=None, lexicon=None, sinks=None) -> Config:
+    """Load the three config files, each a path or None for the built-in file.
+
+    Memoised, so a process parses each file once however many apps it
+    analyzes; a load that raises is not cached.
+    """
+    return Config(
+        load_widget_registry(widgets) if widgets else default_widget_registry(),
+        load_lexicon(lexicon) if lexicon else load_default_lexicon(),
+        load_sinks(sinks) if sinks else load_default_sinks(),
+    )
+
+
+def analyze_bundle(app_dir, config: Config | None = None) -> dict:
     """Analyze the bundle at app_dir and return its report document."""
-    widgets = widgets or default_widget_registry()
-    lexicon = lexicon or load_default_lexicon()
-    sinks = sinks or load_default_sinks()
+    config = config or load_config()
 
     bundle = parse_bundle(app_dir)
 
     views = []
     for layout in bundle.layouts:
-        views.extend(extract_views(layout, widgets))
+        views.extend(extract_views(layout, config.widgets))
     views, unmatched = join_rtable(views, bundle.rtable)
     views = [
-        v if (kind := classify(v, lexicon)) is None else dataclasses.replace(v, pi=kind)
+        v if (kind := classify(v, config.lexicon)) is None else dataclasses.replace(v, pi=kind)
         for v in views
     ]
 
     sources, diag = resolve_sources(bundle, [v for v in views if v.pi is not None])
-    graph = build_graph(bundle, sources, sinks)
+    graph = build_graph(bundle, sources, config.sinks)
     leaks = extract_leaks(graph)
 
     log.info(

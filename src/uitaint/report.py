@@ -11,10 +11,9 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import BadEnvironment, EmptyCorpus
+from .errors import BadEnvironment, EmptyCorpus, ReportError
 from .gui import ViewElement
 from .ir import AppBundle, StmtId, render_method_sig, render_statement
 from .pi import CATEGORY_OF, KIND_ORDER, PI_GROUPS, PiKind
@@ -25,6 +24,18 @@ SCHEMA_VERSION = 1
 
 _CATEGORIES = tuple(c.value for c in DestCategory)
 _PARTIES = ("first", "third")
+_KINDS = tuple(k.value for k in PiKind)
+
+# what aggregate and explain read from each leak and view of a report file
+_ITEM_CHECKS = {
+    "leaks": {
+        "party": _PARTIES.__contains__,
+        "destination": _CATEGORIES.__contains__,
+        "pi_kind": _KINDS.__contains__,
+        "path_text": lambda x: isinstance(x, list) and len(x) > 0,
+    },
+    "views": {"pi_kind": _KINDS.__contains__, "view_class": lambda x: isinstance(x, str)},
+}
 
 
 def _timestamp() -> str:
@@ -115,13 +126,30 @@ def serialize_report(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(doc: dict, path) -> None:
-    Path(path).write_text(serialize_report(doc), encoding="utf-8")
-
-
 def parse_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """Read a report file; ReportError unless aggregate and explain can read it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+        raise ReportError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ReportError(f"{path}: not a JSON object")
+    if (version := doc.get("schema_version")) != SCHEMA_VERSION:
+        raise ReportError(f"{path}: schema_version {version!r}, expected {SCHEMA_VERSION}")
+    for section, checks in _ITEM_CHECKS.items():
+        items = doc.get(section)
+        if not isinstance(items, list):
+            raise ReportError(f"{path}: {section!r} is missing or not a list")
+        for i, item in enumerate(items):
+            if not isinstance(item, dict):
+                raise ReportError(f"{path}: {section}[{i}] is not an object")
+            for key, valid in checks.items():
+                if not valid(item.get(key)):
+                    raise ReportError(
+                        f"{path}: {section}[{i}] has a missing or bad {key!r}: {item.get(key)!r}"
+                    )
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +169,8 @@ def _party_stats(counts: list[int]) -> dict:
     }
 
 
-@dataclass
-class CorpusSummary:
-    """Corpus-level statistics over a list of per-app reports."""
-
-    n_apps: int
-    total_leaks: int
-    leak_stats: dict = field(default_factory=dict)
-    destinations: list = field(default_factory=list)
-    pi_by_destination: list = field(default_factory=list)
-    prevalence: list = field(default_factory=list)
-    view_types: list = field(default_factory=list)
-
-
-def aggregate(reports: list[dict]) -> CorpusSummary:
-    """Fold per-app reports into a CorpusSummary.
+def aggregate(reports: list[dict]) -> dict:
+    """Fold per-app reports into the corpus summary document.
 
     Leak-count stats use the lower median and are computed twice: over all
     apps and over apps with at least one leak (empty markers when no app
@@ -173,7 +188,7 @@ def aggregate(reports: list[dict]) -> CorpusSummary:
 
     for idx, report in enumerate(reports):
         first = third = 0
-        for leak in report.get("leaks", ()):
+        for leak in report["leaks"]:
             party = leak["party"]
             dest = leak["destination"]
             kind = PiKind(leak["pi_kind"])
@@ -184,7 +199,7 @@ def aggregate(reports: list[dict]) -> CorpusSummary:
             else:
                 third += 1
         per_app_party.append((first, third))
-        for view in report.get("views", ()):
+        for view in report["views"]:
             kind = PiKind(view["pi_kind"])
             for name, kinds in PI_GROUPS:
                 if kind in kinds:
@@ -254,35 +269,20 @@ def aggregate(reports: list[dict]) -> CorpusSummary:
             }
         )
 
-    return CorpusSummary(
-        n_apps=n_apps,
-        total_leaks=total_leaks,
-        leak_stats=leak_stats,
-        destinations=destinations,
-        pi_by_destination=pi_by_destination,
-        prevalence=prevalence,
-        view_types=view_types,
-    )
-
-
-def summary_doc(summary: CorpusSummary) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "n_apps": summary.n_apps,
-        "total_leaks": summary.total_leaks,
-        "leak_stats": summary.leak_stats,
-        "destinations": summary.destinations,
-        "pi_by_destination": summary.pi_by_destination,
-        "prevalence": summary.prevalence,
-        "view_types": summary.view_types,
+        "n_apps": n_apps,
+        "total_leaks": total_leaks,
+        "leak_stats": leak_stats,
+        "destinations": destinations,
+        "pi_by_destination": pi_by_destination,
+        "prevalence": prevalence,
+        "view_types": view_types,
     }
 
 
-def write_summary(summary: CorpusSummary, path) -> None:
-    Path(path).write_text(
-        json.dumps(summary_doc(summary), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+def write_summary(summary: dict, path) -> None:
+    Path(path).write_text(serialize_report(summary), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def _fmt(x):
     return str(x)
 
 
-def export_csv(summary: CorpusSummary, out_dir) -> list[Path]:
+def export_csv(summary: dict, out_dir) -> list[Path]:
     """Write the five corpus CSVs into out_dir; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,7 +312,7 @@ def export_csv(summary: CorpusSummary, out_dir) -> list[Path]:
         w = _writer(fh)
         w.writerow(["basis", "party", "median", "average", "max"])
         for basis in ("all_apps", "leaking_apps"):
-            stats = summary.leak_stats[basis]
+            stats = summary["leak_stats"][basis]
             for party in ("first", "third", "total"):
                 cell = stats[party]
                 if cell is None:
@@ -327,7 +327,7 @@ def export_csv(summary: CorpusSummary, out_dir) -> list[Path]:
     with open(path, "w", encoding="utf-8") as fh:
         w = _writer(fh)
         w.writerow(["destination", "leaks", "pct_of_leaks", "first", "third"])
-        for row in summary.destinations:
+        for row in summary["destinations"]:
             w.writerow(
                 [row["destination"], row["leaks"], _fmt(row["pct_of_leaks"]),
                  row["first"], row["third"]]
@@ -339,7 +339,7 @@ def export_csv(summary: CorpusSummary, out_dir) -> list[Path]:
         w = _writer(fh)
         w.writerow(["pi", *_CATEGORIES, "total"])
         col_totals = {c: 0 for c in _CATEGORIES}
-        for row in summary.pi_by_destination:
+        for row in summary["pi_by_destination"]:
             w.writerow([row["pi"], *(row[c] for c in _CATEGORIES), row["total"]])
             for c in _CATEGORIES:
                 col_totals[c] += row[c]
@@ -352,7 +352,7 @@ def export_csv(summary: CorpusSummary, out_dir) -> list[Path]:
     with open(path, "w", encoding="utf-8") as fh:
         w = _writer(fh)
         w.writerow(["pi", "apps_collecting", "fraction"])
-        for row in summary.prevalence:
+        for row in summary["prevalence"]:
             w.writerow([row["pi"], row["apps_collecting"], f"{row['fraction']:.4f}"])
     written.append(path)
 
@@ -360,7 +360,7 @@ def export_csv(summary: CorpusSummary, out_dir) -> list[Path]:
     with open(path, "w", encoding="utf-8") as fh:
         w = _writer(fh)
         w.writerow(["view_class", "views", "share", "top_pi"])
-        for row in summary.view_types:
+        for row in summary["view_types"]:
             w.writerow(
                 [row["view_class"], row["views"], f"{row['share']:.4f}", row["top_pi"]]
             )

@@ -123,13 +123,6 @@ def load_default_sinks() -> SinkRegistry:
         return load_sinks(p)
 
 
-def match_sink(stmt, registry: SinkRegistry) -> list[SinkSpec]:
-    """Sink specs whose signature exactly matches an invoke statement's callee."""
-    if not isinstance(stmt, InvokeStmt):
-        return []
-    return registry.match(stmt.expr.sig)
-
-
 @dataclass(frozen=True)
 class SourcePoint:
     """A findViewById call site resolved to a labeled view."""

@@ -29,7 +29,7 @@ from .ir import (
     resolve_call,
 )
 from .pi import PiKind
-from .sources_sinks import SinkRegistry, SinkSpec, SourcePoint, match_sink
+from .sources_sinks import SinkRegistry, SinkSpec, SourcePoint
 
 
 class Party(Enum):
@@ -126,7 +126,7 @@ def build_graph(
                     _add_call_edges(bundle, sid, expr, result, callee, reg, add_edge)
                 else:
                     _add_opaque_edges(sid, expr, result, reg, add_edge)
-                for spec in match_sink(stmt, registry):
+                for spec in registry.match(expr.sig):
                     for pos in spec.positions:
                         node = None
                         if pos == "recv":

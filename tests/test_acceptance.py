@@ -268,7 +268,7 @@ def test_criterion_7_aggregation_semantics():
                 + [_leak("third", "net", "phone") for _ in range(120)]
             ),
         ]
-        stats = aggregate(reports).leak_stats
+        stats = aggregate(reports)["leak_stats"]
         # per-app totals 0, 1, 1, 2, 320
         assert stats["all_apps"]["total"] == {"median": 1, "average": 64.80, "max": 320}
         assert stats["all_apps"]["first"] == {"median": 1, "average": 40.40, "max": 200}
@@ -280,14 +280,14 @@ def test_criterion_7_aggregation_semantics():
 
         # lower-median convention on an even-sized basis: [1, 2, 3, 4] -> 2
         even = [_report([_leak("first", "net")] * n) for n in (1, 2, 3, 4)]
-        assert aggregate(even).leak_stats["all_apps"]["total"]["median"] == 2
+        assert aggregate(even)["leak_stats"]["all_apps"]["total"]["median"] == 2
 
         # an app with many paths for one PI-destination pair counts once
         multi = [
             _report([_leak("first", "net", "email")] * 3),
             _report([_leak("third", "net", "email")]),
         ]
-        rows = {r["pi"]: r for r in aggregate(multi).pi_by_destination}
+        rows = {r["pi"]: r for r in aggregate(multi)["pi_by_destination"]}
         assert rows["email"]["net"] == 2
         assert rows["email"]["total"] == 2
 

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import uitaint
 from uitaint.cli import main
+from uitaint.pipeline import load_config
 from conftest import DATA
 
 PANIC = DATA / "panic_shield"
@@ -161,6 +166,80 @@ def test_corpus_more_jobs_than_bundles_runs_in_process(tmp_path, monkeypatch):
     assert report.read_bytes() == (wide / report.name).read_bytes()
 
 
+def _count_config_loads(monkeypatch, log):
+    """Empty load_config's cache and append '<pid> <loader>' to log for each
+    config file parsed from now on, in this process or a forked worker."""
+    load_config.cache_clear()
+    for module, name in (("gui", "load_widget_registry"), ("pi", "load_lexicon"),
+                         ("sources_sinks", "load_sinks")):
+        real = getattr(getattr(uitaint, module), name)
+
+        def counted(path, real=real, name=name):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {name}\n")
+            return real(path)
+
+        monkeypatch.setattr(f"uitaint.{module}.{name}", counted)
+        monkeypatch.setattr(f"uitaint.pipeline.{name}", counted)
+
+
+def test_serial_corpus_parses_each_config_once(tmp_path, monkeypatch):
+    apps = _gen_corpus(tmp_path)
+    log = tmp_path / "loads.log"
+    _count_config_loads(monkeypatch, log)
+    assert main(["corpus", "--apps", str(apps), "--out", str(tmp_path / "r")]) == 0
+    assert main(["analyze", "--app", str(PANIC), "--out", str(tmp_path / "p.json")]) == 0
+    pid = os.getpid()
+    assert sorted(log.read_text().splitlines()) == [
+        f"{pid} load_lexicon", f"{pid} load_sinks", f"{pid} load_widget_registry",
+    ]
+
+
+def _custom_config(tmp_path) -> list[str]:
+    """Config flags for copies of the built-in files, minus the Log.d sink."""
+    data = Path(uitaint.__file__).parent / "data"
+    sinks = [line for line in (data / "sinks.tsv").read_text().splitlines(keepends=True)
+             if "<android.util.Log: int d(" not in line]
+    (tmp_path / "sinks.tsv").write_text("".join(sinks))
+    (tmp_path / "lexicon.tsv").write_text((data / "lexicon.tsv").read_text())
+    (tmp_path / "widgets.txt").write_text((data / "widgets.txt").read_text())
+    return ["--sinks", str(tmp_path / "sinks.tsv"), "--lexicon", str(tmp_path / "lexicon.tsv"),
+            "--widgets", str(tmp_path / "widgets.txt")]
+
+
+def _leak_count(reports) -> int:
+    return sum(len(json.loads(p.read_text())["leaks"]) for p in reports.glob("*.json"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_custom_config_matches_analyze(tmp_path, monkeypatch, jobs):
+    apps = _gen_corpus(tmp_path)
+    flags = _custom_config(tmp_path)
+    single, builtin = tmp_path / "single", tmp_path / "builtin"
+    single.mkdir()
+    builtin.mkdir()
+    for app in sorted(apps.iterdir()):
+        out = f"{app.name}.json"
+        assert main(["analyze", "--app", str(app), "--out", str(single / out), *flags]) == 0
+        assert main(["analyze", "--app", str(app), "--out", str(builtin / out)]) == 0
+    assert _leak_count(single) < _leak_count(builtin)
+
+    log = tmp_path / "loads.log"
+    _count_config_loads(monkeypatch, log)
+    reports = tmp_path / "reports"
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports), "-j", jobs, *flags]) == 0
+    names = sorted(p.name for p in single.glob("*.json"))
+    assert sorted(p.name for p in reports.glob("*.json")) == names
+    for name in names:
+        assert (reports / name).read_bytes() == (single / name).read_bytes()
+    # each process that loaded the configs parsed each file once
+    loads = Counter(log.read_text().splitlines())
+    assert set(loads.values()) == {1}
+    assert {line.split()[1] for line in loads} == {
+        "load_lexicon", "load_sinks", "load_widget_registry",
+    }
+
+
 def test_corpus_empty_dir_exits_2(tmp_path, capsys):
     (tmp_path / "apps").mkdir()
     rc = main(["corpus", "--apps", str(tmp_path / "apps"),
@@ -208,6 +287,79 @@ def test_explain_bad_index_exits_2(tmp_path, capsys):
     rc = main(["explain", "--report", str(report), "--leak", "99"])
     assert rc == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def _minimal_report():
+    return {
+        "schema_version": 1,
+        "leaks": [{"party": "first", "destination": "net", "pi_kind": "email",
+                   "path_text": ["r1 = findViewById", "sink(r1)"]}],
+        "views": [{"view_class": "EditText", "pi_kind": "email"}],
+    }
+
+
+def _write_report(tmp_path, doc) -> Path:
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    path = reports / "app.json"
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
+    return path
+
+
+def _with(section, key, value):
+    doc = _minimal_report()
+    if value is None:
+        del doc[section][0][key]
+    else:
+        doc[section][0][key] = value
+    return doc
+
+
+def _run_on_report(path, command):
+    if command == "aggregate":
+        return main(["aggregate", "--reports", str(path.parent),
+                     "--out", str(path.parent.parent / "summary")])
+    return main(["explain", "--report", str(path), "--leak", "0"])
+
+
+@pytest.mark.parametrize("command", ["aggregate", "explain"])
+def test_minimal_report_is_accepted(tmp_path, command):
+    assert _run_on_report(_write_report(tmp_path, _minimal_report()), command) == 0
+
+
+@pytest.mark.parametrize("command", ["aggregate", "explain"])
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (b"{bad", "not a UTF-8 JSON file"),
+        (b"[" * 100_000, "not a UTF-8 JSON file"),
+        (b'{"schema_version": 1, "leaks": [], "views": ["\xff"]}', "not a UTF-8 JSON file"),
+        ([1, 2], "not a JSON object"),
+        ({**_minimal_report(), "schema_version": 2}, "schema_version 2, expected 1"),
+        ({"schema_version": 1, "views": []}, "'leaks' is missing or not a list"),
+        ({**_minimal_report(), "views": [7]}, "views[0] is not an object"),
+        (_with("leaks", "destination", None), "leaks[0] has a missing or bad 'destination': None"),
+        (_with("leaks", "path_text", None), "leaks[0] has a missing or bad 'path_text'"),
+        (_with("leaks", "path_text", []), "leaks[0] has a missing or bad 'path_text': []"),
+        (_with("views", "view_class", None), "views[0] has a missing or bad 'view_class'"),
+        (_with("leaks", "party", "fourth"), "leaks[0] has a missing or bad 'party': 'fourth'"),
+        (_with("leaks", "destination", "cloud"), "leaks[0] has a missing or bad 'destination': 'cloud'"),
+        (_with("leaks", "pi_kind", ["email"]), "leaks[0] has a missing or bad 'pi_kind': ['email']"),
+        (_with("views", "pi_kind", "shoe_size"), "views[0] has a missing or bad 'pi_kind': 'shoe_size'"),
+    ],
+    ids=["bad-json", "deep-nesting", "bad-utf8", "array", "schema-version", "no-leaks", "view-not-object",
+         "no-destination", "no-path-text", "empty-path-text", "no-view-class",
+         "party-fourth", "bad-destination", "unhashable-pi-kind", "bad-view-pi-kind"],
+)
+def test_malformed_report_exits_2(tmp_path, capsys, command, doc, message):
+    path = _write_report(tmp_path, doc)
+    assert _run_on_report(path, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ReportError: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("epoch", ["abc", "99999999999999999999"])

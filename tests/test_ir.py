@@ -137,6 +137,8 @@ def test_string_escapes_round_trip():
         ('r1 = "unterminated', IrSyntaxError),
         ('r1 = "bad\\q"', IrSyntaxError),
         ("r1 = r9", IrSyntaxError),  # r9 never assigned
+        ("r0 = \u00b2", IrSyntaxError),  # superscript two: isdigit() but not int()
+        ("r0 = \u0663", IrSyntaxError),  # Arabic-Indic three: int() reads it as 3
     ],
 )
 def test_statement_errors(line, exc):

@@ -14,7 +14,6 @@ from uitaint.report import (
     aggregate,
     export_csv,
     serialize_report,
-    summary_doc,
     write_summary,
 )
 from conftest import DATA
@@ -82,7 +81,7 @@ def _hand_corpus():
 
 
 def test_leak_stats_match_hand_computation():
-    stats = aggregate(_hand_corpus()).leak_stats
+    stats = aggregate(_hand_corpus())["leak_stats"]
     assert stats["all_apps"]["apps"] == 5
     assert stats["all_apps"]["total"] == {"median": 1, "average": 64.80, "max": 320}
     assert stats["all_apps"]["first"] == {"median": 1, "average": 40.40, "max": 200}
@@ -95,20 +94,20 @@ def test_leak_stats_match_hand_computation():
 
 def test_lower_median_not_interpolated():
     reports = [_report([_leak()] * n) for n in (1, 2, 3, 4)]
-    stats = aggregate(reports).leak_stats
+    stats = aggregate(reports)["leak_stats"]
     # statistics.median would say 2.5; the lower median is 2
     assert stats["all_apps"]["total"]["median"] == 2
 
 
 def test_destination_table_counts_leaks_and_parties():
     summary = aggregate(_hand_corpus())
-    by_dest = {row["destination"]: row for row in summary.destinations}
+    by_dest = {row["destination"]: row for row in summary["destinations"]}
     assert set(by_dest) == {"net", "localstore", "log", "fileio"}
     assert by_dest["net"]["leaks"] == 321
     assert by_dest["net"]["first"] == 201 and by_dest["net"]["third"] == 120
     assert by_dest["net"]["pct_of_leaks"] == round(100 * 321 / 324, 2)
     assert by_dest["localstore"]["leaks"] == 1
-    assert sum(r["leaks"] for r in summary.destinations) == summary.total_leaks == 324
+    assert sum(r["leaks"] for r in summary["destinations"]) == summary["total_leaks"] == 324
 
 
 def test_pi_by_destination_counts_apps_once():
@@ -118,8 +117,8 @@ def test_pi_by_destination_counts_apps_once():
                  _leak("first", "log", "email")]),
     ]
     summary = aggregate(reports)
-    rows = {r["pi"]: r for r in summary.pi_by_destination}
-    assert len(summary.pi_by_destination) == 17
+    rows = {r["pi"]: r for r in summary["pi_by_destination"]}
+    assert len(summary["pi_by_destination"]) == 17
     assert rows["email"]["net"] == 2       # both apps, each counted once
     assert rows["email"]["log"] == 1
     assert rows["email"]["total"] == 3
@@ -134,8 +133,8 @@ def test_prevalence_merges_name_kinds():
         _report(),
     ]
     summary = aggregate(reports)
-    rows = {r["pi"]: r for r in summary.prevalence}
-    assert len(summary.prevalence) == 16  # name merged, zero rows kept
+    rows = {r["pi"]: r for r in summary["prevalence"]}
+    assert len(summary["prevalence"]) == 16  # name merged, zero rows kept
     assert rows["name"]["apps_collecting"] == 2
     assert rows["name"]["fraction"] == round(2 / 3, 4)
     assert rows["email"]["apps_collecting"] == 1
@@ -150,8 +149,8 @@ def test_view_types_shares_and_top_kinds():
                        {"view_class": "Switch", "pi_kind": "gender"}]),
     ]
     summary = aggregate(reports)
-    assert [r["view_class"] for r in summary.view_types] == ["EditText", "Switch"]
-    edit = summary.view_types[0]
+    assert [r["view_class"] for r in summary["view_types"]] == ["EditText", "Switch"]
+    edit = summary["view_types"][0]
     assert edit["views"] == 3 and edit["share"] == 0.75
     assert edit["top_pi"] == "email:2;phone:1"
 
@@ -159,7 +158,7 @@ def test_view_types_shares_and_top_kinds():
 def test_aggregate_is_order_invariant():
     corpus = _hand_corpus()
     docs = [
-        summary_doc(aggregate(list(perm)))
+        aggregate(list(perm))
         for perm in itertools.permutations(corpus)
     ]
     assert all(d == docs[0] for d in docs)
@@ -172,8 +171,8 @@ def test_aggregate_rejects_empty():
 
 def test_zero_leak_corpus_has_empty_leaking_basis(tmp_path):
     summary = aggregate([_report(), _report()])
-    assert summary.total_leaks == 0
-    assert summary.leak_stats["leaking_apps"] == {
+    assert summary["total_leaks"] == 0
+    assert summary["leak_stats"]["leaking_apps"] == {
         "apps": 0, "first": None, "third": None, "total": None,
     }
     export_csv(summary, tmp_path)

@@ -14,7 +14,6 @@ from uitaint.sources_sinks import (
     SinkSpec,
     load_default_sinks,
     load_sinks,
-    match_sink,
     resolve_sources,
 )
 from conftest import write_bundle
@@ -238,7 +237,5 @@ def test_match_sink_on_statement(tmp_path):
         ],
     )
     stmts = [s for _, _, s in bundle.iter_statements()]
-    reg = load_default_sinks()
-    assert match_sink(stmts[0], reg) == []
-    (spec,) = match_sink(stmts[1], reg)
+    (spec,) = load_default_sinks().match(stmts[1].expr.sig)
     assert spec.category is DestCategory.LOG
