@@ -15,6 +15,7 @@ for the (class, method, ordinal) statement ids.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -228,15 +229,35 @@ class AppBundle:
 # ---------------------------------------------------------------------------
 # lexer
 
-_PUNCT = set("<>(),:.=[]")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_DIGITS = set("0123456789")  # str.isdigit() also accepts "²" and "٣"
-_IDENT_CONT = _IDENT_START | _DIGITS
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
+# A string literal without its closing quote: raw characters other than a
+# quote, backslash or newline, and the escapes of _ESCAPES.
+_STR_BODY = r'"(?:[^"\\\n]|\\[nt"\\r])*'
+# One token per match; the leading blanks are skipped without a token.
+# Digit and letter classes are spelled out because \d and \w also take
+# non-ASCII digits and letters such as "²", "٣" and "é".
+_TOKEN = re.compile(
+    rf"""[ \t\r]*(?:
+      (?P<nl>\n)
+    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<hex>-?0[xX][0-9a-fA-F]*)
+    | (?P<int>-?[0-9]+)
+    | (?P<str>{_STR_BODY}")
+    | (?P<punct>[<>(),:.=\[\]])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )""",
+    re.VERBOSE,
+)
+# An unclosed literal's body stops at its first bad escape, or at the
+# newline or end of text that leaves it unterminated.
+_STR_PREFIX = re.compile(_STR_BODY)
+_ESCAPE = re.compile(r"\\(.)")
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class _Tok:
     kind: str  # ident | int | str | punct | nl | eof
     value: object
@@ -246,76 +267,36 @@ class _Tok:
 
 def _lex(text, filename):
     toks = []
-    i, n = 0, len(text)
-    line, col = 1, 1
-    while i < n:
-        c = text[i]
-        if c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "\n":
-            toks.append(_Tok("nl", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-        elif c in _IDENT_START:
-            start = i
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-            toks.append(_Tok("ident", text[start:i], line, col))
-            col += i - start
-        elif c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            start = i
-            if c == "-":
-                i += 1
-            if text[i] == "0" and i + 1 < n and text[i + 1] in "xX":
-                i += 2
-                while i < n and text[i] in "0123456789abcdefABCDEF":
-                    i += 1
-                try:
-                    value = int(text[start:i], 16)
-                except ValueError:
-                    raise IrSyntaxError("bad hex literal", filename, line, col)
-            else:
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-                value = int(text[start:i])
-            toks.append(_Tok("int", value, line, col))
-            col += i - start
-        elif c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise IrSyntaxError(
-                        "unterminated string literal", filename, start_line, start_col
-                    )
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise IrSyntaxError("bad escape in string", filename, line, col)
-                    buf.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    col += 2
-                else:
-                    buf.append(ch)
-                    i += 1
-                    col += 1
-            toks.append(_Tok("str", "".join(buf), start_line, start_col))
-        elif c in _PUNCT:
-            toks.append(_Tok("punct", c, line, col))
-            i += 1
-            col += 1
-        else:
-            raise IrSyntaxError(f"unexpected character {c!r}", filename, line, col)
-    toks.append(_Tok("eof", None, line, col))
-    return toks
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        start = m.end() - len(value)
+        col = start - line_start + 1
+        if kind == "int":
+            value = int(value)
+        elif kind == "hex":
+            if value[-1] in "xX":
+                raise IrSyntaxError("bad hex literal", filename, line, col)
+            kind, value = "int", int(value, 16)
+        elif kind == "str":
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value[1:-1])
+        elif kind == "nl":
+            toks.append(_Tok(kind, value, line, col))
+            line, line_start = line + 1, m.end()
+            continue
+        elif kind == "eof":
+            toks.append(_Tok(kind, None, line, col))
+            return toks
+        elif kind == "bad":
+            if value == '"':
+                stop = _STR_PREFIX.match(text, start).end()
+                if stop < len(text) and text[stop] == "\\":
+                    col = stop - line_start + 1
+                    raise IrSyntaxError("bad escape in string", filename, line, col)
+                raise IrSyntaxError("unterminated string literal", filename, line, col)
+            raise IrSyntaxError(f"unexpected character {value!r}", filename, line, col)
+        toks.append(_Tok(kind, value, line, col))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +307,13 @@ class _Parser:
     def __init__(self, text, filename):
         self.filename = filename
         self.toks = _lex(text, filename)
+        self.toks += self.toks[-1:] * 2  # peek(2) past the end reads eof
         self.pos = 0
 
     # -- token plumbing
 
     def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self):
         tok = self.toks[self.pos]
@@ -764,7 +746,10 @@ def render_code_unit(unit: CodeUnit) -> str:
 
 
 def parse_rtable(text: str, filename: str = "rtable.txt") -> RTable:
-    """Parse `id <name> <int>` lines; `#` starts a comment, ints may be hex."""
+    """Parse `id <name> <int>` lines; `#` starts a comment.
+
+    An int is ASCII decimal digits or 0x and ASCII hex digits, no sign.
+    """
     entries = {}
     seen_ids = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -775,10 +760,9 @@ def parse_rtable(text: str, filename: str = "rtable.txt") -> RTable:
         if len(parts) != 3 or parts[0] != "id":
             raise RTableSyntaxError(f"{filename}:{lineno}: expected 'id <name> <int>'")
         _, name, value = parts
-        try:
-            num = int(value, 16) if value.lower().startswith("0x") else int(value, 10)
-        except ValueError:
+        if not re.fullmatch(r"0[xX][0-9a-fA-F]+|[0-9]+", value):
             raise RTableSyntaxError(f"{filename}:{lineno}: bad integer {value!r}")
+        num = int(value, 16) if value.lower().startswith("0x") else int(value, 10)
         if not 0 <= num <= MAX_RESOURCE_ID:
             raise RTableSyntaxError(f"{filename}:{lineno}: id out of 32-bit range")
         if name in entries:

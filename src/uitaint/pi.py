@@ -147,7 +147,8 @@ def load_lexicon(path) -> Lexicon:
             except ValueError:
                 raise LexiconSyntaxError(f"{path}:{lineno}: unknown kind {kind_name!r}")
             tokens = tuple(t.lower() for t in term.split())
-            if not tokens or not all(t.isalpha() for t in tokens):
+            # tokenize() keeps only ASCII letters, so no other term can match
+            if not tokens or not all(re.fullmatch("[a-z]+", t) for t in tokens):
                 raise LexiconSyntaxError(f"{path}:{lineno}: bad term {term!r}")
             if (kind, tokens) in seen:
                 raise DuplicateTerm(f"{path}:{lineno}: duplicate term {term!r} for {kind.value}")

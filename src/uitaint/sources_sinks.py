@@ -8,6 +8,7 @@ leak when tainted.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -76,8 +77,8 @@ def _parse_positions(raw: str, arity: int, where: str) -> frozenset[str]:
         token = token.strip()
         if token == "recv":
             positions.add(token)
-        elif token.startswith("arg") and token[3:].isdigit():
-            if int(token[3:]) >= arity:
+        elif m := re.fullmatch(r"arg([0-9]+)", token):
+            if int(m[1]) >= arity:
                 raise BadPosition(f"{where}: {token} out of range for arity {arity}")
             positions.add(token)
         else:

@@ -1,4 +1,4 @@
-"""Shared helpers: throwaway bundles, random mini-programs, a path oracle."""
+"""Shared helpers: throwaway bundles, random mini-programs, oracles, a reference lexer."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from uitaint.errors import IrSyntaxError
 from uitaint.gui import ViewElement
 from uitaint.ir import AppBundle, RTable, parse_code_unit
 from uitaint.pi import PiKind
@@ -205,3 +206,92 @@ def _reach(adjacency, start):
                 seen.add(succ)
                 stack.append(succ)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# reference lexer: the per-character scanner the master-regex ir._lex replaced
+
+
+_PUNCT = set("<>(),:.=[]")
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
+_DIGITS = set("0123456789")  # str.isdigit() also accepts "²" and "٣"
+_IDENT_CONT = _IDENT_START | _DIGITS
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+
+def reference_lex(text, filename):
+    """Oracle for ir._lex: the same stream as (kind, value, line, col) tuples.
+
+    Raises IrSyntaxError with the same message and location on bad input.
+    """
+    toks = []
+    i, n = 0, len(text)
+    line, col = 1, 1
+    while i < n:
+        c = text[i]
+        if c in " \t\r":
+            i += 1
+            col += 1
+        elif c == "\n":
+            toks.append(("nl", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+        elif c in _IDENT_START:
+            start = i
+            while i < n and text[i] in _IDENT_CONT:
+                i += 1
+            toks.append(("ident", text[start:i], line, col))
+            col += i - start
+        elif c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
+            start = i
+            if c == "-":
+                i += 1
+            if text[i] == "0" and i + 1 < n and text[i + 1] in "xX":
+                i += 2
+                while i < n and text[i] in "0123456789abcdefABCDEF":
+                    i += 1
+                try:
+                    value = int(text[start:i], 16)
+                except ValueError:
+                    raise IrSyntaxError("bad hex literal", filename, line, col)
+            else:
+                while i < n and text[i] in _DIGITS:
+                    i += 1
+                value = int(text[start:i])
+            toks.append(("int", value, line, col))
+            col += i - start
+        elif c == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            buf = []
+            while True:
+                if i >= n or text[i] == "\n":
+                    raise IrSyntaxError(
+                        "unterminated string literal", filename, start_line, start_col
+                    )
+                ch = text[i]
+                if ch == '"':
+                    i += 1
+                    col += 1
+                    break
+                if ch == "\\":
+                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
+                        raise IrSyntaxError("bad escape in string", filename, line, col)
+                    buf.append(_ESCAPES[text[i + 1]])
+                    i += 2
+                    col += 2
+                else:
+                    buf.append(ch)
+                    i += 1
+                    col += 1
+            toks.append(("str", "".join(buf), start_line, start_col))
+        elif c in _PUNCT:
+            toks.append(("punct", c, line, col))
+            i += 1
+            col += 1
+        else:
+            raise IrSyntaxError(f"unexpected character {c!r}", filename, line, col)
+    toks.append(("eof", None, line, col))
+    return toks

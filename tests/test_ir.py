@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uitaint import ir
 from uitaint.errors import (
     DuplicateClass,
     IrSyntaxError,
@@ -44,7 +45,8 @@ from uitaint.ir import (
     render_statement,
     resolve_call,
 )
-from conftest import write_bundle
+from uitaint.fixtures import FixtureSpec, generate
+from conftest import DATA, reference_lex, write_bundle
 
 SIMPLE = """\
 class com.app.Main extends android.app.Activity
@@ -301,12 +303,84 @@ def test_round_trip_random_units(seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.text(alphabet=st.characters(codec="ascii"), max_size=120))
+@given(st.text(alphabet=st.characters(), max_size=120))
 def test_parser_raises_only_frontend_errors(text):
     try:
         parse_code_unit(text)
     except IrSyntaxError:
         pass  # includes UnknownInvokeKind / MalformedSignature subclasses
+
+
+# ---------------------------------------------------------------------------
+# differential: ir._lex against the per-character reference lexer
+
+
+def _tuple_lex(text, filename):
+    return [(t.kind, t.value, t.line, t.col) for t in ir._lex(text, filename)]
+
+
+def _lex_outcome(lex, text):
+    """The token tuples, or the error class and message."""
+    try:
+        return lex(text, "T.jtac")
+    except IrSyntaxError as e:
+        return type(e), str(e)
+
+
+# Pieces a mutation inserts or swaps in: string and escape delimiters, line
+# ends, hex prefixes with no digits, non-ASCII digits and letters, NUL.
+_MUTATION_ALPHABET = (
+    '"', "\\", "\r", "\n", "0x", "-0x", "\u00b2", "\u0663", "\u00e9", "\x00",
+    " ", "\t", "-", "0", "7", "a", "F", "x", "$", "_", ".", "<", "\\n", "\\q",
+    '\\"', "0X1f", "-12", "0x\u0663",
+)
+
+
+def _mutate(rng, text):
+    """A window of text with one to three random edits."""
+    start = rng.randrange(len(text))
+    text = text[start:start + rng.randint(1, 300)]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + rng.choice(_MUTATION_ALPHABET) + text[i:]
+        elif op == 1:
+            text = text[:i] + rng.choice(_MUTATION_ALPHABET) + text[i + 1:]
+        else:
+            text = text[:i] + text[i + rng.randint(1, 4):]
+    return text
+
+
+def _lexer_corpus(tmp_path):
+    texts = [p.read_text(encoding="utf-8") for p in sorted(DATA.rglob("*.jtac"))]
+    for seed in (1, 7, 29):
+        app, _ = generate(FixtureSpec(seed=seed, n_sources=12, n_decoys=4),
+                          tmp_path / str(seed))
+        texts += [p.read_text(encoding="utf-8") for p in sorted(app.rglob("*.jtac"))]
+    texts += [render_code_unit(ProgramGen(random.Random(s)).unit()) for s in range(20)]
+    return texts + [SIMPLE]
+
+
+def test_lexer_matches_reference_lexer(tmp_path):
+    texts = _lexer_corpus(tmp_path)
+    for text in texts:
+        outcome = _lex_outcome(_tuple_lex, text)
+        assert outcome == _lex_outcome(reference_lex, text)
+        assert isinstance(outcome, list), outcome  # the unmutated texts are valid
+    rng = random.Random(4)
+    errors = set()
+    for _ in range(12_000):
+        text = _mutate(rng, rng.choice(texts))
+        outcome = _lex_outcome(_tuple_lex, text)
+        assert outcome == _lex_outcome(reference_lex, text), repr(text)
+        if not isinstance(outcome, list):
+            errors.add(outcome[1].split(": ", 1)[1].partition(" character")[0])
+    # the mutants reach every lexer error
+    assert errors == {
+        "bad hex literal", "bad escape in string", "unterminated string literal",
+        "unexpected",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +459,10 @@ def test_parse_rtable_accepts_comments_and_hex():
         "id a -1\n",
         "resource a 1\n",
         "id a\n",
+        "id a \u0663\n",          # Arabic-Indic three: int() reads it as 3
+        "id a +5\n",
+        "id a 1_0\n",
+        "id a 0x_1\n",
     ],
 )
 def test_parse_rtable_rejects(body):

@@ -211,6 +211,8 @@ def test_dual_category_sink(tmp_path):
         ("net\t<a.B: void f(int)>\targ1", BadPosition),
         ("net\t<a.B: void f(int)>\targ-1", BadPosition),
         ("net\t<a.B: void f(int)>\tself", BadPosition),
+        ("net\t<a.B: void f(int)>\targ\u00b2", BadPosition),  # isdigit() but not int()
+        ("net\t<a.B: void f(int,int,int,int)>\targ\u0663", BadPosition),  # int() reads 3
         ("net\t<a.B: void f(int)>\t", SinkSyntaxError),
         ("net\t<a.B: void f(int)>", SinkSyntaxError),
         ("teleport\t<a.B: void f(int)>\targ0", SinkSyntaxError),
