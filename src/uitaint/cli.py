@@ -9,14 +9,16 @@ byte-identical whatever -j is.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .errors import AnalysisError, EmptyCorpus, InvalidSpec
+from .errors import AnalysisError, EmptyCorpus, InvalidSpec, UsageError
 from .fixtures import FixtureSpec, generate
 from .pipeline import analyze_bundle, load_config
 from .report import (
@@ -104,12 +106,23 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _analyze_to_text(app_dir: str, config_paths: tuple) -> str:
-    """Worker for corpus analysis; takes config paths so the job pickles."""
-    return serialize_report(analyze_bundle(app_dir, load_config(*config_paths)))
+def _analyze_to_text(app_dir: str, config_paths: tuple) -> tuple[str | None, str | None]:
+    """Worker for corpus analysis; takes config paths so the job pickles.
+
+    Returns (report text, None), or (None, a one-line failure) for a bundle
+    that fails with an error main would map to exit 2. The line is built
+    here, so no exception object has to cross the process pool.
+    """
+    try:
+        report = analyze_bundle(app_dir, load_config(*config_paths))
+    except (AnalysisError, OSError) as exc:
+        return None, f"{Path(app_dir).name}: {type(exc).__name__}: {exc}"
+    return serialize_report(report), None
 
 
 def cmd_corpus(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"-j must be >= 1, got {args.jobs}")
     apps_dir = Path(args.apps)
     apps = sorted(p for p in apps_dir.iterdir() if p.is_dir())
     if not apps:
@@ -119,18 +132,25 @@ def cmd_corpus(args) -> int:
 
     paths = (args.widgets, args.lexicon, args.sinks)
     load_config(*paths)  # a bad config fails once, here; forked workers inherit it
-    jobs = [(str(p), paths) for p in apps]
+    job = functools.partial(_analyze_to_text, config_paths=paths)
+    app_dirs = [str(p) for p in apps]
     workers = min(args.jobs, len(apps))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            texts = list(pool.map(_analyze_to_text, *zip(*jobs)))
-    else:
-        texts = [_analyze_to_text(*job) for job in jobs]
-
-    for app, text in zip(apps, texts):
-        (out_dir / f"{app.name}.json").write_text(text, encoding="utf-8")
-    print(f"analyzed {len(apps)} bundles -> {out_dir}", file=sys.stderr)
-    return 0
+    failed = 0
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(job, app_dirs)
+        else:
+            results = map(job, app_dirs)
+        # results arrive in sorted bundle order; write each as it comes
+        for app, (text, failure) in zip(apps, results):
+            if failure is None:
+                (out_dir / f"{app.name}.json").write_text(text, encoding="utf-8")
+            else:
+                failed += 1
+                print(failure, file=sys.stderr)
+    print(f"analyzed {len(apps)} bundles, {failed} failed -> {out_dir}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def cmd_aggregate(args) -> int:

@@ -86,3 +86,7 @@ class EmptyCorpus(AnalysisError):
 
 class BadEnvironment(AnalysisError):
     """An environment variable set to a value the analyzer cannot use."""
+
+
+class UsageError(AnalysisError):
+    """A command-line option with a value the command cannot use."""

@@ -185,25 +185,32 @@ def _add_opaque_edges(sid, expr, result, reg, add_edge):
             add_edge(n, recv, sid)
 
 
-def _lexicographic_bfs(adjacency, seed: Node, prefix: tuple[StmtId, ...]):
+def _lexicographic_bfs(
+    adjacency, seed: Node, prefix: tuple[StmtId, ...], third: frozenset[str]
+):
     """Shortest label paths from seed; equal lengths keep the smallest sequence.
 
-    Returns node -> path, where each path starts with `prefix` and appends
-    one statement id per traversed edge. Within one BFS wave every candidate
-    has the same length, so plain tuple comparison is the lexicographic rule.
+    The search runs over states (node, crossed), where crossed turns true on
+    the first edge labeled by a statement of a class in `third` and stays
+    true. Returns state -> path, where each path starts with `prefix` and
+    appends one statement id per traversed edge. Within one BFS wave every
+    candidate has the same length, so plain tuple comparison is the
+    lexicographic rule.
     """
-    best = {seed: prefix}
-    frontier = {seed: prefix}
+    start = (seed, False)
+    best = {start: prefix}
+    frontier = {start: prefix}
     while frontier:
-        wave: dict[Node, tuple[StmtId, ...]] = {}
-        for node, path in frontier.items():
+        wave: dict[tuple[Node, bool], tuple[StmtId, ...]] = {}
+        for (node, crossed), path in frontier.items():
             for succ, label in adjacency.get(node, ()):
-                if succ in best:
+                state = (succ, crossed or label.cls in third)
+                if state in best:
                     continue
                 cand = path + (label,)
-                prev = wave.get(succ)
+                prev = wave.get(state)
                 if prev is None or cand < prev:
-                    wave[succ] = cand
+                    wave[state] = cand
         best.update(wave)
         frontier = wave
     return best
@@ -250,17 +257,6 @@ def classify_party(path: tuple[StmtId, ...], app_package: str) -> Party:
     return _party(path, _third_party_classes({sid.cls for sid in path}, app_package))
 
 
-def _reach(adjacency: dict[Node, list[Node]], starts) -> set[Node]:
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for succ in adjacency.get(stack.pop(), ()):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return seen
-
-
 def extract_leaks(graph: TaintGraph) -> list[Leak]:
     """All (source, sink statement, sink spec) leaks with shortest witness paths.
 
@@ -268,48 +264,31 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
     paths the lexicographically smallest statement-id sequence is retained.
     Output is sorted by (source stmt, sink stmt, category, signature).
 
-    A first-party leak is flagged alt_third_party_path iff some edge labeled
-    by a third-party statement has its tail reachable from the source and its
-    head reaching a register that feeds the same sink statement and spec.
-    The flag costs one pass over the graph (reverse adjacency, third-party
-    edges, feed nodes per sink key) plus one reverse reach per sink key that
-    a first-party leak hits; each leak then only intersects two sets.
+    A first-party leak is flagged alt_third_party_path iff some path from the
+    source to a register feeding the same sink statement and spec takes an
+    edge labeled by a third-party statement. Both answers come from one
+    traversal per source: the BFS carries a crossed-third-party bit, the
+    witness is the best path over both states of every feed node, and the
+    flag is set iff a crossed state reaches a feed node of the sink key.
     """
     bundle = graph.bundle
     third = _third_party_classes(bundle.code_units, bundle.app_package)
-    reverse: dict[Node, list[Node]] = {}
-    third_edges: list[tuple[Node, Node]] = []
-    for src, edges in graph.adjacency.items():
-        for dst, label in edges:
-            reverse.setdefault(dst, []).append(src)
-            if label.cls in third:
-                third_edges.append((src, dst))
-    feed_nodes: dict[tuple[StmtId, SinkSpec], list[Node]] = {}
-    for node, feeds in graph.sink_feeds.items():
-        for key in feeds:
-            feed_nodes.setdefault(key, []).append(node)
-    # sink key -> tails of the third-party edges whose head reaches its feeds
-    tails: dict[tuple[StmtId, SinkSpec], set[Node]] = {}
-
     leaks = []
     for sp, seed in graph.seeds.items():
-        best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,))
+        best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,), third)
         hits: dict[tuple, tuple[StmtId, ...]] = {}
-        for node, path in best.items():
+        crossing = set()  # sink keys that a crossed state feeds
+        for (node, crossed), path in best.items():
             for sink_sid, spec in graph.sink_feeds.get(node, ()):
                 cand = path + (sink_sid,)
                 key = (sink_sid, spec)
+                if crossed:
+                    crossing.add(key)
                 prev = hits.get(key)
                 if prev is None or (len(cand), cand) < (len(prev), prev):
                     hits[key] = cand
         for key, path in hits.items():
             party = _party(path, third)
-            alt = False
-            if party is Party.FIRST:
-                if key not in tails:
-                    back = _reach(reverse, feed_nodes[key])
-                    tails[key] = {src for src, dst in third_edges if dst in back}
-                alt = not best.keys().isdisjoint(tails[key])
             sink_sid, spec = key
             leaks.append(
                 Leak(
@@ -320,7 +299,7 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
                     party=party,
                     path=path,
                     path_len=len(path) - 1,
-                    alt_third_party_path=alt,
+                    alt_third_party_path=party is Party.FIRST and key in crossing,
                 )
             )
     leaks.sort(

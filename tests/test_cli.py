@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -246,6 +247,43 @@ def test_corpus_empty_dir_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "r")])
     assert rc == 2
     assert "EmptyCorpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_corpus_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    apps = _gen_corpus(tmp_path, n=1)
+    capsys.readouterr()
+    rc = main(["corpus", "--apps", str(apps), "--out", str(tmp_path / "r"), "-j", jobs])
+    assert rc == 2
+    assert capsys.readouterr().err == f"UsageError: -j must be >= 1, got {jobs}\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_keeps_good_reports_when_bundles_fail(tmp_path, capsys, jobs):
+    apps = _gen_corpus(tmp_path, n=1)
+    (good,) = apps.iterdir()
+    (apps / "nomanifest" / "code").mkdir(parents=True)
+    # a copy of the good bundle plus one unit with a lexical error at 3:8
+    bad = apps / "badsyntax"
+    shutil.copytree(good, bad)
+    (bad / "code" / "Bad.jtac").write_text("class com.bad.Bad\nmethod void m():\n  r0 = ?\n")
+    expected = tmp_path / "expected.json"
+    assert main(["analyze", "--app", str(good), "--out", str(expected)]) == 0
+    capsys.readouterr()
+
+    reports = tmp_path / "reports"
+    rc = main(["corpus", "--apps", str(apps), "--out", str(reports), "-j", jobs])
+    assert rc == 2
+    assert [p.name for p in reports.iterdir()] == [f"{good.name}.json"]
+    assert (reports / f"{good.name}.json").read_bytes() == expected.read_bytes()
+    err = capsys.readouterr().err.splitlines()
+    # one line per failed bundle, in bundle order, the same at every -j
+    failures = [line for line in err if "badsyntax" in line or "nomanifest" in line]
+    assert len(failures) == 2
+    assert failures[0] == "badsyntax: IrSyntaxError: code/Bad.jtac:3:8: unexpected character '?'"
+    assert failures[1].startswith("nomanifest: MissingManifest: ")
+    assert "Traceback" not in "\n".join(err)
 
 
 def test_aggregate_empty_dir_exits_2(tmp_path, capsys):
