@@ -169,18 +169,18 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_gen_fixtures(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     doc = {}
     if args.spec:
         try:
             doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidSpec(f"bad spec file {args.spec}: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidSpec(f"spec file {args.spec} must hold a JSON object")
     if args.seed is not None:
         doc["seed"] = args.seed
-    if args.count < 1:
-        raise InvalidSpec(f"--count must be >= 1, got {args.count}")
     spec = FixtureSpec.from_dict(doc)
 
     out_dir = Path(args.out)

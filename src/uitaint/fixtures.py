@@ -8,6 +8,7 @@ miss them nor smear taint between them; decoys are guaranteed non-flows.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,6 +84,15 @@ class FixtureSpec:
     chain_len: tuple[int, int] = (1, 3)
 
     def __post_init__(self):
+        # JSON gives bools, floats and strings where ints belong; reject them
+        # here rather than let a comparison or range() fail later
+        for name in ("seed", "n_sources", "n_decoys"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_real(self.party_mix):
+            raise InvalidSpec(f"party_mix must be a number, got {self.party_mix!r}")
+        if not all(_is_int(n) for n in self.chain_len):
+            raise InvalidSpec(f"chain_len must be two integers, got {self.chain_len!r}")
         if not 0 <= self.seed <= _MAX_SEED:
             raise InvalidSpec(f"seed out of range: {self.seed}")
         if self.n_sources < 0:
@@ -119,14 +129,24 @@ class FixtureSpec:
         return cls(**kwargs)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _check_mix(name: str, mix: dict[str, float] | None, valid: set[str]) -> None:
     if mix is None:
         return
+    if not isinstance(mix, dict):
+        raise InvalidSpec(f"{name} must map names to weights, got {mix!r}")
     unknown = set(mix) - valid
     if unknown:
         raise InvalidSpec(f"{name} has unknown keys: {sorted(unknown)}")
-    if any(w < 0 for w in mix.values()):
-        raise InvalidSpec(f"{name} weights must be nonnegative")
+    if not all(_is_real(w) and 0 <= w < math.inf for w in mix.values()):
+        raise InvalidSpec(f"{name} weights must be finite nonnegative numbers")
     if not any(w > 0 for w in mix.values()):
         raise InvalidSpec(f"{name} needs at least one positive weight")
 

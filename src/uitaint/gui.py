@@ -53,23 +53,27 @@ class WidgetRegistry:
 def load_widget_registry(path) -> WidgetRegistry:
     """Load a registry file: one `input:Name` or `container:Name` per line."""
     known, inputs = set(), set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            kind, sep, name = line.partition(":")
-            name = name.strip()
-            kind = kind.strip()
-            if not sep or not name or " " in name:
-                raise WidgetSyntaxError(f"{path}:{lineno}: expected 'input:Name' or 'container:Name'")
-            if kind == "input":
-                inputs.add(name)
-                known.add(name)
-            elif kind == "container":
-                known.add(name)
-            else:
-                raise WidgetSyntaxError(f"{path}:{lineno}: unknown widget kind {kind!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise WidgetSyntaxError(f"{path}: not UTF-8 text ({e.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, sep, name = line.partition(":")
+        name = name.strip()
+        kind = kind.strip()
+        if not sep or not name or " " in name:
+            raise WidgetSyntaxError(f"{path}:{lineno}: expected 'input:Name' or 'container:Name'")
+        if kind == "input":
+            inputs.add(name)
+            known.add(name)
+        elif kind == "container":
+            known.add(name)
+        else:
+            raise WidgetSyntaxError(f"{path}:{lineno}: unknown widget kind {kind!r}")
     return WidgetRegistry(frozenset(known), frozenset(inputs))
 
 

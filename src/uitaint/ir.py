@@ -235,37 +235,56 @@ _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 # A string literal without its closing quote: raw characters other than a
 # quote, backslash or newline, and the escapes of _ESCAPES.
 _STR_BODY = r'"(?:[^"\\\n]|\\[nt"\\r])*'
-# One token per match; the leading blanks are skipped without a token.
 # Digit and letter classes are spelled out because \d and \w also take
 # non-ASCII digits and letters such as "²", "٣" and "é".
+_IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
+_QNAME = rf"{_IDENT}(?:\.{_IDENT})*"
+_TYPE = rf"{_QNAME}(?:\[\])*"
+# A signature exactly as render_method_sig / render_field_sig spell it; the
+# groups are class, type, name and, for a method, the parameter list. The
+# blanks are spelled [ ] so that _TOKEN's re.VERBOSE keeps them.
+_SIG_TEXT = rf"<({_QNAME}):[ ]({_TYPE})[ ]({_IDENT})(?:\(((?:{_TYPE}(?:,{_TYPE})*)?)\))?>"
+_SIG = re.compile(_SIG_TEXT)
+# One token per match; the leading blanks are skipped without a token. A
+# dotted name is one ident token and a canonical signature one sig token;
+# any other spelling of a signature lexes as punctuation and names.
 _TOKEN = re.compile(
     rf"""[ \t\r]*(?:
-      (?P<nl>\n)
-    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+      (?P<ident>{_QNAME})
+    | (?P<sig>{_SIG_TEXT})
+    | (?P<punct>[<>(),:.=\[\]])
+    | (?P<nl>\n)
     | (?P<hex>-?0[xX][0-9a-fA-F]*)
     | (?P<int>-?[0-9]+)
     | (?P<str>{_STR_BODY}")
-    | (?P<punct>[<>(),:.=\[\]])
     | (?P<eof>\Z)
     | (?P<bad>.)
     )""",
     re.VERBOSE,
 )
+# The one-name-per-token spelling of a dotted name or signature.
+_FINE = re.compile(rf"(?P<ident>{_IDENT})|(?P<punct>[^ ])")
 # An unclosed literal's body stops at its first bad escape, or at the
 # newline or end of text that leaves it unterminated.
 _STR_PREFIX = re.compile(_STR_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(slots=True)
-class _Tok:
-    kind: str  # ident | int | str | punct | nl | eof
-    value: object
-    line: int
-    col: int
+def _sig_of(text):
+    cls_name, type_name, name, params = _SIG.fullmatch(text).groups()
+    if params is None:
+        return FieldSig(cls_name, type_name, name)
+    params = tuple(params.split(",")) if params else ()
+    return MethodSig(cls_name, type_name, name, params)
 
 
-def _lex(text, filename):
+def _lex(text, filename, sigs):
+    """Tokens as (kind, value, line, col) tuples, the last one eof.
+
+    Kinds are ident, sig, punct, nl, int, str and eof. A sig token's value
+    is its MethodSig or FieldSig, taken from sigs (signature text -> value)
+    and added there when new.
+    """
     toks = []
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
@@ -273,7 +292,16 @@ def _lex(text, filename):
         value = m[kind]
         start = m.end() - len(value)
         col = start - line_start + 1
-        if kind == "int":
+        if kind == "sig":
+            sig = sigs.get(value)
+            if sig is None:
+                sig = sigs[value] = _sig_of(value)
+            value = sig
+        elif kind == "nl":
+            toks.append((kind, value, line, col))
+            line, line_start = line + 1, m.end()
+            continue
+        elif kind == "int":
             value = int(value)
         elif kind == "hex":
             if value[-1] in "xX":
@@ -281,12 +309,8 @@ def _lex(text, filename):
             kind, value = "int", int(value, 16)
         elif kind == "str":
             value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value[1:-1])
-        elif kind == "nl":
-            toks.append(_Tok(kind, value, line, col))
-            line, line_start = line + 1, m.end()
-            continue
         elif kind == "eof":
-            toks.append(_Tok(kind, None, line, col))
+            toks.append((kind, None, line, col))
             return toks
         elif kind == "bad":
             if value == '"':
@@ -296,7 +320,7 @@ def _lex(text, filename):
                     raise IrSyntaxError("bad escape in string", filename, line, col)
                 raise IrSyntaxError("unterminated string literal", filename, line, col)
             raise IrSyntaxError(f"unexpected character {value!r}", filename, line, col)
-        toks.append(_Tok(kind, value, line, col))
+        toks.append((kind, value, line, col))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +328,19 @@ def _lex(text, filename):
 
 
 class _Parser:
-    def __init__(self, text, filename):
+    """Recursive descent over the tokens of _lex.
+
+    Where the grammar wants one plain name (a keyword, register or member
+    name) and finds a dotted name, or wants one form of signature and finds
+    the other, it first re-lexes that token into one token per name and
+    punctuation mark at their own columns. Only input this grammar rejects
+    takes that step, and the error it then reports is the one the
+    one-name-per-token spelling of the same text gets.
+    """
+
+    def __init__(self, text, filename, sigs):
         self.filename = filename
-        self.toks = _lex(text, filename)
+        self.toks = _lex(text, filename, sigs)
         self.toks += self.toks[-1:] * 2  # peek(2) past the end reads eof
         self.pos = 0
 
@@ -317,21 +351,46 @@ class _Parser:
 
     def next(self):
         tok = self.toks[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def error(self, message, tok=None, cls=IrSyntaxError):
         tok = tok or self.peek()
-        raise cls(message, self.filename, tok.line, tok.col)
+        raise cls(message, self.filename, tok[2], tok[3])
+
+    def split(self):
+        """Re-lex the current dotted name or signature token; return its first part."""
+        kind, value, line, col = self.toks[self.pos]
+        render = render_field_sig if type(value) is FieldSig else render_method_sig
+        text = render(value) if kind == "sig" else value
+        self.toks[self.pos:self.pos + 1] = [
+            (m.lastgroup, m[0], line, col + m.start()) for m in _FINE.finditer(text)
+        ]
+        return self.toks[self.pos]
+
+    def word(self):
+        """The current token, a dotted name split so that it starts with one name."""
+        t = self.toks[self.pos]
+        if t[0] == "ident" and "." in t[1]:
+            return self.split()
+        return t
 
     def at_punct(self, ch):
-        t = self.peek()
-        return t.kind == "punct" and t.value == ch
+        t = self.toks[self.pos]
+        return t[0] == "punct" and t[1] == ch
+
+    def at_sig(self, ahead=0):
+        """At a signature token or at the '<' of a signature spelled in parts."""
+        t = self.toks[self.pos + ahead]
+        return t[0] == "sig" or (t[0] == "punct" and t[1] == "<")
 
     def at_word(self, word):
-        t = self.peek()
-        return t.kind == "ident" and t.value == word
+        t = self.toks[self.pos]
+        if t[0] != "ident" or t[1].partition(".")[0] != word:
+            return False
+        self.word()
+        return True
 
     def expect_punct(self, ch, cls=IrSyntaxError):
         if not self.at_punct(ch):
@@ -344,31 +403,36 @@ class _Parser:
         return self.next()
 
     def expect_ident(self, what="identifier", cls=IrSyntaxError):
-        t = self.peek()
-        if t.kind != "ident":
+        t = self.word()
+        if t[0] != "ident":
             self.error(f"expected {what}", cls=cls)
-        return self.next().value
+        self.pos += 1
+        return t[1]
 
     def skip_newlines(self):
-        while self.peek().kind == "nl":
-            self.next()
+        while self.toks[self.pos][0] == "nl":
+            self.pos += 1
 
     def end_line(self):
-        t = self.peek()
-        if t.kind == "eof":
+        kind = self.toks[self.pos][0]
+        if kind == "eof":
             return
-        if t.kind != "nl":
+        if kind != "nl":
             self.error("expected end of line")
         self.skip_newlines()
 
     # -- small grammar pieces
 
     def qname(self, cls=IrSyntaxError):
-        parts = [self.expect_ident("qualified name", cls=cls)]
-        while self.at_punct(".") and self.peek(1).kind == "ident":
-            self.next()
-            parts.append(self.next().value)
-        return ".".join(parts)
+        t = self.peek()
+        if t[0] != "ident":
+            self.error("expected qualified name", cls=cls)
+        self.pos += 1
+        name = t[1]
+        while self.at_punct(".") and self.peek(1)[0] == "ident":
+            name += "." + self.peek(1)[1]
+            self.pos += 2
+        return name
 
     def type_name(self, cls=IrSyntaxError):
         name = self.qname(cls=cls)
@@ -379,31 +443,40 @@ class _Parser:
         return name
 
     def register(self, what="register"):
-        t = self.peek()
-        if t.kind != "ident":
+        t = self.word()
+        if t[0] != "ident":
             self.error(f"expected {what}")
-        if t.value in RESERVED:
-            self.error(f"{t.value!r} cannot be used as a {what}")
-        return Reg(self.next().value)
+        if t[1] in RESERVED:
+            self.error(f"{t[1]!r} cannot be used as a {what}")
+        self.pos += 1
+        return Reg(t[1])
 
     def atom(self):
-        t = self.peek()
-        if t.kind == "int":
-            return IntConst(self.next().value)
-        if t.kind == "str":
-            return StrConst(self.next().value)
-        if t.kind == "ident":
-            if t.value == "null":
-                self.next()
+        kind, value, _, _ = self.word()
+        if kind == "int":
+            self.pos += 1
+            return IntConst(value)
+        if kind == "str":
+            self.pos += 1
+            return StrConst(value)
+        if kind == "ident":
+            if value == "null":
+                self.pos += 1
                 return NullConst()
-            if t.value == "this":
-                self.next()
+            if value == "this":
+                self.pos += 1
                 return Reg("this")
             return self.register()
         self.error("expected atom")
 
     def field_sig(self):
         """<QName: Type Name> with the angle brackets."""
+        kind, value, _, _ = self.peek()
+        if kind == "sig":
+            if type(value) is FieldSig:
+                self.pos += 1
+                return value
+            self.split()
         self.expect_punct("<", cls=MalformedSignature)
         cls_name = self.qname(cls=MalformedSignature)
         self.expect_punct(":", cls=MalformedSignature)
@@ -414,6 +487,12 @@ class _Parser:
 
     def method_sig(self):
         """<QName: Type Name(Type, ...)> with the angle brackets."""
+        kind, value, _, _ = self.peek()
+        if kind == "sig":
+            if type(value) is MethodSig:
+                self.pos += 1
+                return value
+            self.split()
         self.expect_punct("<", cls=MalformedSignature)
         cls_name = self.qname(cls=MalformedSignature)
         self.expect_punct(":", cls=MalformedSignature)
@@ -431,20 +510,20 @@ class _Parser:
         return MethodSig(cls_name, rtype, mname, tuple(params))
 
     def invoke_expr(self):
-        kind_tok = self.peek()
+        kind_tok = self.word()
         kind = self.expect_ident("invoke kind")
         if kind not in INVOKE_KINDS:
             self.error(f"unknown invoke kind {kind!r}", kind_tok, UnknownInvokeKind)
         receiver = None
         if kind == "staticinvoke":
-            if not self.at_punct("<"):
+            if not self.at_sig():
                 self.error("staticinvoke takes no receiver")
         else:
-            t = self.peek()
-            if t.kind != "ident":
+            t = self.word()
+            if t[0] != "ident":
                 self.error("expected receiver register")
-            if t.value == "this":
-                self.next()
+            if t[1] == "this":
+                self.pos += 1
                 receiver = Reg("this")
             else:
                 receiver = self.register("receiver")
@@ -468,24 +547,24 @@ class _Parser:
     # -- statements
 
     def statement(self, make_sid):
-        t = self.peek()
-        if t.kind == "ident" and t.value == "return":
+        t = self.word()
+        if t[0] == "ident" and t[1] == "return":
             self.next()
             value = None
-            if self.peek().kind not in ("nl", "eof"):
+            if self.peek()[0] not in ("nl", "eof"):
                 value = self.atom()
             stmt = ReturnStmt(make_sid(), value)
-        elif t.kind == "ident" and t.value in INVOKE_KINDS:
+        elif t[0] == "ident" and t[1] in INVOKE_KINDS:
             expr = self.invoke_expr()
             stmt = InvokeStmt(make_sid(), None, expr)
-        elif t.kind == "ident" and t.value.endswith("invoke"):
-            self.error(f"unknown invoke kind {t.value!r}", t, UnknownInvokeKind)
-        elif self.at_punct("<"):
+        elif t[0] == "ident" and t[1].endswith("invoke"):
+            self.error(f"unknown invoke kind {t[1]!r}", t, UnknownInvokeKind)
+        elif self.at_sig():
             fld = self.field_sig()
             self.expect_punct("=")
             value = self.atom()
             stmt = FieldWrite(make_sid(), fld, None, value)
-        elif t.kind == "ident":
+        elif t[0] == "ident":
             dst = self.register()
             if self.at_punct("="):
                 self.next()
@@ -504,23 +583,23 @@ class _Parser:
         return stmt
 
     def assignment_rhs(self, dst, make_sid):
-        t = self.peek()
-        if t.kind == "ident" and t.value in INVOKE_KINDS:
+        t = self.word()
+        if t[0] == "ident" and t[1] in INVOKE_KINDS:
             expr = self.invoke_expr()
             return InvokeStmt(make_sid(), dst, expr)
-        if t.kind == "ident" and t.value.endswith("invoke"):
-            self.error(f"unknown invoke kind {t.value!r}", t, UnknownInvokeKind)
+        if t[0] == "ident" and t[1].endswith("invoke"):
+            self.error(f"unknown invoke kind {t[1]!r}", t, UnknownInvokeKind)
         if self.at_punct("("):
             self.next()
             cast_type = self.type_name()
             self.expect_punct(")")
             src = self.register("cast operand")
             return AssignCast(make_sid(), dst, cast_type, src)
-        if self.at_punct("<"):
+        if self.at_sig():
             fld = self.field_sig()
             return FieldRead(make_sid(), dst, fld, None)
-        if t.kind == "ident" and self.peek(1).kind == "punct" and self.peek(1).value == ".":
-            if self.peek(2).kind == "punct" and self.peek(2).value == "<":
+        if t[0] == "ident" and self.peek(1)[0] == "punct" and self.peek(1)[1] == ".":
+            if self.at_sig(2):
                 base = self.register("base register")
                 self.next()  # the dot
                 fld = self.field_sig()
@@ -536,7 +615,7 @@ class _Parser:
             self.next()
             is_static = True
         rtype = self.type_name()
-        name_tok = self.peek()
+        name_tok = self.word()
         name = self.expect_ident("method name")
         if name in RESERVED:
             self.error(f"{name!r} cannot be used as a method name", name_tok)
@@ -564,12 +643,12 @@ class _Parser:
         lines = []
         while True:
             self.skip_newlines()
-            if self.peek().kind == "eof" or self.at_word("method"):
+            if self.peek()[0] == "eof" or self.at_word("method"):
                 break
             if self.at_word("field") or self.at_word("class"):
                 self.error("declarations must precede method bodies")
             ordinal = len(statements)
-            line = self.peek().line
+            line = self.peek()[2]
             stmt = self.statement(lambda: StmtId(class_name, token, ordinal))
             statements.append(stmt)
             lines.append(line)
@@ -646,7 +725,7 @@ class _Parser:
         while self.at_word("method"):
             methods.append(self.method_decl(class_name, seen))
             self.skip_newlines()
-        if self.peek().kind != "eof":
+        if self.peek()[0] != "eof":
             self.error("expected 'method' or end of file")
         return CodeUnit(class_name, superclass, tuple(fields), tuple(methods))
 
@@ -657,16 +736,16 @@ def parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
     Raises IrSyntaxError (or its UnknownInvokeKind / MalformedSignature
     refinements) with a file:line:col location on any malformed input.
     """
-    return _Parser(text, filename).code_unit()
+    return _Parser(text, filename, {}).code_unit()
 
 
 def parse_method_sig(text: str) -> MethodSig:
     """Parse a canonical `<Class: RetType name(T1,T2)>` signature string."""
-    p = _Parser(text, "<signature>")
+    p = _Parser(text, "<signature>", {})
     p.skip_newlines()
     sig = p.method_sig()
     p.skip_newlines()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         p.error("trailing input after signature", cls=MalformedSignature)
     return sig
 
@@ -825,11 +904,11 @@ def parse_bundle(app_dir) -> AppBundle:
     code_units = {}
     code_dir = app_dir / "code"
     if code_dir.is_dir():
+        sigs = {}  # one MethodSig / FieldSig per signature text in this bundle
         for path in sorted(code_dir.rglob("*.jtac")):
             rel = str(path.relative_to(app_dir))
-            unit = parse_code_unit(
-                path.read_text(encoding="utf-8", errors="replace"), rel
-            )
+            text = path.read_text(encoding="utf-8", errors="replace")
+            unit = _Parser(text, rel, sigs).code_unit()
             if unit.class_name in code_units:
                 raise DuplicateClass(f"{rel}: class {unit.class_name} already defined")
             code_units[unit.class_name] = unit

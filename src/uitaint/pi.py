@@ -134,26 +134,30 @@ def load_lexicon(path) -> Lexicon:
     """Load `<kind>\\t<term>` lines; multi-token terms separate tokens with spaces."""
     entries = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].rstrip("\n")
-            if not line.strip():
-                continue
-            kind_name, sep, term = line.partition("\t")
-            if not sep:
-                raise LexiconSyntaxError(f"{path}:{lineno}: expected '<kind>\\t<term>'")
-            try:
-                kind = PiKind(kind_name.strip())
-            except ValueError:
-                raise LexiconSyntaxError(f"{path}:{lineno}: unknown kind {kind_name!r}")
-            tokens = tuple(t.lower() for t in term.split())
-            # tokenize() keeps only ASCII letters, so no other term can match
-            if not tokens or not all(re.fullmatch("[a-z]+", t) for t in tokens):
-                raise LexiconSyntaxError(f"{path}:{lineno}: bad term {term!r}")
-            if (kind, tokens) in seen:
-                raise DuplicateTerm(f"{path}:{lineno}: duplicate term {term!r} for {kind.value}")
-            seen.add((kind, tokens))
-            entries.append(LexEntry(tokens, kind))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise LexiconSyntaxError(f"{path}: not UTF-8 text ({e.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].rstrip("\n")
+        if not line.strip():
+            continue
+        kind_name, sep, term = line.partition("\t")
+        if not sep:
+            raise LexiconSyntaxError(f"{path}:{lineno}: expected '<kind>\\t<term>'")
+        try:
+            kind = PiKind(kind_name.strip())
+        except ValueError:
+            raise LexiconSyntaxError(f"{path}:{lineno}: unknown kind {kind_name!r}")
+        tokens = tuple(t.lower() for t in term.split())
+        # tokenize() keeps only ASCII letters, so no other term can match
+        if not tokens or not all(re.fullmatch("[a-z]+", t) for t in tokens):
+            raise LexiconSyntaxError(f"{path}:{lineno}: bad term {term!r}")
+        if (kind, tokens) in seen:
+            raise DuplicateTerm(f"{path}:{lineno}: duplicate term {term!r} for {kind.value}")
+        seen.add((kind, tokens))
+        entries.append(LexEntry(tokens, kind))
     return Lexicon(_canonical(entries))
 
 

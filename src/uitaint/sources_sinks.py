@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .errors import BadPosition, MalformedSignature, SinkSyntaxError
+from .errors import BadPosition, IrSyntaxError, SinkSyntaxError
 from .gui import ViewElement
 from .ir import (
     AppBundle,
@@ -92,30 +92,34 @@ def load_sinks(path) -> SinkRegistry:
     """Load `<category>\\t<signature>\\t<positions>` lines into a registry."""
     specs = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SinkSyntaxError(
-                    f"{path}:{lineno}: expected '<category>\\t<signature>\\t<positions>'"
-                )
-            cat_name, sig_text, pos_text = (p.strip() for p in parts)
-            try:
-                category = DestCategory(cat_name)
-            except ValueError:
-                raise SinkSyntaxError(f"{path}:{lineno}: unknown category {cat_name!r}")
-            try:
-                sig = parse_method_sig(sig_text)
-            except MalformedSignature as e:
-                raise SinkSyntaxError(f"{path}:{lineno}: {e.message}")
-            if (sig, category) in seen:
-                raise SinkSyntaxError(f"{path}:{lineno}: duplicate sink {sig_text}")
-            seen.add((sig, category))
-            positions = _parse_positions(pos_text, len(sig.param_types), f"{path}:{lineno}")
-            specs.append(SinkSpec(category, sig, positions))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise SinkSyntaxError(f"{path}: not UTF-8 text ({e.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise SinkSyntaxError(
+                f"{path}:{lineno}: expected '<category>\\t<signature>\\t<positions>'"
+            )
+        cat_name, sig_text, pos_text = (p.strip() for p in parts)
+        try:
+            category = DestCategory(cat_name)
+        except ValueError:
+            raise SinkSyntaxError(f"{path}:{lineno}: unknown category {cat_name!r}")
+        try:
+            sig = parse_method_sig(sig_text)
+        except IrSyntaxError as e:
+            raise SinkSyntaxError(f"{path}:{lineno}: {e.message}")
+        if (sig, category) in seen:
+            raise SinkSyntaxError(f"{path}:{lineno}: duplicate sink {sig_text}")
+        seen.add((sig, category))
+        positions = _parse_positions(pos_text, len(sig.param_types), f"{path}:{lineno}")
+        specs.append(SinkSpec(category, sig, positions))
     return SinkRegistry(tuple(specs))
 
 

@@ -1,15 +1,40 @@
-"""Shared helpers: throwaway bundles, random mini-programs, oracles, a reference lexer."""
+"""Shared helpers: throwaway bundles, random mini-programs, oracles, a reference parser."""
 
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from uitaint.errors import IrSyntaxError
+from uitaint.errors import IrSyntaxError, MalformedSignature, UnknownInvokeKind
 from uitaint.gui import ViewElement
-from uitaint.ir import AppBundle, RTable, parse_code_unit
+from uitaint.ir import (
+    INVOKE_KINDS,
+    RESERVED,
+    AppBundle,
+    AssignAtom,
+    AssignCast,
+    CodeUnit,
+    FieldRead,
+    FieldSig,
+    FieldWrite,
+    IntConst,
+    InvokeExpr,
+    InvokeStmt,
+    MethodBody,
+    MethodSig,
+    NullConst,
+    Reg,
+    ReturnStmt,
+    RTable,
+    StmtId,
+    StrConst,
+    method_token,
+    parse_code_unit,
+)
 from uitaint.pi import PiKind
 from uitaint.taint import classify_package, package_of
 
@@ -209,89 +234,446 @@ def _reach(adjacency, start):
 
 
 # ---------------------------------------------------------------------------
-# reference lexer: the per-character scanner the master-regex ir._lex replaced
+# reference parser: the one-name-per-token lexer and parser that ir's coarse
+# tokens replaced, kept as they were
 
 
-_PUNCT = set("<>(),:.=[]")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_DIGITS = set("0123456789")  # str.isdigit() also accepts "²" and "٣"
-_IDENT_CONT = _IDENT_START | _DIGITS
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
+# A string literal without its closing quote: raw characters other than a
+# quote, backslash or newline, and the escapes of _ESCAPES.
+_STR_BODY = r'"(?:[^"\\\n]|\\[nt"\\r])*'
+# One token per match; the leading blanks are skipped without a token.
+# Digit and letter classes are spelled out because \d and \w also take
+# non-ASCII digits and letters such as "²", "٣" and "é".
+_TOKEN = re.compile(
+    rf"""[ \t\r]*(?:
+      (?P<nl>\n)
+    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<hex>-?0[xX][0-9a-fA-F]*)
+    | (?P<int>-?[0-9]+)
+    | (?P<str>{_STR_BODY}")
+    | (?P<punct>[<>(),:.=\[\]])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )""",
+    re.VERBOSE,
+)
+# An unclosed literal's body stops at its first bad escape, or at the
+# newline or end of text that leaves it unterminated.
+_STR_PREFIX = re.compile(_STR_BODY)
+_ESCAPE = re.compile(r"\\(.)")
 
-def reference_lex(text, filename):
-    """Oracle for ir._lex: the same stream as (kind, value, line, col) tuples.
 
-    Raises IrSyntaxError with the same message and location on bad input.
-    """
+@dataclass(slots=True)
+class _Tok:
+    kind: str  # ident | int | str | punct | nl | eof
+    value: object
+    line: int
+    col: int
+
+
+def _lex(text, filename):
     toks = []
-    i, n = 0, len(text)
-    line, col = 1, 1
-    while i < n:
-        c = text[i]
-        if c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "\n":
-            toks.append(("nl", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-        elif c in _IDENT_START:
-            start = i
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-            toks.append(("ident", text[start:i], line, col))
-            col += i - start
-        elif c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            start = i
-            if c == "-":
-                i += 1
-            if text[i] == "0" and i + 1 < n and text[i + 1] in "xX":
-                i += 2
-                while i < n and text[i] in "0123456789abcdefABCDEF":
-                    i += 1
-                try:
-                    value = int(text[start:i], 16)
-                except ValueError:
-                    raise IrSyntaxError("bad hex literal", filename, line, col)
-            else:
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-                value = int(text[start:i])
-            toks.append(("int", value, line, col))
-            col += i - start
-        elif c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise IrSyntaxError(
-                        "unterminated string literal", filename, start_line, start_col
-                    )
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise IrSyntaxError("bad escape in string", filename, line, col)
-                    buf.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    col += 2
-                else:
-                    buf.append(ch)
-                    i += 1
-                    col += 1
-            toks.append(("str", "".join(buf), start_line, start_col))
-        elif c in _PUNCT:
-            toks.append(("punct", c, line, col))
-            i += 1
-            col += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        start = m.end() - len(value)
+        col = start - line_start + 1
+        if kind == "int":
+            value = int(value)
+        elif kind == "hex":
+            if value[-1] in "xX":
+                raise IrSyntaxError("bad hex literal", filename, line, col)
+            kind, value = "int", int(value, 16)
+        elif kind == "str":
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value[1:-1])
+        elif kind == "nl":
+            toks.append(_Tok(kind, value, line, col))
+            line, line_start = line + 1, m.end()
+            continue
+        elif kind == "eof":
+            toks.append(_Tok(kind, None, line, col))
+            return toks
+        elif kind == "bad":
+            if value == '"':
+                stop = _STR_PREFIX.match(text, start).end()
+                if stop < len(text) and text[stop] == "\\":
+                    col = stop - line_start + 1
+                    raise IrSyntaxError("bad escape in string", filename, line, col)
+                raise IrSyntaxError("unterminated string literal", filename, line, col)
+            raise IrSyntaxError(f"unexpected character {value!r}", filename, line, col)
+        toks.append(_Tok(kind, value, line, col))
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+class _Parser:
+    def __init__(self, text, filename):
+        self.filename = filename
+        self.toks = _lex(text, filename)
+        self.toks += self.toks[-1:] * 2  # peek(2) past the end reads eof
+        self.pos = 0
+
+    # -- token plumbing
+
+    def peek(self, ahead=0):
+        return self.toks[self.pos + ahead]
+
+    def next(self):
+        tok = self.toks[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def error(self, message, tok=None, cls=IrSyntaxError):
+        tok = tok or self.peek()
+        raise cls(message, self.filename, tok.line, tok.col)
+
+    def at_punct(self, ch):
+        t = self.peek()
+        return t.kind == "punct" and t.value == ch
+
+    def at_word(self, word):
+        t = self.peek()
+        return t.kind == "ident" and t.value == word
+
+    def expect_punct(self, ch, cls=IrSyntaxError):
+        if not self.at_punct(ch):
+            self.error(f"expected {ch!r}", cls=cls)
+        return self.next()
+
+    def expect_word(self, word):
+        if not self.at_word(word):
+            self.error(f"expected {word!r}")
+        return self.next()
+
+    def expect_ident(self, what="identifier", cls=IrSyntaxError):
+        t = self.peek()
+        if t.kind != "ident":
+            self.error(f"expected {what}", cls=cls)
+        return self.next().value
+
+    def skip_newlines(self):
+        while self.peek().kind == "nl":
+            self.next()
+
+    def end_line(self):
+        t = self.peek()
+        if t.kind == "eof":
+            return
+        if t.kind != "nl":
+            self.error("expected end of line")
+        self.skip_newlines()
+
+    # -- small grammar pieces
+
+    def qname(self, cls=IrSyntaxError):
+        parts = [self.expect_ident("qualified name", cls=cls)]
+        while self.at_punct(".") and self.peek(1).kind == "ident":
+            self.next()
+            parts.append(self.next().value)
+        return ".".join(parts)
+
+    def type_name(self, cls=IrSyntaxError):
+        name = self.qname(cls=cls)
+        while self.at_punct("["):
+            self.next()
+            self.expect_punct("]", cls=cls)
+            name += "[]"
+        return name
+
+    def register(self, what="register"):
+        t = self.peek()
+        if t.kind != "ident":
+            self.error(f"expected {what}")
+        if t.value in RESERVED:
+            self.error(f"{t.value!r} cannot be used as a {what}")
+        return Reg(self.next().value)
+
+    def atom(self):
+        t = self.peek()
+        if t.kind == "int":
+            return IntConst(self.next().value)
+        if t.kind == "str":
+            return StrConst(self.next().value)
+        if t.kind == "ident":
+            if t.value == "null":
+                self.next()
+                return NullConst()
+            if t.value == "this":
+                self.next()
+                return Reg("this")
+            return self.register()
+        self.error("expected atom")
+
+    def field_sig(self):
+        """<QName: Type Name> with the angle brackets."""
+        self.expect_punct("<", cls=MalformedSignature)
+        cls_name = self.qname(cls=MalformedSignature)
+        self.expect_punct(":", cls=MalformedSignature)
+        ftype = self.type_name(cls=MalformedSignature)
+        fname = self.expect_ident("field name", cls=MalformedSignature)
+        self.expect_punct(">", cls=MalformedSignature)
+        return FieldSig(cls_name, ftype, fname)
+
+    def method_sig(self):
+        """<QName: Type Name(Type, ...)> with the angle brackets."""
+        self.expect_punct("<", cls=MalformedSignature)
+        cls_name = self.qname(cls=MalformedSignature)
+        self.expect_punct(":", cls=MalformedSignature)
+        rtype = self.type_name(cls=MalformedSignature)
+        mname = self.expect_ident("method name", cls=MalformedSignature)
+        self.expect_punct("(", cls=MalformedSignature)
+        params = []
+        if not self.at_punct(")"):
+            params.append(self.type_name(cls=MalformedSignature))
+            while self.at_punct(","):
+                self.next()
+                params.append(self.type_name(cls=MalformedSignature))
+        self.expect_punct(")", cls=MalformedSignature)
+        self.expect_punct(">", cls=MalformedSignature)
+        return MethodSig(cls_name, rtype, mname, tuple(params))
+
+    def invoke_expr(self):
+        kind_tok = self.peek()
+        kind = self.expect_ident("invoke kind")
+        if kind not in INVOKE_KINDS:
+            self.error(f"unknown invoke kind {kind!r}", kind_tok, UnknownInvokeKind)
+        receiver = None
+        if kind == "staticinvoke":
+            if not self.at_punct("<"):
+                self.error("staticinvoke takes no receiver")
         else:
-            raise IrSyntaxError(f"unexpected character {c!r}", filename, line, col)
-    toks.append(("eof", None, line, col))
-    return toks
+            t = self.peek()
+            if t.kind != "ident":
+                self.error("expected receiver register")
+            if t.value == "this":
+                self.next()
+                receiver = Reg("this")
+            else:
+                receiver = self.register("receiver")
+            self.expect_punct(".")
+        sig = self.method_sig()
+        self.expect_punct("(")
+        args = []
+        if not self.at_punct(")"):
+            args.append(self.atom())
+            while self.at_punct(","):
+                self.next()
+                args.append(self.atom())
+        self.expect_punct(")")
+        if len(args) != len(sig.param_types):
+            self.error(
+                f"{len(args)} argument(s) for {len(sig.param_types)} parameter(s)",
+                kind_tok,
+            )
+        return InvokeExpr(kind, receiver, sig, tuple(args))
+
+    # -- statements
+
+    def statement(self, make_sid):
+        t = self.peek()
+        if t.kind == "ident" and t.value == "return":
+            self.next()
+            value = None
+            if self.peek().kind not in ("nl", "eof"):
+                value = self.atom()
+            stmt = ReturnStmt(make_sid(), value)
+        elif t.kind == "ident" and t.value in INVOKE_KINDS:
+            expr = self.invoke_expr()
+            stmt = InvokeStmt(make_sid(), None, expr)
+        elif t.kind == "ident" and t.value.endswith("invoke"):
+            self.error(f"unknown invoke kind {t.value!r}", t, UnknownInvokeKind)
+        elif self.at_punct("<"):
+            fld = self.field_sig()
+            self.expect_punct("=")
+            value = self.atom()
+            stmt = FieldWrite(make_sid(), fld, None, value)
+        elif t.kind == "ident":
+            dst = self.register()
+            if self.at_punct("="):
+                self.next()
+                stmt = self.assignment_rhs(dst, make_sid)
+            elif self.at_punct("."):
+                self.next()
+                fld = self.field_sig()
+                self.expect_punct("=")
+                value = self.atom()
+                stmt = FieldWrite(make_sid(), fld, dst, value)
+            else:
+                self.error("expected '=' or '.' after register")
+        else:
+            self.error("expected statement")
+        self.end_line()
+        return stmt
+
+    def assignment_rhs(self, dst, make_sid):
+        t = self.peek()
+        if t.kind == "ident" and t.value in INVOKE_KINDS:
+            expr = self.invoke_expr()
+            return InvokeStmt(make_sid(), dst, expr)
+        if t.kind == "ident" and t.value.endswith("invoke"):
+            self.error(f"unknown invoke kind {t.value!r}", t, UnknownInvokeKind)
+        if self.at_punct("("):
+            self.next()
+            cast_type = self.type_name()
+            self.expect_punct(")")
+            src = self.register("cast operand")
+            return AssignCast(make_sid(), dst, cast_type, src)
+        if self.at_punct("<"):
+            fld = self.field_sig()
+            return FieldRead(make_sid(), dst, fld, None)
+        if t.kind == "ident" and self.peek(1).kind == "punct" and self.peek(1).value == ".":
+            if self.peek(2).kind == "punct" and self.peek(2).value == "<":
+                base = self.register("base register")
+                self.next()  # the dot
+                fld = self.field_sig()
+                return FieldRead(make_sid(), dst, fld, base)
+        return AssignAtom(make_sid(), dst, self.atom())
+
+    # -- declarations
+
+    def method_decl(self, class_name, seen_sigs):
+        head = self.expect_word("method")
+        is_static = False
+        if self.at_word("static"):
+            self.next()
+            is_static = True
+        rtype = self.type_name()
+        name_tok = self.peek()
+        name = self.expect_ident("method name")
+        if name in RESERVED:
+            self.error(f"{name!r} cannot be used as a method name", name_tok)
+        self.expect_punct("(")
+        ptypes, pnames = [], []
+        if not self.at_punct(")"):
+            while True:
+                ptypes.append(self.type_name())
+                pnames.append(self.register("parameter").name)
+                if not self.at_punct(","):
+                    break
+                self.next()
+        self.expect_punct(")")
+        self.expect_punct(":")
+        self.end_line()
+        sig = MethodSig(class_name, rtype, name, tuple(ptypes))
+        if (name, sig.param_types) in seen_sigs:
+            self.error(f"duplicate method {method_token(sig)}", head)
+        seen_sigs.add((name, sig.param_types))
+        if len(set(pnames)) != len(pnames):
+            self.error("duplicate parameter name", head)
+
+        token = method_token(sig)
+        statements = []
+        lines = []
+        while True:
+            self.skip_newlines()
+            if self.peek().kind == "eof" or self.at_word("method"):
+                break
+            if self.at_word("field") or self.at_word("class"):
+                self.error("declarations must precede method bodies")
+            ordinal = len(statements)
+            line = self.peek().line
+            stmt = self.statement(lambda: StmtId(class_name, token, ordinal))
+            statements.append(stmt)
+            lines.append(line)
+        body = MethodBody(sig, tuple(pnames), is_static, tuple(statements))
+        self._check_registers(body, lines, head)
+        return body
+
+    def _check_registers(self, body, lines, head_tok):
+        """Every register read must be a parameter, `this`, or assigned somewhere."""
+        assigned = set(body.params)
+        for s in body.statements:
+            match s:
+                case AssignAtom(dst=d) | AssignCast(dst=d) | FieldRead(dst=d):
+                    assigned.add(d.name)
+                case InvokeStmt(result=Reg(name=rn)):
+                    assigned.add(rn)
+
+        def reads_of(s):
+            out = []
+            match s:
+                case AssignAtom(src=a) | ReturnStmt(value=a) if isinstance(a, Reg):
+                    out.append(a)
+                case AssignCast(src=r):
+                    out.append(r)
+                case FieldRead(base=Reg() as b):
+                    out.append(b)
+                case FieldWrite(base=b, value=v):
+                    if isinstance(b, Reg):
+                        out.append(b)
+                    if isinstance(v, Reg):
+                        out.append(v)
+                case InvokeStmt(expr=e):
+                    if e.receiver is not None:
+                        out.append(e.receiver)
+                    out.extend(a for a in e.args if isinstance(a, Reg))
+            return out
+
+        for s, line in zip(body.statements, lines):
+            for r in reads_of(s):
+                if r.name == "this":
+                    if body.is_static:
+                        raise IrSyntaxError(
+                            "'this' read in a static method", self.filename, line, 1
+                        )
+                    continue
+                if r.name not in assigned:
+                    raise IrSyntaxError(
+                        f"register {r.name!r} is read but never assigned",
+                        self.filename,
+                        line,
+                        1,
+                    )
+
+    def code_unit(self):
+        self.skip_newlines()
+        self.expect_word("class")
+        class_name = self.qname()
+        superclass = None
+        if self.at_word("extends"):
+            self.next()
+            superclass = self.qname()
+        self.end_line()
+
+        fields = []
+        while self.at_word("field"):
+            self.next()
+            ftype = self.type_name()
+            fname = self.expect_ident("field name")
+            fields.append(FieldSig(class_name, ftype, fname))
+            self.end_line()
+
+        methods = []
+        seen = set()
+        while self.at_word("method"):
+            methods.append(self.method_decl(class_name, seen))
+            self.skip_newlines()
+        if self.peek().kind != "eof":
+            self.error("expected 'method' or end of file")
+        return CodeUnit(class_name, superclass, tuple(fields), tuple(methods))
+
+
+def reference_parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
+    """Parse one class worth of IR text.
+
+    Raises IrSyntaxError (or its UnknownInvokeKind / MalformedSignature
+    refinements) with a file:line:col location on any malformed input.
+    """
+    return _Parser(text, filename).code_unit()
+
+
+def reference_parse_method_sig(text: str) -> MethodSig:
+    """Parse a canonical `<Class: RetType name(T1,T2)>` signature string."""
+    p = _Parser(text, "<signature>")
+    p.skip_newlines()
+    sig = p.method_sig()
+    p.skip_newlines()
+    if p.peek().kind != "eof":
+        p.error("trailing input after signature", cls=MalformedSignature)
+    return sig

@@ -119,6 +119,34 @@ def test_gen_fixtures_invalid_spec_exits_2(tmp_path, capsys):
     assert "InvalidSpec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (b"\xff\xfe", "bad spec file"),
+        (b'{"seed": 1, "n_sources": "x"}', "n_sources must be an integer, got 'x'"),
+        (b'{"seed": 1, "n_sources": 1e400}', "n_sources must be an integer, got inf"),
+        (b'{"seed": "a"}', "seed must be an integer, got 'a'"),
+        (b'{"seed": 1, "party_mix": "q"}', "party_mix must be a number, got 'q'"),
+    ],
+    ids=["not-utf8", "str-count", "huge-float-count", "str-seed", "str-party-mix"],
+)
+def test_gen_fixtures_bad_spec_file_exits_2(tmp_path, capsys, body, message):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(body)
+    rc = main(["gen-fixtures", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidSpec: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_gen_fixtures_count_below_one_is_a_usage_error(tmp_path, capsys):
+    rc = main(["gen-fixtures", "--seed", "1", "--count", "0", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "UsageError: --count must be >= 1, got 0\n"
+
+
 # ---------------------------------------------------------------------------
 # corpus + aggregate
 
@@ -247,6 +275,20 @@ def test_corpus_empty_dir_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "r")])
     assert rc == 2
     assert "EmptyCorpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,error",
+    [("--lexicon", "LexiconSyntaxError"), ("--sinks", "SinkSyntaxError"),
+     ("--widgets", "WidgetSyntaxError")],
+)
+def test_config_not_utf8_exits_2(tmp_path, capsys, flag, error):
+    config = tmp_path / "config.txt"
+    config.write_bytes(b"\xff\xfe")
+    rc = main(["analyze", "--app", str(PANIC), flag, str(config)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"{error}: {config}: not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -48,6 +48,16 @@ def _tree_identical(a, b):
         {"seed": 3, "pi_mix": {"email": 0.0}},
         {"seed": 3, "destination_mix": {"cloud": 1.0}},
         {"seed": 3, "destination_mix": {"net": 0.0, "log": 0.0}},
+        # wrong types, as a JSON spec file can give them
+        {"seed": True},
+        {"seed": 3, "n_sources": 2.0},
+        {"seed": 3, "n_decoys": "1"},
+        {"seed": 3, "party_mix": True},
+        {"seed": 3, "chain_len": (1, 2.5)},
+        {"seed": 3, "pi_mix": 5},
+        {"seed": 3, "pi_mix": {"email": "x"}},
+        {"seed": 3, "destination_mix": {"net": float("nan"), "log": 1.0}},
+        {"seed": 3, "destination_mix": {"net": float("inf")}},
     ],
 )
 def test_bad_specs_rejected(kwargs):

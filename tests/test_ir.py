@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +49,12 @@ from uitaint.ir import (
     resolve_call,
 )
 from uitaint.fixtures import FixtureSpec, generate
-from conftest import DATA, reference_lex, write_bundle
+from conftest import (
+    DATA,
+    reference_parse_code_unit,
+    reference_parse_method_sig,
+    write_bundle,
+)
 
 SIMPLE = """\
 class com.app.Main extends android.app.Activity
@@ -312,17 +320,13 @@ def test_parser_raises_only_frontend_errors(text):
 
 
 # ---------------------------------------------------------------------------
-# differential: ir._lex against the per-character reference lexer
+# differential: ir's parser against the one-name-per-token reference parser
 
 
-def _tuple_lex(text, filename):
-    return [(t.kind, t.value, t.line, t.col) for t in ir._lex(text, filename)]
-
-
-def _lex_outcome(lex, text):
-    """The token tuples, or the error class and message."""
+def _outcome(parse, text):
+    """The parsed value, or the error class and message."""
     try:
-        return lex(text, "T.jtac")
+        return parse(text)
     except IrSyntaxError as e:
         return type(e), str(e)
 
@@ -333,6 +337,16 @@ _MUTATION_ALPHABET = (
     '"', "\\", "\r", "\n", "0x", "-0x", "\u00b2", "\u0663", "\u00e9", "\x00",
     " ", "\t", "-", "0", "7", "a", "F", "x", "$", "_", ".", "<", "\\n", "\\q",
     '\\"', "0X1f", "-12", "0x\u0663",
+)
+# Pieces that steer the grammar: punctuation, dotted names, keywords and
+# both forms of signature, so that a token lands where the other is due.
+_GRAMMAR_ALPHABET = (
+    " ", "  ", ".", "<", ">", ":", "(", ")", ",", "[", "]", "[]", "=", "\n",
+    "a", "a.", ".b", "a.b", "r0", "r0.", "$v", "this", "this.", "null", "null.",
+    "return", "return.", "virtualinvoke", "staticinvoke", "staticinvoke.",
+    "superinvoke", "x.invoke", "class", "method", "method.", "field", "static",
+    "static.", "extends", "1", '"s"', "0x", "-", "<a.B: int f>", "<a.B: void g()>",
+    "<a.B: void g(int)>", "<a.B: int[] f>", "<a.B:int f>",
 )
 
 
@@ -352,7 +366,25 @@ def _mutate(rng, text):
     return text
 
 
-def _lexer_corpus(tmp_path):
+_ANCHOR = re.compile(r"^|[<>:(),\[\].]", re.MULTILINE)
+
+
+def _mutate_anchored(rng, text):
+    """text with one to three edits, each at a line start or next to punctuation."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.choice([m.start() for m in _ANCHOR.finditer(text)])
+        i = min(i + rng.randrange(2), len(text))  # before or after the anchor
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + rng.choice(_GRAMMAR_ALPHABET) + text[i:]
+        elif op == 1:
+            text = text[:i] + rng.choice(_GRAMMAR_ALPHABET) + text[i + 1:]
+        else:
+            text = text[:i] + text[i + rng.randint(1, 4):]
+    return text
+
+
+def _unit_corpus(tmp_path):
     texts = [p.read_text(encoding="utf-8") for p in sorted(DATA.rglob("*.jtac"))]
     for seed in (1, 7, 29):
         app, _ = generate(FixtureSpec(seed=seed, n_sources=12, n_decoys=4),
@@ -362,25 +394,85 @@ def _lexer_corpus(tmp_path):
     return texts + [SIMPLE]
 
 
-def test_lexer_matches_reference_lexer(tmp_path):
-    texts = _lexer_corpus(tmp_path)
+def test_parser_matches_reference_parser(tmp_path, monkeypatch):
+    splits = []
+    split = ir._Parser.split
+    monkeypatch.setattr(ir._Parser, "split", lambda p: splits.append(1) or split(p))
+
+    def ours(text):
+        return parse_code_unit(text, "T.jtac")
+
+    def ref(text):
+        return reference_parse_code_unit(text, "T.jtac")
+
+    texts = _unit_corpus(tmp_path)
     for text in texts:
-        outcome = _lex_outcome(_tuple_lex, text)
-        assert outcome == _lex_outcome(reference_lex, text)
-        assert isinstance(outcome, list), outcome  # the unmutated texts are valid
+        outcome = _outcome(ours, text)
+        assert outcome == _outcome(ref, text)
+        assert isinstance(outcome, CodeUnit), outcome  # the unmutated texts are valid
+    assert not splits  # valid input never takes the re-lex step
+
     rng = random.Random(4)
-    errors = set()
-    for _ in range(12_000):
-        text = _mutate(rng, rng.choice(texts))
-        outcome = _lex_outcome(_tuple_lex, text)
-        assert outcome == _lex_outcome(reference_lex, text), repr(text)
-        if not isinstance(outcome, list):
-            errors.add(outcome[1].split(": ", 1)[1].partition(" character")[0])
-    # the mutants reach every lexer error
-    assert errors == {
-        "bad hex literal", "bad escape in string", "unterminated string literal",
-        "unexpected",
+    reached = set()
+    mutants = [_mutate(rng, rng.choice(texts)) for _ in range(4_000)]
+    mutants += [_mutate_anchored(rng, rng.choice(texts)) for _ in range(8_000)]
+    for text in mutants:
+        outcome = _outcome(ours, text)
+        assert outcome == _outcome(ref, text), repr(text)
+        reached.add(type(outcome) if isinstance(outcome, CodeUnit) else outcome[0])
+    assert reached == {CodeUnit, IrSyntaxError, MalformedSignature, UnknownInvokeKind}
+    assert splits  # and the mutants do
+
+    sigs = sorted({m[0] for t in texts for m in re.finditer(r"<[^<>\n]*\([^<>\n]*>", t)})
+    reached = set()
+    for text in sigs + [_mutate_anchored(rng, rng.choice(sigs)) for _ in range(3_000)]:
+        outcome = _outcome(parse_method_sig, text)
+        assert outcome == _outcome(reference_parse_method_sig, text), repr(text)
+        reached.add(type(outcome) if isinstance(outcome, MethodSig) else outcome[0])
+    assert reached == {MethodSig, MalformedSignature, IrSyntaxError}
+
+
+def test_dotted_names_and_signatures_are_one_token_each():
+    toks = ir._lex(SIMPLE, "Main.jtac", {})
+    # 130 tokens with one token per name and punctuation mark
+    assert len(toks) == 68
+    assert ("ident", "android.app.Activity", 1, 28) in toks
+    sigs = [t for t in toks if t[0] == "sig"]
+    assert [t[1] for t in sigs] == [
+        parse_method_sig("<com.app.Main: android.view.View findViewById(int)>"),
+        FieldSig("com.app.Main", "java.lang.String", "name"),
+        FieldSig("com.app.Main", "java.lang.String", "name"),
+    ]
+    assert sigs[1][1] is sigs[2][1]  # one object per signature text
+    assert [t[2:] for t in sigs] == [(7, 26), (9, 6), (10, 12)]
+
+
+def test_parse_bundle_keeps_no_signature_memo(tmp_path):
+    call = "  staticinvoke <a.Log: void d(java.lang.String)>(null)\n"
+    code = {
+        "A.jtac": "class a.A\nmethod static void f():\n" + call * 2,
+        "B.jtac": "class a.B\nmethod static void g():\n" + call,
     }
+
+    def call_sigs(bundle):
+        return [s.expr.sig for _, _, s in bundle.iter_statements()]
+
+    first = call_sigs(parse_bundle(write_bundle(tmp_path / "one", code=code)))
+    second = call_sigs(parse_bundle(write_bundle(tmp_path / "two", code=code)))
+    # one bundle shares one MethodSig per signature text, across its files
+    assert len({id(s) for s in first}) == 1 and len(first) == 3
+    # two bundles share none, and nothing keeps the first bundle's
+    assert first[0] == second[0] and first[0] is not second[0]
+    gone = weakref.ref(first[0])
+    del first
+    gc.collect()
+    assert gone() is None
+    # nor does the module hold a cache of its own
+    for value in vars(ir).values():
+        assert not hasattr(value, "cache_info")
+        if isinstance(value, (dict, set, list)):
+            held = value.values() if isinstance(value, dict) else value
+            assert not any(isinstance(v, (MethodSig, FieldSig)) for v in held)
 
 
 # ---------------------------------------------------------------------------

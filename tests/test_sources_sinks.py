@@ -217,6 +217,7 @@ def test_dual_category_sink(tmp_path):
         ("net\t<a.B: void f(int)>", SinkSyntaxError),
         ("teleport\t<a.B: void f(int)>\targ0", SinkSyntaxError),
         ("net\t<a.B void f(int)>\targ0", SinkSyntaxError),
+        ("net\t<a.B: void f(int%)>\targ0", SinkSyntaxError),  # a lexical error
     ],
 )
 def test_sink_file_errors(tmp_path, line, exc):
