@@ -26,6 +26,7 @@ from .report import (
     export_csv,
     parse_report,
     serialize_report,
+    write_atomic,
     write_summary,
 )
 
@@ -99,25 +100,29 @@ def cmd_analyze(args) -> int:
     report = analyze_bundle(args.app, load_config(args.widgets, args.lexicon, args.sinks))
     text = serialize_report(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     print(_diag_line(report), file=sys.stderr)
     return 0
 
 
-def _analyze_to_text(app_dir: str, config_paths: tuple) -> tuple[str | None, str | None]:
+def _analyze_to_text(app_dir: str, config_paths: tuple) -> tuple[int, str]:
     """Worker for corpus analysis; takes config paths so the job pickles.
 
-    Returns (report text, None), or (None, a one-line failure) for a bundle
-    that fails with an error main would map to exit 2. The line is built
-    here, so no exception object has to cross the process pool.
+    Returns (0, report text), or the exit code main would give the bundle's
+    error and a one-line failure: 2 for bad input, 1 for any other exception
+    (an analyzer bug). The line is built here, so no exception object has to
+    cross the process pool.
     """
+    name = Path(app_dir).name
     try:
         report = analyze_bundle(app_dir, load_config(*config_paths))
+        return 0, serialize_report(report)
     except (AnalysisError, OSError) as exc:
-        return None, f"{Path(app_dir).name}: {type(exc).__name__}: {exc}"
-    return serialize_report(report), None
+        return 2, f"{name}: {type(exc).__name__}: {exc}"
+    except Exception as exc:
+        return 1, f"{name}: internal error: {type(exc).__name__}: {exc}"
 
 
 def cmd_corpus(args) -> int:
@@ -135,7 +140,7 @@ def cmd_corpus(args) -> int:
     job = functools.partial(_analyze_to_text, config_paths=paths)
     app_dirs = [str(p) for p in apps]
     workers = min(args.jobs, len(apps))
-    failed = 0
+    failed = []  # exit code of each failed bundle
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
@@ -143,14 +148,14 @@ def cmd_corpus(args) -> int:
         else:
             results = map(job, app_dirs)
         # results arrive in sorted bundle order; write each as it comes
-        for app, (text, failure) in zip(apps, results):
-            if failure is None:
-                (out_dir / f"{app.name}.json").write_text(text, encoding="utf-8")
+        for app, (code, text) in zip(apps, results):
+            if code:
+                failed.append(code)
+                print(text, file=sys.stderr)
             else:
-                failed += 1
-                print(failure, file=sys.stderr)
-    print(f"analyzed {len(apps)} bundles, {failed} failed -> {out_dir}", file=sys.stderr)
-    return 2 if failed else 0
+                write_atomic(out_dir / f"{app.name}.json", text)
+    print(f"analyzed {len(apps)} bundles, {len(failed)} failed -> {out_dir}", file=sys.stderr)
+    return min(failed, default=0)  # an analyzer bug (1) outranks bad input (2)
 
 
 def cmd_aggregate(args) -> int:
@@ -175,7 +180,7 @@ def cmd_gen_fixtures(args) -> int:
     if args.spec:
         try:
             doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an int() cannot convert
             raise InvalidSpec(f"bad spec file {args.spec}: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidSpec(f"spec file {args.spec} must hold a JSON object")

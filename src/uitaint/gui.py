@@ -8,10 +8,10 @@ the bundle's resource-id table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from importlib import resources
 
 from .errors import WidgetSyntaxError
 from .ir import LayoutDoc, RTable
+from .lines import config_lines
 
 # forward reference to pi.PiKind would be circular; the label field is typed
 # loosely and filled in by the classifier.
@@ -32,54 +32,37 @@ class ViewElement:
 
 @dataclass(frozen=True)
 class WidgetRegistry:
-    """Known view classes, split into input-capable widgets and containers."""
+    """The view classes that accept user input."""
 
-    known_views: frozenset[str]
     input_capable: frozenset[str]
-
-    def __post_init__(self):
-        extra = self.input_capable - self.known_views
-        if extra:
-            raise WidgetSyntaxError(f"input widgets missing from known set: {sorted(extra)}")
 
     def is_input(self, tag: str) -> bool:
         # dotted tags are custom views; assume they accept input
         return tag in self.input_capable or "." in tag
 
-    def is_known(self, tag: str) -> bool:
-        return tag in self.known_views or "." in tag
-
 
 def load_widget_registry(path) -> WidgetRegistry:
-    """Load a registry file: one `input:Name` or `container:Name` per line."""
-    known, inputs = set(), set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as e:
-        raise WidgetSyntaxError(f"{path}: not UTF-8 text ({e.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    """Load a registry file, or the built-in one for None: `input:Name` lines.
+
+    `container:Name` lines are accepted and ignored; the layout walker
+    descends into every tag whatever the registry says.
+    """
+    inputs = set()
+    for where, line in config_lines(path, "widgets.txt", WidgetSyntaxError):
         kind, sep, name = line.partition(":")
         name = name.strip()
         kind = kind.strip()
         if not sep or not name or " " in name:
-            raise WidgetSyntaxError(f"{path}:{lineno}: expected 'input:Name' or 'container:Name'")
+            raise WidgetSyntaxError(f"{where}: expected 'input:Name' or 'container:Name'")
         if kind == "input":
             inputs.add(name)
-            known.add(name)
-        elif kind == "container":
-            known.add(name)
-        else:
-            raise WidgetSyntaxError(f"{path}:{lineno}: unknown widget kind {kind!r}")
-    return WidgetRegistry(frozenset(known), frozenset(inputs))
+        elif kind != "container":
+            raise WidgetSyntaxError(f"{where}: unknown widget kind {kind!r}")
+    return WidgetRegistry(frozenset(inputs))
 
 
 def default_widget_registry() -> WidgetRegistry:
-    with resources.as_file(resources.files(__package__) / "data" / "widgets.txt") as p:
-        return load_widget_registry(p)
+    return load_widget_registry(None)
 
 
 def _local_name(qualified: str) -> str:

@@ -30,6 +30,7 @@ from .errors import (
     UnknownInvokeKind,
     XmlSyntaxError,
 )
+from .lines import numbered_lines
 
 INVOKE_KINDS = ("virtualinvoke", "interfaceinvoke", "specialinvoke", "staticinvoke")
 
@@ -302,7 +303,10 @@ def _lex(text, filename, sigs):
             line, line_start = line + 1, m.end()
             continue
         elif kind == "int":
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                raise IrSyntaxError("integer literal too long", filename, line, col) from None
         elif kind == "hex":
             if value[-1] in "xX":
                 raise IrSyntaxError("bad hex literal", filename, line, col)
@@ -825,31 +829,29 @@ def render_code_unit(unit: CodeUnit) -> str:
 
 
 def parse_rtable(text: str, filename: str = "rtable.txt") -> RTable:
-    """Parse `id <name> <int>` lines; `#` starts a comment.
+    """Parse `id <name> <int>` lines in the format of lines.numbered_lines.
 
     An int is ASCII decimal digits or 0x and ASCII hex digits, no sign.
     """
     entries = {}
     seen_ids = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line in numbered_lines(text, filename):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "id":
-            raise RTableSyntaxError(f"{filename}:{lineno}: expected 'id <name> <int>'")
+            raise RTableSyntaxError(f"{where}: expected 'id <name> <int>'")
         _, name, value = parts
         if not re.fullmatch(r"0[xX][0-9a-fA-F]+|[0-9]+", value):
-            raise RTableSyntaxError(f"{filename}:{lineno}: bad integer {value!r}")
-        num = int(value, 16) if value.lower().startswith("0x") else int(value, 10)
-        if not 0 <= num <= MAX_RESOURCE_ID:
-            raise RTableSyntaxError(f"{filename}:{lineno}: id out of 32-bit range")
+            raise RTableSyntaxError(f"{where}: bad integer {value!r}")
+        try:
+            num = int(value, 16) if value.lower().startswith("0x") else int(value, 10)
+        except ValueError:  # more digits than int() converts
+            num = None
+        if num is None or not 0 <= num <= MAX_RESOURCE_ID:
+            raise RTableSyntaxError(f"{where}: id out of 32-bit range")
         if name in entries:
-            raise RTableSyntaxError(f"{filename}:{lineno}: duplicate name {name!r}")
+            raise RTableSyntaxError(f"{where}: duplicate name {name!r}")
         if num in seen_ids:
-            raise RTableSyntaxError(
-                f"{filename}:{lineno}: id {value} already bound to {seen_ids[num]!r}"
-            )
+            raise RTableSyntaxError(f"{where}: id {value} already bound to {seen_ids[num]!r}")
         entries[name] = num
         seen_ids[num] = name
     return RTable(entries)

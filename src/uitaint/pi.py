@@ -10,9 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 
 from .errors import DuplicateTerm, LexiconSyntaxError
+from .lines import config_lines
 
 
 class PiCategory(Enum):
@@ -126,50 +126,35 @@ class Lexicon:
             raise LexiconSyntaxError(f"kinds without terms: {', '.join(missing)}")
 
 
-def _canonical(entries) -> tuple[LexEntry, ...]:
-    return tuple(sorted(entries, key=lambda e: (KIND_ORDER[e.kind], e.tokens)))
-
-
 def load_lexicon(path) -> Lexicon:
-    """Load `<kind>\\t<term>` lines; multi-token terms separate tokens with spaces."""
+    """Load `<kind>\\t<term>` lines from path, or the built-in file for None.
+
+    Multi-token terms separate tokens with spaces. Entries are kept in
+    (kind order, tokens) order, so the line order of the file is immaterial.
+    """
     entries = []
     seen = set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as e:
-        raise LexiconSyntaxError(f"{path}: not UTF-8 text ({e.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].rstrip("\n")
-        if not line.strip():
-            continue
+    for where, line in config_lines(path, "lexicon.tsv", LexiconSyntaxError):
         kind_name, sep, term = line.partition("\t")
         if not sep:
-            raise LexiconSyntaxError(f"{path}:{lineno}: expected '<kind>\\t<term>'")
+            raise LexiconSyntaxError(f"{where}: expected '<kind>\\t<term>'")
         try:
             kind = PiKind(kind_name.strip())
         except ValueError:
-            raise LexiconSyntaxError(f"{path}:{lineno}: unknown kind {kind_name!r}")
+            raise LexiconSyntaxError(f"{where}: unknown kind {kind_name!r}")
         tokens = tuple(t.lower() for t in term.split())
         # tokenize() keeps only ASCII letters, so no other term can match
         if not tokens or not all(re.fullmatch("[a-z]+", t) for t in tokens):
-            raise LexiconSyntaxError(f"{path}:{lineno}: bad term {term!r}")
+            raise LexiconSyntaxError(f"{where}: bad term {term!r}")
         if (kind, tokens) in seen:
-            raise DuplicateTerm(f"{path}:{lineno}: duplicate term {term!r} for {kind.value}")
+            raise DuplicateTerm(f"{where}: duplicate term {term!r} for {kind.value}")
         seen.add((kind, tokens))
         entries.append(LexEntry(tokens, kind))
-    return Lexicon(_canonical(entries))
-
-
-def save_lexicon(lexicon: Lexicon, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in _canonical(lexicon.entries):
-            fh.write(f"{e.kind.value}\t{' '.join(e.tokens)}\n")
+    return Lexicon(tuple(sorted(entries, key=lambda e: (KIND_ORDER[e.kind], e.tokens))))
 
 
 def load_default_lexicon() -> Lexicon:
-    with resources.as_file(resources.files(__package__) / "data" / "lexicon.tsv") as p:
-        return load_lexicon(p)
+    return load_lexicon(None)
 
 
 def _matches(tokens: list[str], entry: LexEntry) -> bool:

@@ -7,17 +7,11 @@ import dataclasses
 import functools
 import logging
 
-from .gui import (
-    WidgetRegistry,
-    default_widget_registry,
-    extract_views,
-    join_rtable,
-    load_widget_registry,
-)
+from .gui import WidgetRegistry, extract_views, join_rtable, load_widget_registry
 from .ir import parse_bundle
-from .pi import Lexicon, classify, load_default_lexicon, load_lexicon
+from .pi import Lexicon, classify, load_lexicon
 from .report import emit_report
-from .sources_sinks import SinkRegistry, load_default_sinks, load_sinks, resolve_sources
+from .sources_sinks import SinkRegistry, load_sinks, resolve_sources
 from .taint import build_graph, extract_leaks
 
 log = logging.getLogger(__name__)
@@ -39,11 +33,7 @@ def load_config(widgets=None, lexicon=None, sinks=None) -> Config:
     Memoised, so a process parses each file once however many apps it
     analyzes; a load that raises is not cached.
     """
-    return Config(
-        load_widget_registry(widgets) if widgets else default_widget_registry(),
-        load_lexicon(lexicon) if lexicon else load_default_lexicon(),
-        load_sinks(sinks) if sinks else load_default_sinks(),
-    )
+    return Config(load_widget_registry(widgets), load_lexicon(lexicon), load_sinks(sinks))
 
 
 def analyze_bundle(app_dir, config: Config | None = None) -> dict:

@@ -8,6 +8,7 @@ whole corpus runs can be reproduced bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
@@ -91,11 +92,10 @@ def emit_report(
     bundle: AppBundle,
     views: list[ViewElement],
     leaks: list[Leak],
-    diagnostics: SourceDiagnostics | None = None,
-    unmatched_ids: list[str] | None = None,
+    diagnostics: SourceDiagnostics,
+    unmatched_ids: list[str],
 ) -> dict:
     """Build the per-app report document (plain dict, JSON-serializable)."""
-    diagnostics = diagnostics or SourceDiagnostics()
     labeled = [v for v in views if v.pi is not None]
     rendered = {
         sid: render_statement(bundle.statement(sid))
@@ -114,7 +114,7 @@ def emit_report(
             "sources_resolved": diagnostics.resolved,
             "unlabeled_id_skips": diagnostics.unlabeled_id_skips,
             "unresolved_arg_skips": diagnostics.unresolved_arg_skips,
-            "unmatched_rtable_ids": list(unmatched_ids or []),
+            "unmatched_rtable_ids": list(unmatched_ids),
             "first_party_leaks_with_third_party_alternative": sum(
                 1 for lk in leaks if lk.alt_third_party_path
             ),
@@ -124,6 +124,22 @@ def emit_report(
 
 def serialize_report(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_atomic(path, text: str) -> None:
+    """Write text to path as UTF-8 through a temp file in the same directory
+    and a rename, so a failed write leaves whatever was at path untouched.
+
+    The temp name ends in .tmp, so aggregate's *.json glob never reads one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def parse_report(path) -> dict:
@@ -282,88 +298,61 @@ def aggregate(reports: list[dict]) -> dict:
 
 
 def write_summary(summary: dict, path) -> None:
-    Path(path).write_text(serialize_report(summary), encoding="utf-8")
+    write_atomic(path, serialize_report(summary))
 
 
 # ---------------------------------------------------------------------------
 # CSV export
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.2f}"
-    return str(x)
-
-
 def export_csv(summary: dict, out_dir) -> list[Path]:
     """Write the five corpus CSVs into out_dir; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    leak_stats = []
+    for basis in ("all_apps", "leaking_apps"):
+        for party in ("first", "third", "total"):
+            cell = summary["leak_stats"][basis][party]
+            if cell is None:
+                leak_stats.append([basis, party, "", "", ""])
+            else:
+                leak_stats.append(
+                    [basis, party, cell["median"], f"{cell['average']:.2f}", cell["max"]]
+                )
+    pi_rows = summary["pi_by_destination"]
+    col_totals = [sum(row[c] for row in pi_rows) for c in _CATEGORIES]
+    pi_table = [[row["pi"], *(row[c] for c in _CATEGORIES), row["total"]] for row in pi_rows]
+    pi_table.append(["total", *col_totals, sum(col_totals)])
+    tables = (
+        ("leak_stats.csv", ["basis", "party", "median", "average", "max"], leak_stats),
+        (
+            "destinations.csv",
+            ["destination", "leaks", "pct_of_leaks", "first", "third"],
+            [[row["destination"], row["leaks"], f"{row['pct_of_leaks']:.2f}",
+              row["first"], row["third"]] for row in summary["destinations"]],
+        ),
+        ("pi_by_destination.csv", ["pi", *_CATEGORIES, "total"], pi_table),
+        (
+            "prevalence.csv",
+            ["pi", "apps_collecting", "fraction"],
+            [[row["pi"], row["apps_collecting"], f"{row['fraction']:.4f}"]
+             for row in summary["prevalence"]],
+        ),
+        (
+            "view_types.csv",
+            ["view_class", "views", "share", "top_pi"],
+            [[row["view_class"], row["views"], f"{row['share']:.4f}", row["top_pi"]]
+             for row in summary["view_types"]],
+        ),
+    )
+
     written = []
-
-    path = out_dir / "leak_stats.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(["basis", "party", "median", "average", "max"])
-        for basis in ("all_apps", "leaking_apps"):
-            stats = summary["leak_stats"][basis]
-            for party in ("first", "third", "total"):
-                cell = stats[party]
-                if cell is None:
-                    w.writerow([basis, party, "", "", ""])
-                else:
-                    w.writerow(
-                        [basis, party, cell["median"], _fmt(cell["average"]), cell["max"]]
-                    )
-    written.append(path)
-
-    path = out_dir / "destinations.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(["destination", "leaks", "pct_of_leaks", "first", "third"])
-        for row in summary["destinations"]:
-            w.writerow(
-                [row["destination"], row["leaks"], _fmt(row["pct_of_leaks"]),
-                 row["first"], row["third"]]
-            )
-    written.append(path)
-
-    path = out_dir / "pi_by_destination.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(["pi", *_CATEGORIES, "total"])
-        col_totals = {c: 0 for c in _CATEGORIES}
-        for row in summary["pi_by_destination"]:
-            w.writerow([row["pi"], *(row[c] for c in _CATEGORIES), row["total"]])
-            for c in _CATEGORIES:
-                col_totals[c] += row[c]
-        w.writerow(
-            ["total", *(col_totals[c] for c in _CATEGORIES), sum(col_totals.values())]
-        )
-    written.append(path)
-
-    path = out_dir / "prevalence.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(["pi", "apps_collecting", "fraction"])
-        for row in summary["prevalence"]:
-            w.writerow([row["pi"], row["apps_collecting"], f"{row['fraction']:.4f}"])
-    written.append(path)
-
-    path = out_dir / "view_types.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(["view_class", "views", "share", "top_pi"])
-        for row in summary["view_types"]:
-            w.writerow(
-                [row["view_class"], row["views"], f"{row['share']:.4f}", row["top_pi"]]
-            )
-    written.append(path)
-
+    for name, header, rows in tables:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        written.append(out_dir / name)
+        write_atomic(written[-1], buf.getvalue())
     return written

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 
 from .errors import BadPosition, IrSyntaxError, SinkSyntaxError
 from .gui import ViewElement
@@ -27,6 +26,7 @@ from .ir import (
     StmtId,
     parse_method_sig,
 )
+from .lines import config_lines
 from .pi import PiKind
 
 
@@ -78,7 +78,11 @@ def _parse_positions(raw: str, arity: int, where: str) -> frozenset[str]:
         if token == "recv":
             positions.add(token)
         elif m := re.fullmatch(r"arg([0-9]+)", token):
-            if int(m[1]) >= arity:
+            try:
+                index = int(m[1])
+            except ValueError:  # more digits than int() converts
+                index = arity
+            if index >= arity:
                 raise BadPosition(f"{where}: {token} out of range for arity {arity}")
             positions.add(token)
         else:
@@ -89,43 +93,33 @@ def _parse_positions(raw: str, arity: int, where: str) -> frozenset[str]:
 
 
 def load_sinks(path) -> SinkRegistry:
-    """Load `<category>\\t<signature>\\t<positions>` lines into a registry."""
+    """Load `<category>\\t<signature>\\t<positions>` lines from path, or the
+    built-in file for None, into a registry."""
     specs = []
     seen = set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as e:
-        raise SinkSyntaxError(f"{path}: not UTF-8 text ({e.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].rstrip("\n")
-        if not line.strip():
-            continue
+    for where, line in config_lines(path, "sinks.tsv", SinkSyntaxError):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise SinkSyntaxError(
-                f"{path}:{lineno}: expected '<category>\\t<signature>\\t<positions>'"
-            )
+            raise SinkSyntaxError(f"{where}: expected '<category>\\t<signature>\\t<positions>'")
         cat_name, sig_text, pos_text = (p.strip() for p in parts)
         try:
             category = DestCategory(cat_name)
         except ValueError:
-            raise SinkSyntaxError(f"{path}:{lineno}: unknown category {cat_name!r}")
+            raise SinkSyntaxError(f"{where}: unknown category {cat_name!r}")
         try:
             sig = parse_method_sig(sig_text)
         except IrSyntaxError as e:
-            raise SinkSyntaxError(f"{path}:{lineno}: {e.message}")
+            raise SinkSyntaxError(f"{where}: {e.message}")
         if (sig, category) in seen:
-            raise SinkSyntaxError(f"{path}:{lineno}: duplicate sink {sig_text}")
+            raise SinkSyntaxError(f"{where}: duplicate sink {sig_text}")
         seen.add((sig, category))
-        positions = _parse_positions(pos_text, len(sig.param_types), f"{path}:{lineno}")
+        positions = _parse_positions(pos_text, len(sig.param_types), where)
         specs.append(SinkSpec(category, sig, positions))
     return SinkRegistry(tuple(specs))
 
 
 def load_default_sinks() -> SinkRegistry:
-    with resources.as_file(resources.files(__package__) / "data" / "sinks.tsv") as p:
-        return load_sinks(p)
+    return load_sinks(None)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -75,6 +76,87 @@ def test_analyze_malformed_sinks_exits_2(tmp_path, capsys):
     rc = main(["analyze", "--app", str(PANIC), "--sinks", str(bad)])
     assert rc == 2
     assert "SinkSyntaxError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fail", ["write", "rename"])
+def test_failed_report_write_leaves_the_old_report(tmp_path, monkeypatch, fail):
+    out = tmp_path / "reports" / "panic.json"
+    out.parent.mkdir()
+    out.write_text("old report\n")
+    if fail == "write":  # a lone surrogate cannot be encoded, so the write fails midway
+        monkeypatch.setattr("uitaint.cli.serialize_report", lambda doc: "{\ud800}\n")
+    else:
+        def no_rename(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr("uitaint.report.os.replace", no_rename)
+    rc = main(["analyze", "--app", str(PANIC), "--out", str(out)])
+    assert rc == (1 if fail == "write" else 2)
+    assert out.read_text() == "old report\n"
+    assert [p.name for p in out.parent.iterdir()] == ["panic.json"]
+
+
+# ---------------------------------------------------------------------------
+# integers too long for int(): bad input, not an analyzer bug
+
+
+@pytest.fixture
+def long_int():
+    """5,000 decimal digits, more than int() converts at its default limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield "1" * 5000
+    sys.set_int_max_str_digits(limit)
+
+
+def test_too_long_jtac_literal_exits_2_and_corpus_goes_on(tmp_path, capsys, long_int):
+    apps = tmp_path / "apps"
+    big = apps / "aaa_big"  # sorted before the other two bundles
+    shutil.copytree(PANIC, big)
+    unit = f"class com.big.Big\nmethod void m():\n  r0 = {long_int}\n"
+    (big / "code" / "Big.jtac").write_text(unit)
+    shutil.copytree(KEEP, apps / KEEP.name)
+    shutil.copytree(PANIC, apps / PANIC.name)
+    message = "IrSyntaxError: code/Big.jtac:3:8: integer literal too long"
+
+    assert main(["analyze", "--app", str(big)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+    reports = tmp_path / "reports"
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports), "-j", "1"]) == 2
+    assert sorted(p.name for p in reports.iterdir()) == ["keep_yoga.json", "panic_shield.json"]
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == f"aaa_big: {message}"
+    assert "Traceback" not in err
+
+
+def test_too_long_rtable_id_exits_2(tmp_path, capsys, long_int):
+    app = tmp_path / "app"
+    shutil.copytree(PANIC, app)
+    rtable = app / "res" / "rtable.txt"
+    rtable.write_text(f"# ids\nid huge {long_int}\n")
+    assert main(["analyze", "--app", str(app)]) == 2
+    assert capsys.readouterr().err == f"RTableSyntaxError: {rtable}:2: id out of 32-bit range\n"
+
+
+def test_too_long_sink_position_exits_2(tmp_path, capsys, long_int):
+    sinks = tmp_path / "sinks.tsv"
+    log_d = "<android.util.Log: int d(java.lang.String,java.lang.String)>"
+    sinks.write_text(f"log\t{log_d}\targ{long_int}\n")
+    assert main(["analyze", "--app", str(PANIC), "--sinks", str(sinks)]) == 2
+    assert capsys.readouterr().err == (
+        f"BadPosition: {sinks}:1: arg{long_int} out of range for arity 2\n"
+    )
+
+
+def test_too_long_spec_integer_exits_2(tmp_path, capsys, long_int):
+    spec = tmp_path / "spec.json"
+    spec.write_text(f'{{"seed": {long_int}}}')
+    assert main(["gen-fixtures", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"InvalidSpec: bad spec file {spec}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +408,33 @@ def test_corpus_keeps_good_reports_when_bundles_fail(tmp_path, capsys, jobs):
     assert failures[0] == "badsyntax: IrSyntaxError: code/Bad.jtac:3:8: unexpected character '?'"
     assert failures[1].startswith("nomanifest: MissingManifest: ")
     assert "Traceback" not in "\n".join(err)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_writes_other_reports_after_an_analyzer_bug(tmp_path, capsys, monkeypatch, jobs):
+    apps = _gen_corpus(tmp_path)
+    (apps / "nomanifest").mkdir()
+    expected = tmp_path / "expected"
+    assert main(["corpus", "--apps", str(apps), "--out", str(expected)]) == 2
+    real = uitaint.cli.analyze_bundle
+
+    def buggy(app_dir, config):
+        if Path(app_dir).name == "fx00000301":
+            raise RuntimeError("boom")
+        return real(app_dir, config)
+
+    monkeypatch.setattr("uitaint.cli.analyze_bundle", buggy)  # forked workers inherit it
+    capsys.readouterr()
+    reports = tmp_path / "reports"
+    # an analyzer bug outranks the bad bundle's exit 2
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports), "-j", jobs]) == 1
+    names = sorted(p.name for p in reports.iterdir())
+    assert names == ["fx00000300.json", "fx00000302.json"]
+    for name in names:
+        assert (reports / name).read_bytes() == (expected / name).read_bytes()
+    err = capsys.readouterr().err
+    assert "fx00000301: internal error: RuntimeError: boom" in err.splitlines()
+    assert "Traceback" not in err
 
 
 def test_aggregate_empty_dir_exits_2(tmp_path, capsys):

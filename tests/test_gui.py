@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from uitaint.errors import WidgetSyntaxError
 from uitaint.gui import (
     ViewElement,
-    WidgetRegistry,
     default_widget_registry,
     extract_views,
     join_rtable,
@@ -105,18 +104,13 @@ def test_attributes_match_by_local_name():
     ]
 
 
-def test_registry_rejects_input_not_in_known():
-    with pytest.raises(WidgetSyntaxError):
-        WidgetRegistry(frozenset({"A"}), frozenset({"A", "B"}))
-
-
 def test_registry_file_round_trip(tmp_path):
     p = tmp_path / "widgets.txt"
     p.write_text("# comment\ninput:EditText\ncontainer:LinearLayout\n\ninput:Switch\n")
     reg = load_widget_registry(p)
     assert reg.is_input("EditText") and reg.is_input("Switch")
-    assert reg.is_known("LinearLayout") and not reg.is_input("LinearLayout")
-    assert not reg.is_known("TextView")
+    assert not reg.is_input("LinearLayout")
+    assert not reg.is_input("TextView")
 
 
 @pytest.mark.parametrize("line", ["EditText", "input:", "widget:EditText", "input:A B"])
@@ -133,7 +127,7 @@ def test_default_registry_covers_standard_inputs():
                 "Spinner", "DatePicker", "Button"):
         assert reg.is_input(tag), tag
     for tag in ("LinearLayout", "FrameLayout", "ScrollView"):
-        assert reg.is_known(tag) and not reg.is_input(tag), tag
+        assert not reg.is_input(tag), tag
 
 
 # ---------------------------------------------------------------------------

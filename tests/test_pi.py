@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import uitaint
 from uitaint.errors import DuplicateTerm, LexiconSyntaxError
 from uitaint.gui import ViewElement
 from uitaint.pi import (
@@ -18,7 +22,6 @@ from uitaint.pi import (
     classify,
     load_default_lexicon,
     load_lexicon,
-    save_lexicon,
     tokenize,
 )
 
@@ -141,14 +144,13 @@ def test_taxonomy_shape():
 # lexicon files
 
 
-def test_lexicon_round_trip(tmp_path):
-    out = tmp_path / "lex.tsv"
-    save_lexicon(LEX, out)
-    assert load_lexicon(out) == LEX
-    # saving is canonical: a second save produces identical bytes
-    again = tmp_path / "lex2.tsv"
-    save_lexicon(load_lexicon(out), again)
-    assert again.read_bytes() == out.read_bytes()
+def test_lexicon_line_order_is_immaterial(tmp_path):
+    lines = (Path(uitaint.__file__).parent / "data" / "lexicon.tsv").read_text().splitlines()
+    shuffled = random.Random(7).sample(lines, len(lines))
+    assert shuffled != lines
+    path = tmp_path / "lex.tsv"
+    path.write_text("\n".join(shuffled) + "\n")
+    assert load_lexicon(path) == LEX
 
 
 def _minimal_lines():
