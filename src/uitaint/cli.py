@@ -180,7 +180,7 @@ def cmd_gen_fixtures(args) -> int:
     if args.spec:
         try:
             doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, not JSON, or an int() cannot convert
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or int; nested too deep
             raise InvalidSpec(f"bad spec file {args.spec}: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidSpec(f"spec file {args.spec} must hold a JSON object")

@@ -243,16 +243,16 @@ _QNAME = rf"{_IDENT}(?:\.{_IDENT})*"
 _TYPE = rf"{_QNAME}(?:\[\])*"
 # A signature exactly as render_method_sig / render_field_sig spell it; the
 # groups are class, type, name and, for a method, the parameter list. The
-# blanks are spelled [ ] so that _TOKEN's re.VERBOSE keeps them.
+# blanks are spelled [ ] so that _COARSE's re.VERBOSE keeps them.
 _SIG_TEXT = rf"<({_QNAME}):[ ]({_TYPE})[ ]({_IDENT})(?:\(((?:{_TYPE}(?:,{_TYPE})*)?)\))?>"
 _SIG = re.compile(_SIG_TEXT)
-# One token per match; the leading blanks are skipped without a token. A
-# dotted name is one ident token and a canonical signature one sig token;
-# any other spelling of a signature lexes as punctuation and names.
-_TOKEN = re.compile(
-    rf"""[ \t\r]*(?:
-      (?P<ident>{_QNAME})
-    | (?P<sig>{_SIG_TEXT})
+# One token per match; the leading blanks are skipped without a token.
+# Coarse tokens make a dotted name one ident token and a canonical signature
+# one sig token; any other spelling of a signature lexes as punctuation and
+# names. Fine tokens are one per name and punctuation mark (see _parse).
+_TOKEN = rf"""[ \t\r]*(?:
+      (?P<ident>{{ident}})
+    {{sig}}
     | (?P<punct>[<>(),:.=\[\]])
     | (?P<nl>\n)
     | (?P<hex>-?0[xX][0-9a-fA-F]*)
@@ -260,11 +260,9 @@ _TOKEN = re.compile(
     | (?P<str>{_STR_BODY}")
     | (?P<eof>\Z)
     | (?P<bad>.)
-    )""",
-    re.VERBOSE,
-)
-# The one-name-per-token spelling of a dotted name or signature.
-_FINE = re.compile(rf"(?P<ident>{_IDENT})|(?P<punct>[^ ])")
+    )"""
+_COARSE = re.compile(_TOKEN.format(ident=_QNAME, sig=f"| (?P<sig>{_SIG_TEXT})"), re.VERBOSE)
+_FINE = re.compile(_TOKEN.format(ident=_IDENT, sig=""), re.VERBOSE)
 # An unclosed literal's body stops at its first bad escape, or at the
 # newline or end of text that leaves it unterminated.
 _STR_PREFIX = re.compile(_STR_BODY)
@@ -279,8 +277,8 @@ def _sig_of(text):
     return MethodSig(cls_name, type_name, name, params)
 
 
-def _lex(text, filename, sigs):
-    """Tokens as (kind, value, line, col) tuples, the last one eof.
+def _lex(text, filename, sigs, pattern=_COARSE):
+    """Tokens of pattern as (kind, value, line, col) tuples, the last one eof.
 
     Kinds are ident, sig, punct, nl, int, str and eof. A sig token's value
     is its MethodSig or FieldSig, taken from sigs (signature text -> value)
@@ -288,7 +286,7 @@ def _lex(text, filename, sigs):
     """
     toks = []
     line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
+    for m in pattern.finditer(text):
         kind = m.lastgroup
         value = m[kind]
         start = m.end() - len(value)
@@ -332,20 +330,17 @@ def _lex(text, filename, sigs):
 
 
 class _Parser:
-    """Recursive descent over the tokens of _lex.
+    """Recursive descent over the tokens of _lex, coarse or fine.
 
-    Where the grammar wants one plain name (a keyword, register or member
-    name) and finds a dotted name, or wants one form of signature and finds
-    the other, it first re-lexes that token into one token per name and
-    punctuation mark at their own columns. Only input this grammar rejects
-    takes that step, and the error it then reports is the one the
-    one-name-per-token spelling of the same text gets.
+    Only qname reads a dotted ident token; a keyword, register or member
+    name is one plain name. So the coarse tokens of a text parse to the
+    same result as its fine tokens or fail, and they fail only where the
+    fine tokens fail too.
     """
 
-    def __init__(self, text, filename, sigs):
+    def __init__(self, toks, filename):
         self.filename = filename
-        self.toks = _lex(text, filename, sigs)
-        self.toks += self.toks[-1:] * 2  # peek(2) past the end reads eof
+        self.toks = toks + toks[-1:] * 2  # peek(2) past the end reads eof
         self.pos = 0
 
     # -- token plumbing
@@ -363,23 +358,6 @@ class _Parser:
         tok = tok or self.peek()
         raise cls(message, self.filename, tok[2], tok[3])
 
-    def split(self):
-        """Re-lex the current dotted name or signature token; return its first part."""
-        kind, value, line, col = self.toks[self.pos]
-        render = render_field_sig if type(value) is FieldSig else render_method_sig
-        text = render(value) if kind == "sig" else value
-        self.toks[self.pos:self.pos + 1] = [
-            (m.lastgroup, m[0], line, col + m.start()) for m in _FINE.finditer(text)
-        ]
-        return self.toks[self.pos]
-
-    def word(self):
-        """The current token, a dotted name split so that it starts with one name."""
-        t = self.toks[self.pos]
-        if t[0] == "ident" and "." in t[1]:
-            return self.split()
-        return t
-
     def at_punct(self, ch):
         t = self.toks[self.pos]
         return t[0] == "punct" and t[1] == ch
@@ -391,10 +369,7 @@ class _Parser:
 
     def at_word(self, word):
         t = self.toks[self.pos]
-        if t[0] != "ident" or t[1].partition(".")[0] != word:
-            return False
-        self.word()
-        return True
+        return t[0] == "ident" and t[1] == word
 
     def expect_punct(self, ch, cls=IrSyntaxError):
         if not self.at_punct(ch):
@@ -407,8 +382,8 @@ class _Parser:
         return self.next()
 
     def expect_ident(self, what="identifier", cls=IrSyntaxError):
-        t = self.word()
-        if t[0] != "ident":
+        t = self.peek()
+        if t[0] != "ident" or "." in t[1]:
             self.error(f"expected {what}", cls=cls)
         self.pos += 1
         return t[1]
@@ -447,16 +422,14 @@ class _Parser:
         return name
 
     def register(self, what="register"):
-        t = self.word()
-        if t[0] != "ident":
-            self.error(f"expected {what}")
-        if t[1] in RESERVED:
-            self.error(f"{t[1]!r} cannot be used as a {what}")
-        self.pos += 1
-        return Reg(t[1])
+        t = self.peek()
+        name = self.expect_ident(what)
+        if name in RESERVED:
+            self.error(f"{name!r} cannot be used as a {what}", t)
+        return Reg(name)
 
     def atom(self):
-        kind, value, _, _ = self.word()
+        kind, value, _, _ = self.peek()
         if kind == "int":
             self.pos += 1
             return IntConst(value)
@@ -480,7 +453,6 @@ class _Parser:
             if type(value) is FieldSig:
                 self.pos += 1
                 return value
-            self.split()
         self.expect_punct("<", cls=MalformedSignature)
         cls_name = self.qname(cls=MalformedSignature)
         self.expect_punct(":", cls=MalformedSignature)
@@ -496,7 +468,6 @@ class _Parser:
             if type(value) is MethodSig:
                 self.pos += 1
                 return value
-            self.split()
         self.expect_punct("<", cls=MalformedSignature)
         cls_name = self.qname(cls=MalformedSignature)
         self.expect_punct(":", cls=MalformedSignature)
@@ -514,7 +485,7 @@ class _Parser:
         return MethodSig(cls_name, rtype, mname, tuple(params))
 
     def invoke_expr(self):
-        kind_tok = self.word()
+        kind_tok = self.peek()
         kind = self.expect_ident("invoke kind")
         if kind not in INVOKE_KINDS:
             self.error(f"unknown invoke kind {kind!r}", kind_tok, UnknownInvokeKind)
@@ -523,7 +494,7 @@ class _Parser:
             if not self.at_sig():
                 self.error("staticinvoke takes no receiver")
         else:
-            t = self.word()
+            t = self.peek()
             if t[0] != "ident":
                 self.error("expected receiver register")
             if t[1] == "this":
@@ -551,7 +522,7 @@ class _Parser:
     # -- statements
 
     def statement(self, make_sid):
-        t = self.word()
+        t = self.peek()
         if t[0] == "ident" and t[1] == "return":
             self.next()
             value = None
@@ -587,7 +558,7 @@ class _Parser:
         return stmt
 
     def assignment_rhs(self, dst, make_sid):
-        t = self.word()
+        t = self.peek()
         if t[0] == "ident" and t[1] in INVOKE_KINDS:
             expr = self.invoke_expr()
             return InvokeStmt(make_sid(), dst, expr)
@@ -619,7 +590,7 @@ class _Parser:
             self.next()
             is_static = True
         rtype = self.type_name()
-        name_tok = self.word()
+        name_tok = self.peek()
         name = self.expect_ident("method name")
         if name in RESERVED:
             self.error(f"{name!r} cannot be used as a method name", name_tok)
@@ -691,20 +662,13 @@ class _Parser:
             return out
 
         for s, line in zip(body.statements, lines):
+            at = (None, None, line, 1)
             for r in reads_of(s):
                 if r.name == "this":
                     if body.is_static:
-                        raise IrSyntaxError(
-                            "'this' read in a static method", self.filename, line, 1
-                        )
-                    continue
-                if r.name not in assigned:
-                    raise IrSyntaxError(
-                        f"register {r.name!r} is read but never assigned",
-                        self.filename,
-                        line,
-                        1,
-                    )
+                        self.error("'this' read in a static method", at)
+                elif r.name not in assigned:
+                    self.error(f"register {r.name!r} is read but never assigned", at)
 
     def code_unit(self):
         self.skip_newlines()
@@ -733,6 +697,28 @@ class _Parser:
             self.error("expected 'method' or end of file")
         return CodeUnit(class_name, superclass, tuple(fields), tuple(methods))
 
+    def signature(self):
+        self.skip_newlines()
+        sig = self.method_sig()
+        self.skip_newlines()
+        if self.peek()[0] != "eof":
+            self.error("trailing input after signature", cls=MalformedSignature)
+        return sig
+
+
+def _parse(text, filename, sigs, rule):
+    """rule (a _Parser method) applied to the coarse tokens of text.
+
+    Only on a syntax error is the text parsed again, one token per name,
+    and that parse's error raised: its location and message are the ones
+    the grammar defines.
+    """
+    try:
+        return rule(_Parser(_lex(text, filename, sigs), filename))
+    except IrSyntaxError:
+        pass
+    return rule(_Parser(_lex(text, filename, sigs, _FINE), filename))
+
 
 def parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
     """Parse one class worth of IR text.
@@ -740,18 +726,12 @@ def parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
     Raises IrSyntaxError (or its UnknownInvokeKind / MalformedSignature
     refinements) with a file:line:col location on any malformed input.
     """
-    return _Parser(text, filename, {}).code_unit()
+    return _parse(text, filename, {}, _Parser.code_unit)
 
 
 def parse_method_sig(text: str) -> MethodSig:
     """Parse a canonical `<Class: RetType name(T1,T2)>` signature string."""
-    p = _Parser(text, "<signature>", {})
-    p.skip_newlines()
-    sig = p.method_sig()
-    p.skip_newlines()
-    if p.peek()[0] != "eof":
-        p.error("trailing input after signature", cls=MalformedSignature)
-    return sig
+    return _parse(text, "<signature>", {}, _Parser.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +867,7 @@ def parse_bundle(app_dir) -> AppBundle:
     rtable_path = app_dir / "res" / "rtable.txt"
     if rtable_path.is_file():
         rtable = parse_rtable(
-            rtable_path.read_text(encoding="utf-8", errors="replace"),
+            rtable_path.read_text(encoding="utf-8-sig", errors="replace"),
             str(rtable_path),
         )
     else:
@@ -909,8 +889,8 @@ def parse_bundle(app_dir) -> AppBundle:
         sigs = {}  # one MethodSig / FieldSig per signature text in this bundle
         for path in sorted(code_dir.rglob("*.jtac")):
             rel = str(path.relative_to(app_dir))
-            text = path.read_text(encoding="utf-8", errors="replace")
-            unit = _Parser(text, rel, sigs).code_unit()
+            text = path.read_text(encoding="utf-8-sig", errors="replace")
+            unit = _parse(text, rel, sigs, _Parser.code_unit)
             if unit.class_name in code_units:
                 raise DuplicateClass(f"{rel}: class {unit.class_name} already defined")
             code_units[unit.class_name] = unit

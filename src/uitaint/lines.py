@@ -24,11 +24,12 @@ def numbered_lines(text: str, name):
 
 def config_lines(path, builtin: str, error: type[Exception]):
     """numbered_lines of the UTF-8 config file at path, or of the built-in
-    data/<builtin> when path is None or empty; other bytes raise error."""
+    data/<builtin> when path is None or empty; other bytes raise error.
+    A leading byte-order mark is skipped."""
     if not path:
         path = resources.files(__package__) / "data" / builtin
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text ({e.reason})") from None

@@ -209,8 +209,10 @@ def test_gen_fixtures_invalid_spec_exits_2(tmp_path, capsys):
         (b'{"seed": 1, "n_sources": 1e400}', "n_sources must be an integer, got inf"),
         (b'{"seed": "a"}', "seed must be an integer, got 'a'"),
         (b'{"seed": 1, "party_mix": "q"}', "party_mix must be a number, got 'q'"),
+        (b"[" * 100_000, "bad spec file"),
     ],
-    ids=["not-utf8", "str-count", "huge-float-count", "str-seed", "str-party-mix"],
+    ids=["not-utf8", "str-count", "huge-float-count", "str-seed", "str-party-mix",
+         "nested-too-deep"],
 )
 def test_gen_fixtures_bad_spec_file_exits_2(tmp_path, capsys, body, message):
     spec = tmp_path / "spec.json"

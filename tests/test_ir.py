@@ -395,9 +395,26 @@ def _unit_corpus(tmp_path):
 
 
 def test_parser_matches_reference_parser(tmp_path, monkeypatch):
-    splits = []
-    split = ir._Parser.split
-    monkeypatch.setattr(ir._Parser, "split", lambda p: splits.append(1) or split(p))
+    lex, fine_passes = ir._lex, []
+
+    def counting_lex(text, filename, sigs, pattern=ir._COARSE):
+        if pattern is ir._FINE:
+            fine_passes.append(text)
+        return lex(text, filename, sigs, pattern)
+
+    monkeypatch.setattr(ir, "_lex", counting_lex)
+
+    def check(parse, ref, rule, valid, text):
+        """ours == reference on text, and whatever the fine pass alone
+        accepts, the coarse pass accepts alike without a fine pass."""
+        before = len(fine_passes)
+        outcome = _outcome(parse, text)
+        took_fine = len(fine_passes) > before
+        assert outcome == _outcome(ref, text), repr(text)
+        fine = _outcome(lambda t: rule(ir._Parser(lex(t, "T.jtac", {}, ir._FINE), "T.jtac")), text)
+        if isinstance(fine, valid):
+            assert outcome == fine and not took_fine, repr(text)
+        return outcome
 
     def ours(text):
         return parse_code_unit(text, "T.jtac")
@@ -405,31 +422,55 @@ def test_parser_matches_reference_parser(tmp_path, monkeypatch):
     def ref(text):
         return reference_parse_code_unit(text, "T.jtac")
 
+    def unit(text):
+        return check(ours, ref, ir._Parser.code_unit, CodeUnit, text)
+
     texts = _unit_corpus(tmp_path)
     for text in texts:
-        outcome = _outcome(ours, text)
-        assert outcome == _outcome(ref, text)
+        outcome = unit(text)
         assert isinstance(outcome, CodeUnit), outcome  # the unmutated texts are valid
-    assert not splits  # valid input never takes the re-lex step
+    assert not fine_passes  # valid input never takes the fine pass
 
     rng = random.Random(4)
     reached = set()
     mutants = [_mutate(rng, rng.choice(texts)) for _ in range(4_000)]
     mutants += [_mutate_anchored(rng, rng.choice(texts)) for _ in range(8_000)]
     for text in mutants:
-        outcome = _outcome(ours, text)
-        assert outcome == _outcome(ref, text), repr(text)
+        outcome = unit(text)
         reached.add(type(outcome) if isinstance(outcome, CodeUnit) else outcome[0])
     assert reached == {CodeUnit, IrSyntaxError, MalformedSignature, UnknownInvokeKind}
-    assert splits  # and the mutants do
+    assert fine_passes  # and the mutants do
 
     sigs = sorted({m[0] for t in texts for m in re.finditer(r"<[^<>\n]*\([^<>\n]*>", t)})
     reached = set()
     for text in sigs + [_mutate_anchored(rng, rng.choice(sigs)) for _ in range(3_000)]:
-        outcome = _outcome(parse_method_sig, text)
-        assert outcome == _outcome(reference_parse_method_sig, text), repr(text)
+        outcome = check(parse_method_sig, reference_parse_method_sig,
+                        ir._Parser.signature, MethodSig, text)
         reached.add(type(outcome) if isinstance(outcome, MethodSig) else outcome[0])
     assert reached == {MethodSig, MalformedSignature, IrSyntaxError}
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("  r0 = a.b\n", IrSyntaxError, "4:9: expected end of line"),
+    ("  $r = <a.B: void g()>\n", MalformedSignature, "4:20: expected '>'"),
+    ("  return.x\n", IrSyntaxError, "4:9: expected atom"),
+    ("  r0.x = 1\n", MalformedSignature, "4:6: expected '<'"),
+    ("  staticinvoke <a.B: int f>()\n", MalformedSignature, "4:27: expected '('"),
+    ("method void a.b():\n", IrSyntaxError, "2:14: expected '('"),
+])
+def test_error_comes_from_the_fine_pass_where_the_passes_disagree(text, error, message):
+    head = "class a.A\n"
+    if not text.startswith("method"):
+        head += "method void m(int p0):\n  r0 = p0\n"
+
+    def coarse(t, filename):
+        return ir._Parser(ir._lex(t, filename, {}), filename).code_unit()
+
+    outcomes = [_outcome(lambda t: parse(t, "T.jtac"), head + text)
+                for parse in (coarse, parse_code_unit, reference_parse_code_unit)]
+    expected = (error, f"T.jtac:{message}")
+    assert outcomes[0] != expected
+    assert outcomes[1:] == [expected, expected]
 
 
 def test_dotted_names_and_signatures_are_one_token_each():

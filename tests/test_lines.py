@@ -95,3 +95,21 @@ def test_form_feed_does_not_end_an_rtable_line(tmp_path):
         _rtable(path)
     where = tmp_path / "app" / "res" / "rtable.txt"
     assert str(info.value) == f"{where}:1: expected 'id <name> <int>'"
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_reader_skips_a_byte_order_mark(tmp_path, reader):
+    load, first, second, _, _, base, _ = READERS[reader]
+    body = "\r\n".join([first, second, *base]) + "\r\n"
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(body.encode())
+    assert load(marked) == load(plain)
+
+
+def test_jtac_byte_order_mark_is_skipped(tmp_path):
+    text = "class a.A\r\nmethod static void f():\r\n  return\r\n"
+    marked = write_bundle(tmp_path / "marked", code={"A.jtac": "\ufeff" + text})
+    plain = write_bundle(tmp_path / "plain", code={"A.jtac": text})
+    assert parse_bundle(marked).code_units == parse_bundle(plain).code_units
