@@ -149,11 +149,13 @@ def cmd_corpus(args) -> int:
             results = map(job, app_dirs)
         # results arrive in sorted bundle order; write each as it comes
         for app, (code, text) in zip(apps, results):
+            report = out_dir / f"{app.name}.json"
             if code:
                 failed.append(code)
                 print(text, file=sys.stderr)
+                report.unlink(missing_ok=True)  # so aggregate never counts an earlier run's report
             else:
-                write_atomic(out_dir / f"{app.name}.json", text)
+                write_atomic(report, text)
     print(f"analyzed {len(apps)} bundles, {len(failed)} failed -> {out_dir}", file=sys.stderr)
     return min(failed, default=0)  # an analyzer bug (1) outranks bad input (2)
 
@@ -179,7 +181,7 @@ def cmd_gen_fixtures(args) -> int:
     doc = {}
     if args.spec:
         try:
-            doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            doc = json.loads(Path(args.spec).read_text(encoding="utf-8-sig"))
         except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or int; nested too deep
             raise InvalidSpec(f"bad spec file {args.spec}: {exc}") from exc
         if not isinstance(doc, dict):

@@ -48,7 +48,7 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp)
 
 
-def _sid_list(sid):
+def _sid_list(sid: StmtId) -> list:
     return [sid.cls, sid.method, sid.ordinal]
 
 
@@ -67,27 +67,6 @@ def _view_doc(v: ViewElement):
     return doc
 
 
-def _leak_doc(leak: Leak, rendered: dict[StmtId, str]):
-    return {
-        "pi_kind": leak.pi.value,
-        "pi_category": CATEGORY_OF[leak.pi].value,
-        "party": leak.party.value,
-        "destination": leak.sink_spec.category.value,
-        "source": {
-            "stmt": _sid_list(leak.source.stmt),
-            "view": _view_doc(leak.source.view),
-        },
-        "sink": {
-            "stmt": _sid_list(leak.sink_stmt),
-            "signature": render_method_sig(leak.sink_spec.sig),
-        },
-        "path": [_sid_list(s) for s in leak.path],
-        "path_text": [rendered[s] for s in leak.path],
-        "path_len": leak.path_len,
-        "alt_third_party_path": leak.alt_third_party_path,
-    }
-
-
 def emit_report(
     bundle: AppBundle,
     views: list[ViewElement],
@@ -95,12 +74,55 @@ def emit_report(
     diagnostics: SourceDiagnostics,
     unmatched_ids: list[str],
 ) -> dict:
-    """Build the per-app report document (plain dict, JSON-serializable)."""
+    """Build the per-app report document (plain dict, JSON-serializable).
+
+    The document shares sub-objects: the path steps of every leak use one
+    ``[cls, method, ordinal]`` list and one rendered text per statement, and
+    the leaks of one source, or of one (sink statement, sink spec), share
+    one ``source`` or ``sink`` dict. Treat it as read-only; an edit to one
+    leak's path step or source would show in every leak that shares it.
+    A ``source``/``sink`` dict has a statement list and view dict of its
+    own: shared with the path and ``views`` as well, each would be written
+    exactly twice, and the writer's memo of them costs more memory than it
+    saves time.
+    """
     labeled = [v for v in views if v.pi is not None]
-    rendered = {
-        sid: render_statement(bundle.statement(sid))
-        for sid in {s for lk in leaks for s in lk.path}
-    }
+    # one id list and text per statement; the leaks share StmtId objects, so
+    # each object is hashed here once or twice and then found by id()
+    objs = {id(s): s for lk in leaks for s in (lk.sink_stmt, *lk.path)}
+    by_value: dict[StmtId, tuple[list, str]] = {}
+    steps: dict[int, tuple[list, str]] = {}
+    for i, s in objs.items():
+        step = by_value.get(s)
+        if step is None:
+            step = by_value[s] = (_sid_list(s), render_statement(bundle.statement(s)))
+        steps[i] = step
+    # the leaks of one source or sink spec hold the same object, so these
+    # are keyed by id() and never hash a SourcePoint or SinkSpec
+    sources: dict[int, dict] = {}
+    sinks: dict[tuple[int, int], dict] = {}  # by (id of the step's list, id of the spec)
+    leak_docs = []
+    for lk in leaks:
+        sp, spec = lk.source, lk.sink_spec
+        source = sources.get(id(sp))
+        if source is None:
+            source = sources[id(sp)] = {"stmt": _sid_list(sp.stmt), "view": _view_doc(sp.view)}
+        stmt = steps[id(lk.sink_stmt)][0]
+        sink = sinks.get(key := (id(stmt), id(spec)))
+        if sink is None:
+            sink = sinks[key] = {"stmt": list(stmt), "signature": render_method_sig(spec.sig)}
+        leak_docs.append({
+            "pi_kind": lk.pi.value,
+            "pi_category": CATEGORY_OF[lk.pi].value,
+            "party": lk.party.value,
+            "destination": spec.category.value,
+            "source": source,
+            "sink": sink,
+            "path": [steps[id(s)][0] for s in lk.path],
+            "path_text": [steps[id(s)][1] for s in lk.path],
+            "path_len": lk.path_len,
+            "alt_third_party_path": lk.alt_third_party_path,
+        })
     return {
         "schema_version": SCHEMA_VERSION,
         "app_package": bundle.app_package,
@@ -108,7 +130,7 @@ def emit_report(
         "views_total": len(views),
         "views_labeled": len(labeled),
         "views": [_view_doc(v) for v in labeled],
-        "leaks": [_leak_doc(lk, rendered) for lk in leaks],
+        "leaks": leak_docs,
         "diagnostics": {
             "findviewbyid_sites": diagnostics.sites,
             "sources_resolved": diagnostics.resolved,
@@ -122,8 +144,80 @@ def emit_report(
     }
 
 
+_INF = float("inf")
+
+
+def _float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+# each JSON scalar type and how json.dumps writes it
+_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def serialize_report(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for a
+    document with string keys, written without the pure-Python encoder.
+
+    A container reached again at the same depth (emit_report shares path
+    statements, sources and sinks) is rendered once: fragments are
+    memoised by (id, depth), and stored only from the second time a
+    container is reached, so one that appears once costs an id in a set and
+    no fragment. The document must not change while it is written. A value
+    json cannot write raises TypeError.
+    """
+    seen: set[int] = set()
+    memo: dict[tuple[int, int], str] = {}
+    scalar = _SCALARS.get
+    string = _SCALARS[str]
+
+    def render(o, depth: int) -> str:
+        write = scalar(type(o))
+        if write is not None:
+            return write(o)
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+        else:  # a subclass of str, int or float, as json takes them
+            base = next((t for t in (str, int, float) if isinstance(o, t)), None)
+            if base is None:
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            return _SCALARS[base](o)
+        key = (id(o), depth)
+        text = memo.get(key)
+        if text is not None:
+            return text
+        sep = ",\n" + "  " * (depth + 1)
+        if isinstance(o, dict):
+            items = sep.join(
+                [f"{string(k)}: {render(v, depth + 1)}" for k, v in sorted(o.items())]
+            )
+            text = f"{{{sep[1:]}{items}\n{'  ' * depth}}}"
+        else:
+            items = sep.join([render(v, depth + 1) for v in o])
+            text = f"[{sep[1:]}{items}\n{'  ' * depth}]"
+        if id(o) in seen:
+            memo[key] = text
+        else:
+            seen.add(id(o))
+        return text
+
+    return render(doc, 0) + "\n"
 
 
 def write_atomic(path, text: str) -> None:

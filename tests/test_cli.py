@@ -184,6 +184,14 @@ def test_gen_fixtures_spec_file(tmp_path):
     assert len(truth_lines) == 2
 
 
+def test_gen_fixtures_spec_file_may_start_with_a_byte_order_mark(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'\xef\xbb\xbf{"seed": 3}')
+    rc = main(["gen-fixtures", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert (tmp_path / "o" / "fx00000003" / "manifest.xml").is_file()
+
+
 def test_gen_fixtures_seed_overrides_spec(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"seed": 17}))
@@ -410,6 +418,23 @@ def test_corpus_keeps_good_reports_when_bundles_fail(tmp_path, capsys, jobs):
     assert failures[0] == "badsyntax: IrSyntaxError: code/Bad.jtac:3:8: unexpected character '?'"
     assert failures[1].startswith("nomanifest: MissingManifest: ")
     assert "Traceback" not in "\n".join(err)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_removes_the_stale_report_of_a_bundle_that_now_fails(tmp_path, capsys, jobs):
+    apps = tmp_path / "apps"
+    shutil.copytree(DATA, apps)
+    reports = tmp_path / "reports"
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports), "-j", jobs]) == 0
+    kept = (reports / "panic_shield.json").read_bytes()
+    (apps / "keep_yoga" / "code" / "PrefHelper.jtac").write_text("class a.B\nmethod void m():\n  r0 = ?\n")
+    capsys.readouterr()
+
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports), "-j", jobs]) == 2
+    assert sorted(p.name for p in reports.iterdir()) == ["panic_shield.json"]
+    assert (reports / "panic_shield.json").read_bytes() == kept
+    assert main(["aggregate", "--reports", str(reports), "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s" / "summary.json").read_text())["n_apps"] == 1
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import csv
+import enum
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uitaint.errors import EmptyCorpus
+from uitaint.fixtures import FixtureSpec, generate
+from uitaint.pi import PiKind
 from uitaint.pipeline import analyze_bundle
 from uitaint.report import (
     aggregate,
@@ -16,7 +21,7 @@ from uitaint.report import (
     serialize_report,
     write_summary,
 )
-from conftest import DATA
+from conftest import DATA, write_bundle
 
 PANIC = DATA / "panic_shield"
 
@@ -60,6 +65,158 @@ def test_report_round_trips_through_json(monkeypatch):
             "sink", "path", "path_text", "path_len",
             "alt_third_party_path"} <= leak.keys()
     assert len(leak["path"]) == len(leak["path_text"]) == leak["path_len"] + 1
+
+
+# ---------------------------------------------------------------------------
+# the report writer against json.dumps
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_TEXT = st.text(st.characters(exclude_categories=()))  # non-ASCII and lone surrogates
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.floats()  # nan, ±inf and -0.0 included
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+_CONTAINERS = st.lists(_VALUES, min_size=1, max_size=4) | st.dictionaries(
+    _TEXT, _VALUES, min_size=1, max_size=4
+)
+
+
+@st.composite
+def _docs_with_shared_parts(draw):
+    """A drawn document holding one container three times at one depth and
+    again at two others, so the writer's memo is hit."""
+    doc = draw(st.dictionaries(_TEXT, _VALUES, max_size=4))
+    shared = draw(_CONTAINERS)
+    doc["same depth"] = [shared, shared, shared]
+    doc["depth 1"] = shared
+    doc["depth 3"] = {"k": [shared]}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_writer_matches_json_dumps_on_drawn_values(doc):
+    assert serialize_report(doc) == _json_dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_docs_with_shared_parts())
+def test_writer_matches_json_dumps_with_shared_parts(doc):
+    assert serialize_report(doc) == _json_dumps(doc)
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 10**400, True, False, None,
+     "\ud800\u00e9\x00\"\\", [], {}, (1, [2]), [[], {}],
+     _Str("s\u00e9"), _Float("-inf"), _Float(2.5), enum.IntEnum("N", "A B").B],
+)
+def test_writer_matches_json_dumps_on_edge_values(value):
+    doc = {"v": value, "again": [value, value]}
+    assert serialize_report(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"x", 1j, PiKind.EMAIL])
+def test_writer_rejects_values_json_cannot_write(value):
+    with pytest.raises(TypeError):
+        json.dumps({"v": value})
+    with pytest.raises(TypeError):
+        serialize_report({"ok": 1, "nested": [{"v": value}]})
+
+
+def test_writer_rejects_a_key_that_is_not_a_string():
+    with pytest.raises(TypeError):
+        serialize_report({"ok": {1: "a"}})
+
+
+def test_writer_matches_json_dumps_on_every_built_report(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    bundles = sorted(p for p in DATA.iterdir() if p.is_dir())
+    specs = [FixtureSpec(seed=k, n_sources=k % 9, party_mix=(k % 5) / 4) for k in range(12)]
+    specs.append(FixtureSpec(seed=99, n_sources=30, n_decoys=8, chain_len=(1, 6)))
+    bundles += [generate(spec, tmp_path / f"fx{spec.seed}")[0] for spec in specs]
+    reports = [analyze_bundle(b) for b in bundles]
+    assert sum(len(r["leaks"]) for r in reports) > 50
+    for report in reports:
+        assert serialize_report(report) == _json_dumps(report)
+    for summary in (aggregate(reports), aggregate(_hand_corpus()), aggregate([_report()])):
+        assert serialize_report(summary) == _json_dumps(summary)
+        write_summary(summary, tmp_path / "summary.json")
+        assert (tmp_path / "summary.json").read_text(encoding="utf-8") == _json_dumps(summary)
+
+
+# ---------------------------------------------------------------------------
+# shared parts of the report document
+
+_HUB = "com.hub.app.Hub"
+_HUB_FIND = f"<{_HUB}: android.view.View findViewById(int)>"
+_HUB_FIELD = f"<{_HUB}: java.lang.String shared>"
+_HUB_LOG = "<android.util.Log: int d(java.lang.String,java.lang.String)>"
+
+
+def _hub_bundle(tmp_path):
+    """Two sources write one static field that three Log.d sinks read."""
+    lines = ["  r0 = this"]
+    for k, view_id in enumerate((2130771969, 2130771970)):
+        lines += [f"  $v{k} = virtualinvoke r0.{_HUB_FIND}({view_id})", f"  {_HUB_FIELD} = $v{k}"]
+    for k in range(3):
+        lines += [f"  $s{k} = {_HUB_FIELD}", f'  staticinvoke {_HUB_LOG}("t", $s{k})']
+    code = (
+        f"class {_HUB} extends android.app.Activity\n\nfield java.lang.String shared\n\n"
+        "method void onCreate(android.os.Bundle b1):\n" + "\n".join(lines) + "\n"
+    )
+    layout = (
+        '<LinearLayout xmlns:android="http://schemas.android.com/apk/res/android">\n'
+        '  <EditText android:id="@+id/email" android:hint="Email" />\n'
+        '  <EditText android:id="@+id/phone" android:hint="Phone" />\n'
+        "</LinearLayout>\n"
+    )
+    return write_bundle(
+        tmp_path / "hub", package="com.hub.app",
+        rtable="id email 0x7f010001\nid phone 0x7f010002\n",
+        layouts={"main.xml": layout}, code={"Hub.jtac": code},
+    )
+
+
+def test_report_shares_one_object_per_path_statement_source_and_sink(tmp_path):
+    doc = analyze_bundle(_hub_bundle(tmp_path))
+    leaks = doc["leaks"]
+    assert len(leaks) == 6
+    assert len({id(lk["source"]) for lk in leaks}) == 2
+    assert len({id(lk["sink"]) for lk in leaks}) == 3
+    steps: dict[tuple, list] = {}
+    texts: dict[tuple, str] = {}
+    for lk in leaks:
+        for other in leaks:
+            assert (lk["source"] is other["source"]) == (lk["source"] == other["source"])
+            assert (lk["sink"] is other["sink"]) == (lk["sink"] == other["sink"])
+        assert lk["source"]["stmt"] == lk["path"][0] and lk["sink"]["stmt"] == lk["path"][-1]
+        for step, text in zip(lk["path"], lk["path_text"]):
+            assert steps.setdefault(tuple(step), step) is step
+            assert texts.setdefault(tuple(step), text) is text
+    assert len(steps) == 2 * 2 + 3 * 2  # findViewById and write per source, read and Log.d per sink
+    assert serialize_report(doc) == _json_dumps(doc)
 
 
 # ---------------------------------------------------------------------------
