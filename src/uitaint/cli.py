@@ -133,6 +133,15 @@ def cmd_corpus(args) -> int:
     if not apps:
         raise EmptyCorpus(f"no app bundles under {apps_dir}")
     out_dir = Path(args.out)
+    # aggregate would count these as reports of this run
+    names = {p.name for p in apps}
+    strays = sorted(p.name for p in out_dir.glob("*.json") if p.stem not in names)
+    if strays:
+        more = f" and {len(strays) - 3} more" if len(strays) > 3 else ""
+        raise UsageError(
+            f"{out_dir} holds reports of no bundle under {apps_dir}: "
+            f"{', '.join(strays[:3])}{more}"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
 
     paths = (args.widgets, args.lexicon, args.sinks)
@@ -203,11 +212,7 @@ def cmd_explain(args) -> int:
     report = parse_report(args.report)
     leaks = report["leaks"]
     if not 0 <= args.leak < len(leaks):
-        print(
-            f"error: leak index {args.leak} out of range (report has {len(leaks)})",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(f"leak index {args.leak} out of range (report has {len(leaks)})")
     leak = leaks[args.leak]
     lines = leak["path_text"]
     print("SOURCE")

@@ -19,6 +19,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     DuplicateClass,
@@ -47,16 +48,12 @@ MAX_RESOURCE_ID = 0xFFFFFFFF
 # model
 
 
-@dataclass(frozen=True, order=True)
-class StmtId:
+class StmtId(NamedTuple):
     """Unique statement id: (class, method token, ordinal within the body)."""
 
     cls: str
     method: str
     ordinal: int
-
-    def __str__(self):
-        return f"{self.cls}#{self.method}#{self.ordinal}"
 
 
 @dataclass(frozen=True)

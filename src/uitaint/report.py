@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import BadEnvironment, EmptyCorpus, ReportError
 from .gui import ViewElement
-from .ir import AppBundle, StmtId, render_method_sig, render_statement
+from .ir import AppBundle, MethodSig, StmtId, render_method_sig, render_statement
 from .pi import CATEGORY_OF, KIND_ORDER, PI_GROUPS, PiKind
 from .sources_sinks import DestCategory, SourceDiagnostics
 from .taint import Leak
@@ -48,10 +48,6 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp)
 
 
-def _sid_list(sid: StmtId) -> list:
-    return [sid.cls, sid.method, sid.ordinal]
-
-
 def _view_doc(v: ViewElement):
     doc = {
         "layout_file": v.layout_file,
@@ -78,39 +74,34 @@ def emit_report(
 
     The document shares sub-objects: the path steps of every leak use one
     ``[cls, method, ordinal]`` list and one rendered text per statement, and
-    the leaks of one source, or of one (sink statement, sink spec), share
-    one ``source`` or ``sink`` dict. Treat it as read-only; an edit to one
-    leak's path step or source would show in every leak that shares it.
+    the leaks of one source statement, or of one (sink statement,
+    signature), share one ``source`` or ``sink`` dict: two equal ``sink``
+    dicts are always one object. Treat the document as read-only; an edit
+    to one leak's path step or source would show in every leak that shares
+    it.
     A ``source``/``sink`` dict has a statement list and view dict of its
     own: shared with the path and ``views`` as well, each would be written
     exactly twice, and the writer's memo of them costs more memory than it
     saves time.
     """
     labeled = [v for v in views if v.pi is not None]
-    # one id list and text per statement; the leaks share StmtId objects, so
-    # each object is hashed here once or twice and then found by id()
-    objs = {id(s): s for lk in leaks for s in (lk.sink_stmt, *lk.path)}
-    by_value: dict[StmtId, tuple[list, str]] = {}
-    steps: dict[int, tuple[list, str]] = {}
-    for i, s in objs.items():
-        step = by_value.get(s)
-        if step is None:
-            step = by_value[s] = (_sid_list(s), render_statement(bundle.statement(s)))
-        steps[i] = step
-    # the leaks of one source or sink spec hold the same object, so these
-    # are keyed by id() and never hash a SourcePoint or SinkSpec
-    sources: dict[int, dict] = {}
-    sinks: dict[tuple[int, int], dict] = {}  # by (id of the step's list, id of the spec)
+    steps: dict[StmtId, tuple[list, str]] = {}
+    for lk in leaks:
+        for s in lk.path:
+            if s not in steps:
+                steps[s] = (list(s), render_statement(bundle.statement(s)))
+    sources: dict[StmtId, dict] = {}  # resolve_sources makes one source per statement
+    sinks: dict[tuple[StmtId, MethodSig], dict] = {}
     leak_docs = []
     for lk in leaks:
         sp, spec = lk.source, lk.sink_spec
-        source = sources.get(id(sp))
+        source = sources.get(sp.stmt)
         if source is None:
-            source = sources[id(sp)] = {"stmt": _sid_list(sp.stmt), "view": _view_doc(sp.view)}
-        stmt = steps[id(lk.sink_stmt)][0]
-        sink = sinks.get(key := (id(stmt), id(spec)))
+            source = sources[sp.stmt] = {"stmt": list(sp.stmt), "view": _view_doc(sp.view)}
+        sink = sinks.get(key := (lk.sink_stmt, spec.sig))
         if sink is None:
-            sink = sinks[key] = {"stmt": list(stmt), "signature": render_method_sig(spec.sig)}
+            sig = render_method_sig(spec.sig)
+            sink = sinks[key] = {"stmt": list(lk.sink_stmt), "signature": sig}
         leak_docs.append({
             "pi_kind": lk.pi.value,
             "pi_category": CATEGORY_OF[lk.pi].value,
@@ -118,8 +109,8 @@ def emit_report(
             "destination": spec.category.value,
             "source": source,
             "sink": sink,
-            "path": [steps[id(s)][0] for s in lk.path],
-            "path_text": [steps[id(s)][1] for s in lk.path],
+            "path": [steps[s][0] for s in lk.path],
+            "path_text": [steps[s][1] for s in lk.path],
             "path_len": lk.path_len,
             "alt_third_party_path": lk.alt_third_party_path,
         })

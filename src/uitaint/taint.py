@@ -62,9 +62,9 @@ def _field_node(fld: FieldSig) -> Node:
 @dataclass
 class TaintGraph:
     bundle: AppBundle
-    adjacency: dict[Node, list[tuple[Node, StmtId]]]
+    adjacency: dict[Node, set[tuple[Node, StmtId]]]
     seeds: dict[SourcePoint, Node]
-    sink_feeds: dict[Node, list[tuple[StmtId, SinkSpec]]]
+    sink_feeds: dict[Node, set[tuple[StmtId, SinkSpec]]]
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,11 @@ def build_graph(
       leave the bundle get a conservative summary (arguments and receiver
       taint the result, and arguments taint the receiver).
     """
-    edges: dict[Node, set[tuple[Node, StmtId]]] = {}
-    feeds: dict[Node, set[tuple[StmtId, SinkSpec]]] = {}
+    adjacency: dict[Node, set[tuple[Node, StmtId]]] = {}
+    sink_feeds: dict[Node, set[tuple[StmtId, SinkSpec]]] = {}
 
     def add_edge(src: Node, dst: Node, label: StmtId):
-        edges.setdefault(src, set()).add((dst, label))
+        adjacency.setdefault(src, set()).add((dst, label))
 
     for unit, method, stmt in bundle.iter_statements():
         cls, mtok = unit.class_name, method.method_token
@@ -123,7 +123,7 @@ def build_graph(
             case InvokeStmt(sid=sid, result=result, expr=expr):
                 callee = resolve_call(expr, bundle)
                 if callee is not None:
-                    _add_call_edges(bundle, sid, expr, result, callee, reg, add_edge)
+                    _add_call_edges(sid, expr, result, callee, reg, add_edge)
                 else:
                     _add_opaque_edges(sid, expr, result, reg, add_edge)
                 for spec in registry.match(expr.sig):
@@ -134,20 +134,10 @@ def build_graph(
                         else:
                             node = reg(expr.args[int(pos[3:])])
                         if node is not None:
-                            feeds.setdefault(node, set()).add((sid, spec))
+                            sink_feeds.setdefault(node, set()).add((sid, spec))
             case ReturnStmt():
                 pass  # contributes edges only at resolved call sites
 
-    adjacency = {
-        src: sorted(targets, key=lambda e: (e[0], e[1]))
-        for src, targets in edges.items()
-    }
-    sink_feeds = {
-        node: sorted(
-            fs, key=lambda f: (f[0], f[1].category.value, render_method_sig(f[1].sig))
-        )
-        for node, fs in feeds.items()
-    }
     seeds = {}
     for sp in sources:
         if sp.result_reg is not None:
@@ -155,7 +145,7 @@ def build_graph(
     return TaintGraph(bundle, adjacency, seeds, sink_feeds)
 
 
-def _add_call_edges(bundle, sid, expr, result, callee: MethodBody, reg, add_edge):
+def _add_call_edges(sid, expr, result, callee: MethodBody, reg, add_edge):
     ccls = callee.sig.declaring_class
     cmtok = method_token(callee.sig)
     for i, arg in enumerate(expr.args):

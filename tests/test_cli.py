@@ -437,6 +437,38 @@ def test_corpus_removes_the_stale_report_of_a_bundle_that_now_fails(tmp_path, ca
     assert json.loads((tmp_path / "s" / "summary.json").read_text())["n_apps"] == 1
 
 
+def test_corpus_refuses_an_out_that_holds_a_report_of_no_bundle(tmp_path, capsys, monkeypatch):
+    apps = tmp_path / "apps"
+    shutil.copytree(DATA, apps)
+    reports = tmp_path / "reports"
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports)]) == 0
+    before = {p.name: p.read_bytes() for p in reports.iterdir()}
+    shutil.rmtree(apps / "keep_yoga")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1800000000")  # a rewrite would change the bytes
+    capsys.readouterr()
+
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("UsageError: ") and "keep_yoga.json" in err
+    assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
+
+
+def test_corpus_names_the_first_three_reports_of_no_bundle(tmp_path, capsys):
+    apps = tmp_path / "apps"
+    shutil.copytree(PANIC, apps / "panic_shield")
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    for name in ("a", "b", "c", "d", "panic_shield"):
+        (reports / f"{name}.json").write_text("{}")
+    (reports / "notes.txt").write_text("")
+
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports)]) == 2
+    err = capsys.readouterr().err
+    assert "a.json, b.json, c.json and 1 more" in err
+    assert (reports / "panic_shield.json").read_text() == "{}"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_corpus_writes_other_reports_after_an_analyzer_bug(tmp_path, capsys, monkeypatch, jobs):
     apps = _gen_corpus(tmp_path)
@@ -502,7 +534,9 @@ def test_explain_bad_index_exits_2(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["explain", "--report", str(report), "--leak", "99"])
     assert rc == 2
-    assert "out of range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "out of range" in err
+    assert err.count("\n") == 1 and err.startswith("UsageError: ")
 
 
 def _minimal_report():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from uitaint.errors import EmptyCorpus
 from uitaint.fixtures import FixtureSpec, generate
 from uitaint.pi import PiKind
-from uitaint.pipeline import analyze_bundle
+from uitaint.pipeline import analyze_bundle, load_config
 from uitaint.report import (
     aggregate,
     export_csv,
@@ -216,6 +216,19 @@ def test_report_shares_one_object_per_path_statement_source_and_sink(tmp_path):
             assert steps.setdefault(tuple(step), step) is step
             assert texts.setdefault(tuple(step), text) is text
     assert len(steps) == 2 * 2 + 3 * 2  # findViewById and write per source, read and Log.d per sink
+    assert serialize_report(doc) == _json_dumps(doc)
+
+
+def test_report_shares_one_sink_dict_per_statement_and_signature_across_categories(tmp_path):
+    sinks = tmp_path / "sinks.tsv"
+    sinks.write_text(f"log\t{_HUB_LOG}\t*\nnet\t{_HUB_LOG}\t*\n")
+    doc = analyze_bundle(_hub_bundle(tmp_path), load_config(sinks=str(sinks)))
+    leaks = doc["leaks"]
+    assert len(leaks) == 2 * 3 * 2  # sources x Log.d statements x categories
+    assert {lk["destination"] for lk in leaks} == {"log", "net"}
+    assert len({id(lk["sink"]) for lk in leaks}) == 3
+    for a, b in itertools.product(leaks, repeat=2):
+        assert (a["sink"] is b["sink"]) == (a["sink"] == b["sink"])
     assert serialize_report(doc) == _json_dumps(doc)
 
 

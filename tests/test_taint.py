@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -501,6 +502,24 @@ def test_alt_flag_matches_brute_force_oracle():
             assert lk.alt_third_party_path == want, f"seed {seed}: {lk.path}"
             flagged += want
     assert flagged > 0
+
+
+def test_leaks_do_not_depend_on_edge_or_feed_order():
+    # 60 statements rather than 30: at 30, none of these 300 programs has a
+    # sink whose witness a first-found rule would pick by visiting order
+    for seed in range(300):
+        rng = random.Random(seed)
+        bundle = random_mini_bundle(rng, n_statements=60, relay=True)
+        sources, _ = resolve_sources(bundle, mini_labeled_views())
+        graph = build_graph(bundle, sources, SINKS)
+
+        def shuffled(table):
+            return {k: rng.sample(sorted(v, key=repr), len(v)) for k, v in table.items()}
+
+        other = dataclasses.replace(
+            graph, adjacency=shuffled(graph.adjacency), sink_feeds=shuffled(graph.sink_feeds)
+        )
+        assert extract_leaks(other) == extract_leaks(graph), f"seed {seed}"
 
 
 def test_leaks_are_sorted_and_deterministic(tmp_path):
