@@ -12,7 +12,7 @@ from .ir import parse_bundle, parse_code_unit, render_code_unit, resolve_call
 from .gui import extract_views, join_rtable, load_widget_registry, default_widget_registry
 from .pi import PiCategory, PiKind, classify, load_default_lexicon, load_lexicon, tokenize
 from .sources_sinks import DestCategory, load_default_sinks, load_sinks, resolve_sources
-from .taint import Party, build_graph, classify_party, extract_leaks
+from .taint import Party, build_graph, extract_leaks
 from .report import aggregate, emit_report, export_csv, serialize_report
 from .fixtures import FixtureSpec, generate
 from .pipeline import analyze_bundle, load_config
@@ -28,7 +28,6 @@ __all__ = [
     "analyze_bundle",
     "build_graph",
     "classify",
-    "classify_party",
     "default_widget_registry",
     "emit_report",
     "export_csv",

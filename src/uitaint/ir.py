@@ -236,20 +236,11 @@ _STR_BODY = r'"(?:[^"\\\n]|\\[nt"\\r])*'
 # Digit and letter classes are spelled out because \d and \w also take
 # non-ASCII digits and letters such as "²", "٣" and "é".
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
-_QNAME = rf"{_IDENT}(?:\.{_IDENT})*"
-_TYPE = rf"{_QNAME}(?:\[\])*"
-# A signature exactly as render_method_sig / render_field_sig spell it; the
-# groups are class, type, name and, for a method, the parameter list. The
-# blanks are spelled [ ] so that _COARSE's re.VERBOSE keeps them.
-_SIG_TEXT = rf"<({_QNAME}):[ ]({_TYPE})[ ]({_IDENT})(?:\(((?:{_TYPE}(?:,{_TYPE})*)?)\))?>"
-_SIG = re.compile(_SIG_TEXT)
-# One token per match; the leading blanks are skipped without a token.
-# Coarse tokens make a dotted name one ident token and a canonical signature
-# one sig token; any other spelling of a signature lexes as punctuation and
-# names. Fine tokens are one per name and punctuation mark (see _parse).
-_TOKEN = rf"""[ \t\r]*(?:
-      (?P<ident>{{ident}})
-    {{sig}}
+# One token per match: a name, a punctuation mark, a line end, a literal or
+# the end of the text. The leading blanks are skipped without a token.
+_TOKEN = re.compile(
+    rf"""[ \t\r]*(?:
+      (?P<ident>{_IDENT})
     | (?P<punct>[<>(),:.=\[\]])
     | (?P<nl>\n)
     | (?P<hex>-?0[xX][0-9a-fA-F]*)
@@ -257,43 +248,32 @@ _TOKEN = rf"""[ \t\r]*(?:
     | (?P<str>{_STR_BODY}")
     | (?P<eof>\Z)
     | (?P<bad>.)
-    )"""
-_COARSE = re.compile(_TOKEN.format(ident=_QNAME, sig=f"| (?P<sig>{_SIG_TEXT})"), re.VERBOSE)
-_FINE = re.compile(_TOKEN.format(ident=_IDENT, sig=""), re.VERBOSE)
+    )""",
+    re.VERBOSE,
+)
 # An unclosed literal's body stops at its first bad escape, or at the
 # newline or end of text that leaves it unterminated.
 _STR_PREFIX = re.compile(_STR_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 
 
-def _sig_of(text):
-    cls_name, type_name, name, params = _SIG.fullmatch(text).groups()
-    if params is None:
-        return FieldSig(cls_name, type_name, name)
-    params = tuple(params.split(",")) if params else ()
-    return MethodSig(cls_name, type_name, name, params)
+def _unescape(body):
+    return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
 
 
-def _lex(text, filename, sigs, pattern=_COARSE):
-    """Tokens of pattern as (kind, value, line, col) tuples, the last one eof.
+def _lex(text, filename):
+    """Tokens of text as (kind, value, line, col) tuples, the last one eof.
 
-    Kinds are ident, sig, punct, nl, int, str and eof. A sig token's value
-    is its MethodSig or FieldSig, taken from sigs (signature text -> value)
-    and added there when new.
+    Kinds are ident, punct, nl, int, str and eof.
     """
     toks = []
     line, line_start = 1, 0
-    for m in pattern.finditer(text):
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         value = m[kind]
         start = m.end() - len(value)
         col = start - line_start + 1
-        if kind == "sig":
-            sig = sigs.get(value)
-            if sig is None:
-                sig = sigs[value] = _sig_of(value)
-            value = sig
-        elif kind == "nl":
+        if kind == "nl":
             toks.append((kind, value, line, col))
             line, line_start = line + 1, m.end()
             continue
@@ -307,7 +287,7 @@ def _lex(text, filename, sigs, pattern=_COARSE):
                 raise IrSyntaxError("bad hex literal", filename, line, col)
             kind, value = "int", int(value, 16)
         elif kind == "str":
-            value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value[1:-1])
+            value = _unescape(value[1:-1])
         elif kind == "eof":
             toks.append((kind, None, line, col))
             return toks
@@ -327,16 +307,15 @@ def _lex(text, filename, sigs, pattern=_COARSE):
 
 
 class _Parser:
-    """Recursive descent over the tokens of _lex, coarse or fine.
+    """Recursive descent over the tokens of _lex: the one grammar of the IR.
 
-    Only qname reads a dotted ident token; a keyword, register or member
-    name is one plain name. So the coarse tokens of a text parse to the
-    same result as its fine tokens or fail, and they fail only where the
-    fine tokens fail too.
+    It takes any spelling the grammar allows and gives every error text;
+    _parse_lines is a faster way to the same result for rendered text.
     """
 
-    def __init__(self, toks, filename):
+    def __init__(self, text, filename):
         self.filename = filename
+        toks = _lex(text, filename)
         self.toks = toks + toks[-1:] * 2  # peek(2) past the end reads eof
         self.pos = 0
 
@@ -360,9 +339,9 @@ class _Parser:
         return t[0] == "punct" and t[1] == ch
 
     def at_sig(self, ahead=0):
-        """At a signature token or at the '<' of a signature spelled in parts."""
+        """At the '<' that opens a signature."""
         t = self.toks[self.pos + ahead]
-        return t[0] == "sig" or (t[0] == "punct" and t[1] == "<")
+        return t[0] == "punct" and t[1] == "<"
 
     def at_word(self, word):
         t = self.toks[self.pos]
@@ -380,7 +359,7 @@ class _Parser:
 
     def expect_ident(self, what="identifier", cls=IrSyntaxError):
         t = self.peek()
-        if t[0] != "ident" or "." in t[1]:
+        if t[0] != "ident":
             self.error(f"expected {what}", cls=cls)
         self.pos += 1
         return t[1]
@@ -445,11 +424,6 @@ class _Parser:
 
     def field_sig(self):
         """<QName: Type Name> with the angle brackets."""
-        kind, value, _, _ = self.peek()
-        if kind == "sig":
-            if type(value) is FieldSig:
-                self.pos += 1
-                return value
         self.expect_punct("<", cls=MalformedSignature)
         cls_name = self.qname(cls=MalformedSignature)
         self.expect_punct(":", cls=MalformedSignature)
@@ -460,11 +434,6 @@ class _Parser:
 
     def method_sig(self):
         """<QName: Type Name(Type, ...)> with the angle brackets."""
-        kind, value, _, _ = self.peek()
-        if kind == "sig":
-            if type(value) is MethodSig:
-                self.pos += 1
-                return value
         self.expect_punct("<", cls=MalformedSignature)
         cls_name = self.qname(cls=MalformedSignature)
         self.expect_punct(":", cls=MalformedSignature)
@@ -625,47 +594,11 @@ class _Parser:
             statements.append(stmt)
             lines.append(line)
         body = MethodBody(sig, tuple(pnames), is_static, tuple(statements))
-        self._check_registers(body, lines, head)
+        bad = _bad_read(body)
+        if bad is not None:
+            index, message = bad
+            self.error(message, (None, None, lines[index], 1))
         return body
-
-    def _check_registers(self, body, lines, head_tok):
-        """Every register read must be a parameter, `this`, or assigned somewhere."""
-        assigned = set(body.params)
-        for s in body.statements:
-            match s:
-                case AssignAtom(dst=d) | AssignCast(dst=d) | FieldRead(dst=d):
-                    assigned.add(d.name)
-                case InvokeStmt(result=Reg(name=rn)):
-                    assigned.add(rn)
-
-        def reads_of(s):
-            out = []
-            match s:
-                case AssignAtom(src=a) | ReturnStmt(value=a) if isinstance(a, Reg):
-                    out.append(a)
-                case AssignCast(src=r):
-                    out.append(r)
-                case FieldRead(base=Reg() as b):
-                    out.append(b)
-                case FieldWrite(base=b, value=v):
-                    if isinstance(b, Reg):
-                        out.append(b)
-                    if isinstance(v, Reg):
-                        out.append(v)
-                case InvokeStmt(expr=e):
-                    if e.receiver is not None:
-                        out.append(e.receiver)
-                    out.extend(a for a in e.args if isinstance(a, Reg))
-            return out
-
-        for s, line in zip(body.statements, lines):
-            at = (None, None, line, 1)
-            for r in reads_of(s):
-                if r.name == "this":
-                    if body.is_static:
-                        self.error("'this' read in a static method", at)
-                elif r.name not in assigned:
-                    self.error(f"register {r.name!r} is read but never assigned", at)
 
     def code_unit(self):
         self.skip_newlines()
@@ -703,18 +636,222 @@ class _Parser:
         return sig
 
 
-def _parse(text, filename, sigs, rule):
-    """rule (a _Parser method) applied to the coarse tokens of text.
+def _reads(s):
+    """The registers statement s reads."""
+    match s:
+        case AssignAtom(src=Reg() as a) | ReturnStmt(value=Reg() as a) | AssignCast(src=a):
+            return (a,)
+        case FieldRead(base=Reg() as b):
+            return (b,)
+        case FieldWrite(base=b, value=v):
+            return tuple(r for r in (b, v) if isinstance(r, Reg))
+        case InvokeStmt(expr=e):
+            regs = tuple(a for a in e.args if isinstance(a, Reg))
+            return regs if e.receiver is None else (e.receiver, *regs)
+    return ()
 
-    Only on a syntax error is the text parsed again, one token per name,
-    and that parse's error raised: its location and message are the ones
-    the grammar defines.
+
+def _bad_read(body):
+    """(statement index, message) of the first bad register read in body, or None.
+
+    Every register read must be a parameter or assigned somewhere in the
+    body, or be `this` in a method that is not static.
     """
-    try:
-        return rule(_Parser(_lex(text, filename, sigs), filename))
-    except IrSyntaxError:
-        pass
-    return rule(_Parser(_lex(text, filename, sigs, _FINE), filename))
+    assigned = set(body.params)
+    for s in body.statements:
+        match s:
+            case AssignAtom(dst=d) | AssignCast(dst=d) | FieldRead(dst=d):
+                assigned.add(d.name)
+            case InvokeStmt(result=Reg(name=name)):
+                assigned.add(name)
+    for index, s in enumerate(body.statements):
+        for r in _reads(s):
+            if r.name == "this":
+                if body.is_static:
+                    return index, "'this' read in a static method"
+            elif r.name not in assigned:
+                return index, f"register {r.name!r} is read but never assigned"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# line fast path
+
+# One anchored pattern per line form, spelled as render_code_unit spells it.
+_QNAME = rf"{_IDENT}(?:\.{_IDENT})*"
+_TYPE = rf"{_QNAME}(?:\[\])*"
+_ATOM = rf'-?[0-9]+|{_STR_BODY}"|{_IDENT}'
+_SIG_HEAD = rf"<{_QNAME}: {_TYPE} {_IDENT}"
+_CLASS_LINE = re.compile(rf"class ({_QNAME})(?: extends ({_QNAME}))?")
+_FIELD_LINE = re.compile(rf"field ({_TYPE}) ({_IDENT})")
+_METHOD_LINE = re.compile(
+    rf"method (static )?({_TYPE}) ({_IDENT})\(((?:{_TYPE} {_IDENT}(?:, {_TYPE} {_IDENT})*)?)\):"
+)
+_RETURN_LINE = re.compile(rf"  return(?: ({_ATOM}))?")
+_INVOKE_LINE = re.compile(
+    rf"  (?:({_IDENT}) = )?({'|'.join(INVOKE_KINDS)}) (?:({_IDENT})\.)?"
+    rf"({_SIG_HEAD}\((?:{_TYPE}(?:,{_TYPE})*)?\)>)\(((?:{_ATOM})(?:, (?:{_ATOM}))*)?\)"
+)
+_FIELD_WRITE_LINE = re.compile(rf"  (?:({_IDENT})\.)?({_SIG_HEAD}>) = ({_ATOM})")
+_ASSIGN_LINE = re.compile(
+    rf"  ({_IDENT}) = (?:(?:({_IDENT})\.)?({_SIG_HEAD}>)|\(({_TYPE})\) ({_IDENT})|({_ATOM}))"
+)
+_ATOMS = re.compile(_ATOM)
+# A signature exactly as render_method_sig / render_field_sig spell it; the
+# groups are class, type, name and, for a method, the parameter list.
+_SIG = re.compile(rf"<({_QNAME}): ({_TYPE}) ({_IDENT})(?:\(((?:{_TYPE}(?:,{_TYPE})*)?)\))?>")
+
+
+class _Fallback(Exception):
+    """Raised where the line fast path does not take a text."""
+
+
+def _sig_of(text):
+    cls_name, type_name, name, params = _SIG.fullmatch(text).groups()
+    if params is None:
+        return FieldSig(cls_name, type_name, name)
+    params = tuple(params.split(",")) if params else ()
+    return MethodSig(cls_name, type_name, name, params)
+
+
+def _shared(text, shared):
+    """The one MethodSig / FieldSig of signature text, or the one Reg of a
+    register name that is not reserved, in shared."""
+    value = shared.get(text)
+    if value is None:
+        if text[0] == "<":
+            value = _sig_of(text)
+        elif text in RESERVED:
+            raise _Fallback
+        else:
+            value = Reg(text)
+        shared[text] = value
+    return value
+
+
+def _base(name, shared):
+    """The register a statement or right-hand side starts with."""
+    if name.endswith("invoke"):
+        raise _Fallback  # the grammar reads it as an invoke kind
+    return _shared(name, shared)
+
+
+def _atom(text, shared):
+    first = text[0]
+    if first == '"':
+        return StrConst(_unescape(text[1:-1]))
+    if first in "-0123456789":
+        try:
+            return IntConst(int(text))
+        except ValueError:  # more digits than int() converts
+            raise _Fallback from None
+    if text == "null":
+        return NullConst()
+    if text == "this":
+        return Reg("this")
+    return _shared(text, shared)
+
+
+def _statement(line, sid, shared):
+    m = _RETURN_LINE.fullmatch(line) if line[2:8] == "return" else None
+    if m:
+        value = m[1]
+        return ReturnStmt(sid, None if value is None else _atom(value, shared))
+    m = _INVOKE_LINE.fullmatch(line)
+    if m:
+        dst, kind, recv, sig_text, args = m.groups()
+        sig = _shared(sig_text, shared)
+        args = tuple(_atom(a, shared) for a in _ATOMS.findall(args)) if args else ()
+        if len(args) != len(sig.param_types) or (kind == "staticinvoke") != (recv is None):
+            raise _Fallback
+        if recv == "this":
+            recv = Reg("this")
+        elif recv is not None:
+            recv = _shared(recv, shared)
+        result = None if dst is None else _base(dst, shared)
+        return InvokeStmt(sid, result, InvokeExpr(kind, recv, sig, args))
+    m = _ASSIGN_LINE.fullmatch(line)
+    if m:
+        dst, base, sig_text, cast_type, src, atom = m.groups()
+        dst = _base(dst, shared)
+        if sig_text is not None:
+            base = None if base is None else _base(base, shared)
+            return FieldRead(sid, dst, _shared(sig_text, shared), base)
+        if cast_type is not None:
+            return AssignCast(sid, dst, cast_type, _shared(src, shared))
+        if atom.endswith("invoke"):
+            raise _Fallback  # the grammar reads it as an invoke kind
+        return AssignAtom(sid, dst, _atom(atom, shared))
+    m = _FIELD_WRITE_LINE.fullmatch(line)
+    if m:
+        base, sig_text, value = m.groups()
+        base = None if base is None else _base(base, shared)
+        return FieldWrite(sid, _shared(sig_text, shared), base, _atom(value, shared))
+    raise _Fallback
+
+
+def _parse_lines(text, shared):
+    """The CodeUnit of text, each of whose lines is blank or spelled as
+    render_code_unit spells it and passes the checks of _Parser.
+
+    Raises _Fallback on any other text. Signatures and registers come from
+    shared (see _shared).
+    """
+    class_name = superclass = None
+    fields, methods, seen = [], [], set()
+    head = None  # (sig, params, is_static) of the method being read
+    for line in text.split("\n"):
+        if line[:2] == "  ":
+            if head is None:
+                raise _Fallback
+            statements.append(_statement(line, StmtId(class_name, token, len(statements)), shared))
+        elif line[:7] == "method ":
+            m = _METHOD_LINE.fullmatch(line)
+            if m is None or class_name is None:
+                raise _Fallback
+            if head is not None:
+                methods.append(_method_body(head, statements))
+            static, rtype, name, params = m.groups()
+            pairs = [p.split(" ") for p in params.split(", ")] if params else []
+            ptypes = tuple(t for t, _ in pairs)
+            pnames = tuple(n for _, n in pairs)
+            if (
+                name in RESERVED
+                # the grammar reads a leading "static" as the keyword
+                or (static is None and rtype[:6] == "static" and rtype[6:7] in ("", ".", "["))
+                or (name, ptypes) in seen
+                or len(set(pnames)) != len(pnames)
+                or not RESERVED.isdisjoint(pnames)
+            ):
+                raise _Fallback
+            seen.add((name, ptypes))
+            head = (MethodSig(class_name, rtype, name, ptypes), pnames, static is not None)
+            token = method_token(head[0])
+            statements = []
+        elif line[:6] == "field ":
+            m = _FIELD_LINE.fullmatch(line)
+            if m is None or class_name is None or head is not None:
+                raise _Fallback
+            fields.append(FieldSig(class_name, m[1], m[2]))
+        elif line[:6] == "class ":
+            m = _CLASS_LINE.fullmatch(line)
+            if m is None or class_name is not None:
+                raise _Fallback
+            class_name, superclass = m.groups()
+        elif line.strip(" \t\r"):
+            raise _Fallback
+    if class_name is None:
+        raise _Fallback
+    if head is not None:
+        methods.append(_method_body(head, statements))
+    return CodeUnit(class_name, superclass, tuple(fields), tuple(methods))
+
+
+def _method_body(head, statements):
+    body = MethodBody(*head, tuple(statements))
+    if _bad_read(body) is not None:
+        raise _Fallback
+    return body
 
 
 def parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
@@ -723,12 +860,15 @@ def parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
     Raises IrSyntaxError (or its UnknownInvokeKind / MalformedSignature
     refinements) with a file:line:col location on any malformed input.
     """
-    return _parse(text, filename, {}, _Parser.code_unit)
+    try:
+        return _parse_lines(text, {})
+    except _Fallback:
+        return _Parser(text, filename).code_unit()
 
 
 def parse_method_sig(text: str) -> MethodSig:
     """Parse a canonical `<Class: RetType name(T1,T2)>` signature string."""
-    return _parse(text, "<signature>", {}, _Parser.signature)
+    return _Parser(text, "<signature>").signature()
 
 
 # ---------------------------------------------------------------------------
@@ -883,12 +1023,15 @@ def parse_bundle(app_dir) -> AppBundle:
     code_units = {}
     code_dir = app_dir / "code"
     if code_dir.is_dir():
-        sigs = {}  # one MethodSig / FieldSig per signature text in this bundle
+        shared = {}  # one signature and register object per text in this bundle
         for path in sorted(code_dir.rglob("*.jtac")):
-            rel = str(path.relative_to(app_dir))
             text = path.read_text(encoding="utf-8-sig", errors="replace")
-            unit = _parse(text, rel, sigs, _Parser.code_unit)
+            try:
+                unit = _parse_lines(text, shared)
+            except _Fallback:  # only errors name the file
+                unit = _Parser(text, str(path.relative_to(app_dir))).code_unit()
             if unit.class_name in code_units:
+                rel = path.relative_to(app_dir)
                 raise DuplicateClass(f"{rel}: class {unit.class_name} already defined")
             code_units[unit.class_name] = unit
 

@@ -8,7 +8,7 @@ at least one lexicon match decides the label.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DuplicateTerm, LexiconSyntaxError
@@ -110,20 +110,26 @@ class LexEntry:
     tokens: tuple[str, ...]
     kind: PiKind
 
-    @property
-    def weight(self) -> int:
-        """Character length of the term; longer terms are more specific."""
-        return sum(len(t) for t in self.tokens)
-
 
 @dataclass(frozen=True)
 class Lexicon:
     entries: tuple[LexEntry, ...]
+    # term tokens -> (-weight, kind order, kind) of the term's best entry,
+    # where a term's weight is its length in characters
+    terms: dict = field(init=False, repr=False, compare=False)
+    longest: int = field(init=False, repr=False, compare=False)  # tokens of the longest term
 
     def __post_init__(self):
         missing = [k.value for k in PiKind if not any(e.kind == k for e in self.entries)]
         if missing:
             raise LexiconSyntaxError(f"kinds without terms: {', '.join(missing)}")
+        terms = {}
+        for e in self.entries:
+            rank = (-sum(map(len, e.tokens)), KIND_ORDER[e.kind], e.kind)
+            if e.tokens not in terms or rank < terms[e.tokens]:
+                terms[e.tokens] = rank
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "longest", max(map(len, terms)))
 
 
 def load_lexicon(path) -> Lexicon:
@@ -157,27 +163,25 @@ def load_default_lexicon() -> Lexicon:
     return load_lexicon(None)
 
 
-def _matches(tokens: list[str], entry: LexEntry) -> bool:
-    """Whole-token containment; multi-token terms must appear contiguously."""
-    k = len(entry.tokens)
-    return any(tuple(tokens[i : i + k]) == entry.tokens for i in range(len(tokens) - k + 1))
-
-
 def classify(view, lexicon: Lexicon) -> PiKind | None:
     """Label one view element, or None if no signal matches the lexicon.
 
     Signals are tried in priority order id_name > hint > text; the first
-    signal with any match decides. Among its matches the longest term wins,
-    ties broken by kind declaration order.
+    signal with any match decides. A term matches a run of whole tokens.
+    Among its matches the longest term wins, ties broken by kind
+    declaration order.
     """
+    terms = lexicon.terms
     for signal in (view.id_name, view.hint, view.text):
         if not signal:
             continue
         tokens = tokenize(signal)
-        if not tokens:
-            continue
-        matched = [e for e in lexicon.entries if _matches(tokens, e)]
-        if matched:
-            best = min(matched, key=lambda e: (-e.weight, KIND_ORDER[e.kind]))
-            return best.kind
+        hits = [
+            terms[run]
+            for n in range(1, min(lexicon.longest, len(tokens)) + 1)
+            for i in range(len(tokens) - n + 1)
+            if (run := tuple(tokens[i : i + n])) in terms
+        ]
+        if hits:
+            return min(hits)[2]
     return None

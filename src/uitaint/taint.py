@@ -64,7 +64,9 @@ class TaintGraph:
     bundle: AppBundle
     adjacency: dict[Node, set[tuple[Node, StmtId]]]
     seeds: dict[SourcePoint, Node]
-    sink_feeds: dict[Node, set[tuple[StmtId, SinkSpec]]]
+    # node -> (sink statement, index in sink_specs) of each sink call it feeds
+    sink_feeds: dict[Node, set[tuple[StmtId, int]]]
+    sink_specs: tuple[SinkSpec, ...]  # the registry's
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,8 @@ def build_graph(
       taint the result, and arguments taint the receiver).
     """
     adjacency: dict[Node, set[tuple[Node, StmtId]]] = {}
-    sink_feeds: dict[Node, set[tuple[StmtId, SinkSpec]]] = {}
+    sink_feeds: dict[Node, set[tuple[StmtId, int]]] = {}
+    spec_index = {spec: i for i, spec in enumerate(registry.specs)}
 
     def add_edge(src: Node, dst: Node, label: StmtId):
         adjacency.setdefault(src, set()).add((dst, label))
@@ -134,7 +137,7 @@ def build_graph(
                         else:
                             node = reg(expr.args[int(pos[3:])])
                         if node is not None:
-                            sink_feeds.setdefault(node, set()).add((sid, spec))
+                            sink_feeds.setdefault(node, set()).add((sid, spec_index[spec]))
             case ReturnStmt():
                 pass  # contributes edges only at resolved call sites
 
@@ -142,7 +145,7 @@ def build_graph(
     for sp in sources:
         if sp.result_reg is not None:
             seeds[sp] = _reg_node(sp.stmt.cls, sp.stmt.method, sp.result_reg)
-    return TaintGraph(bundle, adjacency, seeds, sink_feeds)
+    return TaintGraph(bundle, adjacency, seeds, sink_feeds, registry.specs)
 
 
 def _add_call_edges(sid, expr, result, callee: MethodBody, reg, add_edge):
@@ -235,16 +238,12 @@ def _third_party_classes(class_names, app_package: str) -> frozenset[str]:
 
 
 def _party(path: tuple[StmtId, ...], third: frozenset[str]) -> Party:
-    return Party.THIRD if any(sid.cls in third for sid in path) else Party.FIRST
-
-
-def classify_party(path: tuple[StmtId, ...], app_package: str) -> Party:
-    """Third party iff any statement on the path sits in third-party code.
+    """Third party iff any statement on the path sits in a class of `third`.
 
     Only the enclosing class of each path statement matters; the platform
     signature a sink call invokes never affects the verdict.
     """
-    return _party(path, _third_party_classes({sid.cls for sid in path}, app_package))
+    return Party.THIRD if any(sid.cls in third for sid in path) else Party.FIRST
 
 
 def extract_leaks(graph: TaintGraph) -> list[Leak]:
@@ -266,12 +265,12 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
     leaks = []
     for sp, seed in graph.seeds.items():
         best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,), third)
-        hits: dict[tuple, tuple[StmtId, ...]] = {}
+        # sink keys are (sink statement, spec index): ints hash in C
+        hits: dict[tuple[StmtId, int], tuple[StmtId, ...]] = {}
         crossing = set()  # sink keys that a crossed state feeds
         for (node, crossed), path in best.items():
-            for sink_sid, spec in graph.sink_feeds.get(node, ()):
-                cand = path + (sink_sid,)
-                key = (sink_sid, spec)
+            for key in graph.sink_feeds.get(node, ()):
+                cand = path + (key[0],)
                 if crossed:
                     crossing.add(key)
                 prev = hits.get(key)
@@ -279,12 +278,12 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
                     hits[key] = cand
         for key, path in hits.items():
             party = _party(path, third)
-            sink_sid, spec = key
+            sink_sid, index = key
             leaks.append(
                 Leak(
                     source=sp,
                     sink_stmt=sink_sid,
-                    sink_spec=spec,
+                    sink_spec=graph.sink_specs[index],
                     pi=sp.pi,
                     party=party,
                     path=path,

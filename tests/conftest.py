@@ -35,7 +35,7 @@ from uitaint.ir import (
     method_token,
     parse_code_unit,
 )
-from uitaint.pi import PiKind
+from uitaint.pi import KIND_ORDER, PiKind, tokenize
 from uitaint.taint import classify_package, package_of
 
 DATA = Path(__file__).parent / "data"
@@ -177,9 +177,9 @@ def enumerate_min_paths(graph, seed_node, prefix):
     best: dict[tuple, tuple] = {}
 
     def visit(node, labels, visited):
-        for sink_sid, spec in graph.sink_feeds.get(node, ()):
+        for sink_sid, index in graph.sink_feeds.get(node, ()):
             cand = prefix + labels + (sink_sid,)
-            key = (sink_sid, spec)
+            key = (sink_sid, graph.sink_specs[index])
             prev = best.get(key)
             if prev is None or (len(cand), cand) < (len(prev), prev):
                 best[key] = cand
@@ -205,7 +205,8 @@ def brute_force_alt_third_party(graph, seed, sink_key, app_package):
             reverse.setdefault(dst, []).append((src, label))
     fwd = set(_reach(graph.adjacency, seed))
     feed_nodes = [
-        n for n, fs in graph.sink_feeds.items() if any((s, sp) == sink_key for s, sp in fs)
+        n for n, fs in graph.sink_feeds.items()
+        if any((s, graph.sink_specs[i]) == sink_key for s, i in fs)
     ]
     back = set()
     for n in feed_nodes:
@@ -234,8 +235,38 @@ def _reach(adjacency, start):
 
 
 # ---------------------------------------------------------------------------
-# reference parser: the one-name-per-token lexer and parser that ir's coarse
-# tokens replaced, kept as they were
+# lexicon scan: pi.classify as it was before the term table, kept as it was
+
+
+def _scan_weight(entry):
+    """Character length of the term; longer terms are more specific."""
+    return sum(len(t) for t in entry.tokens)
+
+
+def _scan_matches(tokens, entry):
+    """Whole-token containment; multi-token terms must appear contiguously."""
+    k = len(entry.tokens)
+    return any(tuple(tokens[i : i + k]) == entry.tokens for i in range(len(tokens) - k + 1))
+
+
+def scan_classify(view, lexicon):
+    """Every lexicon entry tried against each signal; the oracle for pi.classify."""
+    for signal in (view.id_name, view.hint, view.text):
+        if not signal:
+            continue
+        tokens = tokenize(signal)
+        if not tokens:
+            continue
+        matched = [e for e in lexicon.entries if _scan_matches(tokens, e)]
+        if matched:
+            best = min(matched, key=lambda e: (-_scan_weight(e), KIND_ORDER[e.kind]))
+            return best.kind
+    return None
+
+
+# ---------------------------------------------------------------------------
+# reference parser: the one-name-per-token lexer and parser as ir had them
+# before its coarse tokens and its line fast path, kept as they were
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}

@@ -394,26 +394,34 @@ def _unit_corpus(tmp_path):
     return texts + [SIMPLE]
 
 
-def test_parser_matches_reference_parser(tmp_path, monkeypatch):
+def _count_fine_passes(monkeypatch):
+    """A list that grows by the text of each _Parser pass over _lex's tokens."""
     lex, fine_passes = ir._lex, []
 
-    def counting_lex(text, filename, sigs, pattern=ir._COARSE):
-        if pattern is ir._FINE:
-            fine_passes.append(text)
-        return lex(text, filename, sigs, pattern)
+    def counting_lex(text, filename):
+        fine_passes.append(text)
+        return lex(text, filename)
 
     monkeypatch.setattr(ir, "_lex", counting_lex)
+    return fine_passes
 
-    def check(parse, ref, rule, valid, text):
-        """ours == reference on text, and whatever the fine pass alone
-        accepts, the coarse pass accepts alike without a fine pass."""
-        before = len(fine_passes)
+
+def _fine(text, filename="T.jtac"):
+    return ir._Parser(text, filename).code_unit()
+
+
+def test_parser_matches_reference_parser(tmp_path, monkeypatch):
+    fine_passes = _count_fine_passes(monkeypatch)
+
+    def check(parse, ref, text):
+        """ours == reference on text; a unit it gives renders to text that
+        takes the line fast path to the same unit."""
         outcome = _outcome(parse, text)
-        took_fine = len(fine_passes) > before
         assert outcome == _outcome(ref, text), repr(text)
-        fine = _outcome(lambda t: rule(ir._Parser(lex(t, "T.jtac", {}, ir._FINE), "T.jtac")), text)
-        if isinstance(fine, valid):
-            assert outcome == fine and not took_fine, repr(text)
+        if isinstance(outcome, CodeUnit):
+            before = len(fine_passes)
+            assert parse(render_code_unit(outcome)) == outcome, repr(text)
+            assert len(fine_passes) == before, repr(text)
         return outcome
 
     def ours(text):
@@ -422,70 +430,123 @@ def test_parser_matches_reference_parser(tmp_path, monkeypatch):
     def ref(text):
         return reference_parse_code_unit(text, "T.jtac")
 
-    def unit(text):
-        return check(ours, ref, ir._Parser.code_unit, CodeUnit, text)
-
     texts = _unit_corpus(tmp_path)
     for text in texts:
-        outcome = unit(text)
+        outcome = check(ours, ref, text)
         assert isinstance(outcome, CodeUnit), outcome  # the unmutated texts are valid
-    assert not fine_passes  # valid input never takes the fine pass
+    assert not fine_passes  # valid rendered input never takes the fine pass
 
     rng = random.Random(4)
     reached = set()
+    valid = [0, 0]  # valid mutants parsed by the fast path, by the fine pass
     mutants = [_mutate(rng, rng.choice(texts)) for _ in range(4_000)]
     mutants += [_mutate_anchored(rng, rng.choice(texts)) for _ in range(8_000)]
     for text in mutants:
-        outcome = unit(text)
+        before = len(fine_passes)
+        outcome = check(ours, ref, text)
         reached.add(type(outcome) if isinstance(outcome, CodeUnit) else outcome[0])
+        if isinstance(outcome, CodeUnit):
+            valid[len(fine_passes) > before] += 1
     assert reached == {CodeUnit, IrSyntaxError, MalformedSignature, UnknownInvokeKind}
-    assert fine_passes  # and the mutants do
+    assert all(valid)  # valid mutants take either path
 
     sigs = sorted({m[0] for t in texts for m in re.finditer(r"<[^<>\n]*\([^<>\n]*>", t)})
     reached = set()
     for text in sigs + [_mutate_anchored(rng, rng.choice(sigs)) for _ in range(3_000)]:
-        outcome = check(parse_method_sig, reference_parse_method_sig,
-                        ir._Parser.signature, MethodSig, text)
+        outcome = check(parse_method_sig, reference_parse_method_sig, text)
         reached.add(type(outcome) if isinstance(outcome, MethodSig) else outcome[0])
     assert reached == {MethodSig, MalformedSignature, IrSyntaxError}
 
 
 @pytest.mark.parametrize("text, error, message", [
+    # spellings the renderer never writes
     ("  r0 = a.b\n", IrSyntaxError, "4:9: expected end of line"),
     ("  $r = <a.B: void g()>\n", MalformedSignature, "4:20: expected '>'"),
     ("  return.x\n", IrSyntaxError, "4:9: expected atom"),
     ("  r0.x = 1\n", MalformedSignature, "4:6: expected '<'"),
     ("  staticinvoke <a.B: int f>()\n", MalformedSignature, "4:27: expected '('"),
     ("method void a.b():\n", IrSyntaxError, "2:14: expected '('"),
+    # lines in the renderer's spelling that a check of the grammar rejects
+    ("  return = 1\n", IrSyntaxError, "4:10: expected atom"),
+    ("  fooinvoke = 1\n", UnknownInvokeKind, "4:3: unknown invoke kind 'fooinvoke'"),
+    ("  r1 = fooinvoke\n", UnknownInvokeKind, "4:8: unknown invoke kind 'fooinvoke'"),
+    ("  r1 = fooinvoke.<a.B: int f>\n", UnknownInvokeKind,
+     "4:8: unknown invoke kind 'fooinvoke'"),
+    ("  fooinvoke.<a.B: int f> = 1\n", UnknownInvokeKind,
+     "4:3: unknown invoke kind 'fooinvoke'"),
+    ("  r1 = this.<a.B: int f>\n", IrSyntaxError,
+     "4:8: 'this' cannot be used as a base register"),
+    ("  this.<a.B: int f> = 1\n", IrSyntaxError, "4:3: 'this' cannot be used as a register"),
+    ("  r1 = (int) this\n", IrSyntaxError, "4:14: 'this' cannot be used as a cast operand"),
+    ("  r1 = class\n", IrSyntaxError, "4:8: 'class' cannot be used as a register"),
+    ("  r1 = virtualinvoke null.<a.B: void g()>()\n", IrSyntaxError,
+     "4:22: 'null' cannot be used as a receiver"),
+    ("  staticinvoke r0.<a.B: void g()>()\n", IrSyntaxError,
+     "4:16: staticinvoke takes no receiver"),
+    ("  virtualinvoke <a.B: void g()>()\n", IrSyntaxError, "4:17: expected receiver register"),
+    ("  staticinvoke <a.B: void g(int)>()\n", IrSyntaxError,
+     "4:3: 0 argument(s) for 1 parameter(s)"),
+    ("  r1 = r9\n", IrSyntaxError, "4:1: register 'r9' is read but never assigned"),
+    ("  r1 = " + "9" * 5000 + "\n", IrSyntaxError, "4:8: integer literal too long"),
+    ("method void m():\n  return\nmethod void m():\n", IrSyntaxError,
+     "4:1: duplicate method m()"),
+    ("method void m():\n  return\nfield int x\n", IrSyntaxError,
+     "4:1: declarations must precede method bodies"),
+    ("method void m():\n  return\nclass a.C\n", IrSyntaxError,
+     "4:1: declarations must precede method bodies"),
+    ("method static f():\n", IrSyntaxError, "2:16: expected method name"),
+    ("method static[] f():\n", IrSyntaxError, "2:14: expected qualified name"),
+    ("method static.x f():\n", IrSyntaxError, "2:14: expected qualified name"),
+    ("method void class():\n", IrSyntaxError, "2:13: 'class' cannot be used as a method name"),
+    ("method void g(int a, int a):\n", IrSyntaxError, "2:1: duplicate parameter name"),
+    ("method void g(int this):\n", IrSyntaxError, "2:19: 'this' cannot be used as a parameter"),
+    ("method static void g():\n  r1 = this\n", IrSyntaxError,
+     "3:1: 'this' read in a static method"),
 ])
 def test_error_comes_from_the_fine_pass_where_the_passes_disagree(text, error, message):
+    """The line fast path takes none of these texts, and the fine pass gives the error."""
     head = "class a.A\n"
     if not text.startswith("method"):
         head += "method void m(int p0):\n  r0 = p0\n"
-
-    def coarse(t, filename):
-        return ir._Parser(ir._lex(t, filename, {}), filename).code_unit()
-
-    outcomes = [_outcome(lambda t: parse(t, "T.jtac"), head + text)
-                for parse in (coarse, parse_code_unit, reference_parse_code_unit)]
+    with pytest.raises(ir._Fallback):
+        ir._parse_lines(head + text, {})
     expected = (error, f"T.jtac:{message}")
-    assert outcomes[0] != expected
-    assert outcomes[1:] == [expected, expected]
+    assert _outcome(_fine, head + text) == expected
+    assert _outcome(lambda t: parse_code_unit(t, "T.jtac"), head + text) == expected
 
 
-def test_dotted_names_and_signatures_are_one_token_each():
-    toks = ir._lex(SIMPLE, "Main.jtac", {})
-    # 130 tokens with one token per name and punctuation mark
-    assert len(toks) == 68
-    assert ("ident", "android.app.Activity", 1, 28) in toks
-    sigs = [t for t in toks if t[0] == "sig"]
-    assert [t[1] for t in sigs] == [
-        parse_method_sig("<com.app.Main: android.view.View findViewById(int)>"),
-        FieldSig("com.app.Main", "java.lang.String", "name"),
-        FieldSig("com.app.Main", "java.lang.String", "name"),
+def _generated_units(tmp_path):
+    """Texts of every .jtac file of bundles generated over the range of
+    FixtureSpec's options."""
+    specs = [FixtureSpec(seed=s) for s in (1, 7, 29)]
+    specs += [
+        FixtureSpec(seed=100 + k, n_sources=k % 9, party_mix=(k % 5) / 4,
+                    pi_mix=({"email": 1}, {"ssn": 2, "blood": 1}, None)[k % 3],
+                    destination_mix=({"net": 1}, {"log": 1, "fileio": 2}, None)[k % 3],
+                    n_decoys=k % 6, chain_len=(1, 1 + k % 6))
+        for k in range(24)
     ]
-    assert sigs[1][1] is sigs[2][1]  # one object per signature text
-    assert [t[2:] for t in sigs] == [(7, 26), (9, 6), (10, 12)]
+    texts = []
+    for k, spec in enumerate(specs):
+        app, _ = generate(spec, tmp_path / f"fx{k}")
+        texts += [p.read_text(encoding="utf-8") for p in sorted(app.rglob("*.jtac"))]
+    return texts
+
+
+def test_every_shipped_and_generated_unit_takes_the_fast_path(tmp_path, monkeypatch):
+    fine_passes = _count_fine_passes(monkeypatch)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(DATA.rglob("*.jtac"))]
+    texts += _generated_units(tmp_path)
+    units = [parse_code_unit(text, "T.jtac") for text in texts]
+    assert len(texts) > 100 and fine_passes == []
+    for text, unit in zip(texts, units):
+        assert unit == _fine(text)
+    assert len(fine_passes) == len(texts)  # _fine counts, so the counter is live
+
+    for app in (DATA / "keep_yoga", DATA / "panic_shield", tmp_path / "fx0"):
+        del fine_passes[:]
+        bundle = parse_bundle(app)
+        assert bundle.code_units and fine_passes == []
 
 
 def test_parse_bundle_keeps_no_signature_memo(tmp_path):

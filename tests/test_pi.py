@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uitaint
@@ -14,6 +14,7 @@ from uitaint.errors import DuplicateTerm, LexiconSyntaxError
 from uitaint.gui import ViewElement
 from uitaint.pi import (
     CATEGORY_OF,
+    KIND_ORDER,
     PI_GROUPS,
     LexEntry,
     Lexicon,
@@ -24,6 +25,7 @@ from uitaint.pi import (
     load_lexicon,
     tokenize,
 )
+from conftest import scan_classify
 
 LEX = load_default_lexicon()
 
@@ -188,3 +190,66 @@ def test_lexicon_comments_and_case(tmp_path):
     p.write_text("# comment\n" + "\n".join(_minimal_lines()) + "\nemail\tE Mail\n")
     lex = load_lexicon(p)
     assert LexEntry(("e", "mail"), PiKind.EMAIL) in lex.entries
+
+
+# ---------------------------------------------------------------------------
+# the term table against the lexicon scan
+
+
+_WORDS = ("email", "e", "mail", "first", "name", "blood", "pressure", "card",
+          "credit", "zip", "code", "ab", "ba", "a", "smoke")
+
+
+def _signal(words, seps):
+    """words joined by the separators and case changes tokenize() splits on."""
+    out = ""
+    for word, sep in zip(words, seps):
+        out += {"_": "_" + word, " ": " " + word, "camel": word.capitalize(),
+                "digit": "7" + word, "upper": word.upper() + "_"}[sep]
+    return out
+
+
+_SIGNALS = st.one_of(
+    st.none(),
+    st.text(max_size=16),
+    st.builds(_signal, st.lists(st.sampled_from(_WORDS), max_size=6),
+              st.lists(st.sampled_from(("_", " ", "camel", "digit", "upper")),
+                       min_size=6, max_size=6)),
+)
+
+
+@st.composite
+def _lexicons(draw):
+    """Lexicons of one- to three-token terms, one of them under two kinds."""
+    kinds = st.sampled_from(list(PiKind))
+    term = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(tuple)
+    entries = {(k, (f"zz{k.value.replace('_', '')}",)) for k in PiKind}
+    shared = draw(term)
+    entries |= {(k, shared) for k in draw(st.lists(kinds, min_size=2, max_size=3, unique=True))}
+    entries |= set(draw(st.lists(st.tuples(kinds, term), max_size=25)))
+    ordered = sorted(entries, key=lambda e: (KIND_ORDER[e[0]], e[1]))
+    return Lexicon(tuple(LexEntry(tokens, kind) for kind, tokens in ordered))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lexicon=_lexicons(), id_name=_SIGNALS, hint=_SIGNALS, text=_SIGNALS)
+def test_term_table_matches_lexicon_scan(lexicon, id_name, hint, text):
+    view = _view(id_name=id_name, hint=hint, text=text)
+    assert classify(view, lexicon) == scan_classify(view, lexicon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_name=_SIGNALS, hint=_SIGNALS, text=_SIGNALS)
+def test_term_table_matches_lexicon_scan_on_the_default_lexicon(id_name, hint, text):
+    view = _view(id_name=id_name, hint=hint, text=text)
+    assert classify(view, LEX) == scan_classify(view, LEX)
+
+
+def test_one_term_under_two_kinds_goes_to_the_first_kind():
+    entries = [LexEntry((f"zz{k.value.replace('_', '')}",), k) for k in PiKind]
+    entries += [LexEntry(("blood", "type"), PiKind.BLOOD), LexEntry(("type",), PiKind.EMAIL),
+                LexEntry(("blood", "type"), PiKind.AGE)]
+    lex = Lexicon(tuple(entries))
+    assert classify(_view(id_name="bloodType"), lex) == PiKind.AGE
+    assert classify(_view(id_name="typeBlood"), lex) == PiKind.EMAIL
+    assert lex.longest == 2

@@ -18,9 +18,10 @@ from uitaint.sources_sinks import (
 )
 from uitaint.taint import (
     Party,
+    _party,
+    _third_party_classes,
     build_graph,
     classify_package,
-    classify_party,
     extract_leaks,
 )
 from conftest import (
@@ -406,11 +407,16 @@ def test_no_alternative_flag_when_only_the_relay_result_is_tainted(tmp_path):
 def test_classify_party_on_raw_paths():
     from uitaint.ir import StmtId
 
+    def party(path, app):
+        return _party(path, _third_party_classes({sid.cls for sid in path}, app))
+
     app = "com.app.x"
     first = StmtId("com.app.x.Main", "m()", 0)
     third = StmtId("io.lib.Thing", "m()", 0)
-    assert classify_party((first, first), app) is Party.FIRST
-    assert classify_party((first, third, first), app) is Party.THIRD
+    platform = StmtId("android.util.Log", "d()", 0)
+    assert party((first, first), app) is Party.FIRST
+    assert party((first, platform, first), app) is Party.FIRST
+    assert party((first, third, first), app) is Party.THIRD
 
 
 # ---------------------------------------------------------------------------
