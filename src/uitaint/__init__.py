@@ -3,49 +3,59 @@
 Takes decompiled app bundles (layout XML plus a textual three-address IR),
 labels input widgets with the kind of personal information they collect,
 and taint-tracks findViewById results to configurable sink calls.
+
+Importing the package loads no submodule: each name below is imported from
+its module on first use (PEP 562), so a command loads only what it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import AnalysisError
-from .ir import parse_bundle, parse_code_unit, render_code_unit, resolve_call
-from .gui import extract_views, join_rtable, load_widget_registry, default_widget_registry
-from .pi import PiCategory, PiKind, classify, load_default_lexicon, load_lexicon, tokenize
-from .sources_sinks import DestCategory, load_default_sinks, load_sinks, resolve_sources
-from .taint import Party, build_graph, extract_leaks
-from .report import aggregate, emit_report, export_csv, serialize_report
-from .fixtures import FixtureSpec, generate
-from .pipeline import analyze_bundle, load_config
+# exported name -> the submodule that defines it
+_HOME = {
+    "AnalysisError": "errors",
+    "DestCategory": "pi",
+    "FixtureSpec": "fixtures",
+    "Party": "taint",
+    "PiCategory": "pi",
+    "PiKind": "pi",
+    "aggregate": "report",
+    "analyze_bundle": "pipeline",
+    "build_graph": "taint",
+    "classify": "pi",
+    "default_widget_registry": "gui",
+    "emit_report": "report",
+    "export_csv": "report",
+    "extract_leaks": "taint",
+    "extract_views": "gui",
+    "generate": "fixtures",
+    "join_rtable": "gui",
+    "load_config": "pipeline",
+    "load_default_lexicon": "pi",
+    "load_default_sinks": "sources_sinks",
+    "load_lexicon": "pi",
+    "load_sinks": "sources_sinks",
+    "load_widget_registry": "gui",
+    "parse_bundle": "ir",
+    "parse_code_unit": "ir",
+    "render_code_unit": "ir",
+    "resolve_call": "ir",
+    "resolve_sources": "sources_sinks",
+    "serialize_report": "report",
+    "tokenize": "pi",
+}
 
-__all__ = [
-    "AnalysisError",
-    "DestCategory",
-    "FixtureSpec",
-    "Party",
-    "PiCategory",
-    "PiKind",
-    "aggregate",
-    "analyze_bundle",
-    "build_graph",
-    "classify",
-    "default_widget_registry",
-    "emit_report",
-    "export_csv",
-    "extract_leaks",
-    "extract_views",
-    "generate",
-    "join_rtable",
-    "load_config",
-    "load_default_lexicon",
-    "load_default_sinks",
-    "load_lexicon",
-    "load_sinks",
-    "load_widget_registry",
-    "parse_bundle",
-    "parse_code_unit",
-    "render_code_unit",
-    "resolve_call",
-    "resolve_sources",
-    "serialize_report",
-    "tokenize",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

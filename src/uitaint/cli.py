@@ -15,20 +15,13 @@ import functools
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import AnalysisError, EmptyCorpus, InvalidSpec, UsageError
-from .fixtures import FixtureSpec, generate
-from .pipeline import analyze_bundle, load_config
-from .report import (
-    aggregate,
-    export_csv,
-    parse_report,
-    serialize_report,
-    write_atomic,
-    write_summary,
-)
+
+# Each command imports the package modules it runs when it runs, so
+# `aggregate` and `explain` never load the analyzer, and only a corpus run
+# with two or more workers loads the process pool.
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +90,9 @@ def _diag_line(report: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from .pipeline import analyze_bundle, load_config
+    from .report import serialize_report, write_atomic
+
     report = analyze_bundle(args.app, load_config(args.widgets, args.lexicon, args.sinks))
     text = serialize_report(report)
     if args.out:
@@ -107,25 +103,36 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _analyze_to_text(app_dir: str, config_paths: tuple) -> tuple[int, str]:
-    """Worker for corpus analysis; takes config paths so the job pickles.
+def _analyze_one(app_dir: str, out_dir: str, config_paths: tuple) -> tuple[int, str]:
+    """Worker for corpus analysis: write the report of the bundle at app_dir
+    to out_dir/<bundle>.json; takes config paths so the job pickles.
 
-    Returns (0, report text), or the exit code main would give the bundle's
-    error and a one-line failure: 2 for bad input, 1 for any other exception
-    (an analyzer bug). The line is built here, so no exception object has to
-    cross the process pool.
+    Returns (0, ""), or the exit code main would give the bundle's error and
+    a one-line failure: 2 for bad input or a failed write, 1 for any other
+    exception (an analyzer bug). The line is built here, so no exception
+    object has to cross the process pool. A failed bundle's earlier report
+    is removed, so aggregate never counts it.
     """
+    from .pipeline import analyze_bundle, load_config
+    from .report import serialize_report, write_atomic
+
     name = Path(app_dir).name
+    report = Path(out_dir) / f"{name}.json"
     try:
-        report = analyze_bundle(app_dir, load_config(*config_paths))
-        return 0, serialize_report(report)
+        write_atomic(report, serialize_report(analyze_bundle(app_dir, load_config(*config_paths))))
+        return 0, ""
     except (AnalysisError, OSError) as exc:
-        return 2, f"{name}: {type(exc).__name__}: {exc}"
+        code, line = 2, f"{name}: {type(exc).__name__}: {exc}"
     except Exception as exc:
-        return 1, f"{name}: internal error: {type(exc).__name__}: {exc}"
+        code, line = 1, f"{name}: internal error: {type(exc).__name__}: {exc}"
+    with contextlib.suppress(IsADirectoryError):  # no report: aggregate refuses it by itself
+        report.unlink(missing_ok=True)
+    return code, line
 
 
 def cmd_corpus(args) -> int:
+    from .pipeline import load_config
+
     if args.jobs < 1:
         raise UsageError(f"-j must be >= 1, got {args.jobs}")
     apps_dir = Path(args.apps)
@@ -146,30 +153,30 @@ def cmd_corpus(args) -> int:
 
     paths = (args.widgets, args.lexicon, args.sinks)
     load_config(*paths)  # a bad config fails once, here; forked workers inherit it
-    job = functools.partial(_analyze_to_text, config_paths=paths)
+    job = functools.partial(_analyze_one, out_dir=str(out_dir), config_paths=paths)
     app_dirs = [str(p) for p in apps]
     workers = min(args.jobs, len(apps))
     failed = []  # exit code of each failed bundle
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(job, app_dirs)
+            results = pool.map(job, app_dirs, chunksize=max(1, len(apps) // (4 * workers)))
         else:
             results = map(job, app_dirs)
-        # results arrive in sorted bundle order; write each as it comes
-        for app, (code, text) in zip(apps, results):
-            report = out_dir / f"{app.name}.json"
+        # results arrive in sorted bundle order, so the failure lines do too
+        for code, line in results:
             if code:
                 failed.append(code)
-                print(text, file=sys.stderr)
-                report.unlink(missing_ok=True)  # so aggregate never counts an earlier run's report
-            else:
-                write_atomic(report, text)
+                print(line, file=sys.stderr)
     print(f"analyzed {len(apps)} bundles, {len(failed)} failed -> {out_dir}", file=sys.stderr)
     return min(failed, default=0)  # an analyzer bug (1) outranks bad input (2)
 
 
 def cmd_aggregate(args) -> int:
+    from .report import aggregate, export_csv, parse_report, write_summary
+
     paths = sorted(Path(args.reports).glob("*.json"))
     reports = [parse_report(p) for p in paths]
     summary = aggregate(reports)
@@ -185,6 +192,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_gen_fixtures(args) -> int:
+    from .fixtures import FixtureSpec, generate
+
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     doc = {}
@@ -209,6 +218,8 @@ def cmd_gen_fixtures(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .report import parse_report
+
     report = parse_report(args.report)
     leaks = report["leaks"]
     if not 0 <= args.leak < len(leaks):

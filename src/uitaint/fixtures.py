@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidSpec
-from .pi import KIND_ORDER, PiKind
-from .sources_sinks import DestCategory
+from .pi import KIND_ORDER, DestCategory, PiKind
 
 _MAX_SEED = 2**64 - 1
 

@@ -47,6 +47,19 @@ class PiKind(Enum):
     SMOKE_ALCOHOL = "smoke_alcohol"
 
 
+class DestCategory(Enum):
+    """Where a sink sends the data it is given.
+
+    It sits beside the PI enums, not with the sink registry, so that code
+    reading reports needs neither the registry nor the IR.
+    """
+
+    NET = "net"
+    LOCALSTORE = "localstore"
+    LOG = "log"
+    FILEIO = "fileio"
+
+
 KIND_ORDER = {kind: i for i, kind in enumerate(PiKind)}
 
 CATEGORY_OF = {

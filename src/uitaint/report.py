@@ -13,13 +13,16 @@ import json
 import os
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import BadEnvironment, EmptyCorpus, ReportError
-from .gui import ViewElement
-from .ir import AppBundle, MethodSig, StmtId, render_method_sig, render_statement
-from .pi import CATEGORY_OF, KIND_ORDER, PI_GROUPS, PiKind
-from .sources_sinks import DestCategory, SourceDiagnostics
-from .taint import Leak
+from .pi import CATEGORY_OF, KIND_ORDER, PI_GROUPS, DestCategory, PiKind
+
+if TYPE_CHECKING:  # aggregate, explain and the writers run without the analyzer
+    from .gui import ViewElement
+    from .ir import AppBundle, MethodSig, StmtId
+    from .sources_sinks import SourceDiagnostics
+    from .taint import Leak
 
 SCHEMA_VERSION = 1
 
@@ -84,6 +87,8 @@ def emit_report(
     exactly twice, and the writer's memo of them costs more memory than it
     saves time.
     """
+    from .ir import render_method_sig, render_statement  # here, so report readers load no IR
+
     labeled = [v for v in views if v.pi is not None]
     steps: dict[StmtId, tuple[list, str]] = {}
     for lk in leaks:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import BadPosition, IrSyntaxError, SinkSyntaxError
 from .gui import ViewElement
@@ -27,14 +26,7 @@ from .ir import (
     parse_method_sig,
 )
 from .lines import config_lines
-from .pi import PiKind
-
-
-class DestCategory(Enum):
-    NET = "net"
-    LOCALSTORE = "localstore"
-    LOG = "log"
-    FILEIO = "fileio"
+from .pi import DestCategory, PiKind
 
 
 @dataclass(frozen=True)

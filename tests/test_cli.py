@@ -84,7 +84,7 @@ def test_failed_report_write_leaves_the_old_report(tmp_path, monkeypatch, fail):
     out.parent.mkdir()
     out.write_text("old report\n")
     if fail == "write":  # a lone surrogate cannot be encoded, so the write fails midway
-        monkeypatch.setattr("uitaint.cli.serialize_report", lambda doc: "{\ud800}\n")
+        monkeypatch.setattr("uitaint.report.serialize_report", lambda doc: "{\ud800}\n")
     else:
         def no_rename(src, dst):
             raise OSError("rename failed")
@@ -280,7 +280,7 @@ def test_corpus_more_jobs_than_bundles_runs_in_process(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("one bundle needs no worker pool")
 
-    monkeypatch.setattr("uitaint.cli.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     wide = tmp_path / "wide"
     assert main(["corpus", "--apps", str(apps), "--out", str(wide), "-j", "4"]) == 0
     (report,) = serial.glob("*.json")
@@ -475,14 +475,14 @@ def test_corpus_writes_other_reports_after_an_analyzer_bug(tmp_path, capsys, mon
     (apps / "nomanifest").mkdir()
     expected = tmp_path / "expected"
     assert main(["corpus", "--apps", str(apps), "--out", str(expected)]) == 2
-    real = uitaint.cli.analyze_bundle
+    real = uitaint.pipeline.analyze_bundle
 
     def buggy(app_dir, config):
         if Path(app_dir).name == "fx00000301":
             raise RuntimeError("boom")
         return real(app_dir, config)
 
-    monkeypatch.setattr("uitaint.cli.analyze_bundle", buggy)  # forked workers inherit it
+    monkeypatch.setattr("uitaint.pipeline.analyze_bundle", buggy)  # forked workers inherit it
     capsys.readouterr()
     reports = tmp_path / "reports"
     # an analyzer bug outranks the bad bundle's exit 2
@@ -494,6 +494,26 @@ def test_corpus_writes_other_reports_after_an_analyzer_bug(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert "fx00000301: internal error: RuntimeError: boom" in err.splitlines()
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_writes_other_reports_when_one_cannot_be_written(tmp_path, capsys, jobs):
+    apps = _gen_corpus(tmp_path)
+    expected = tmp_path / "expected"
+    assert main(["corpus", "--apps", str(apps), "--out", str(expected)]) == 0
+    reports = tmp_path / "reports"
+    (reports / "fx00000301.json").mkdir(parents=True)  # no report can be renamed onto it
+    capsys.readouterr()
+
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports), "-j", jobs]) == 2
+    for name in ("fx00000300.json", "fx00000302.json"):
+        assert (reports / name).read_bytes() == (expected / name).read_bytes()
+    assert (reports / "fx00000301.json").is_dir()
+    assert sorted(p.name for p in reports.iterdir()) == sorted(p.name for p in expected.iterdir())
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("fx00000301: IsADirectoryError: ")
+    assert err[1] == f"analyzed 3 bundles, 1 failed -> {reports}"
 
 
 def test_aggregate_empty_dir_exits_2(tmp_path, capsys):
