@@ -12,6 +12,7 @@ import io
 import json
 import os
 import time
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,7 +21,7 @@ from .pi import CATEGORY_OF, KIND_ORDER, PI_GROUPS, DestCategory, PiKind
 
 if TYPE_CHECKING:  # aggregate, explain and the writers run without the analyzer
     from .gui import ViewElement
-    from .ir import AppBundle, MethodSig, StmtId
+    from .ir import AppBundle, StmtId
     from .sources_sinks import SourceDiagnostics
     from .taint import Leak
 
@@ -87,7 +88,9 @@ def emit_report(
     exactly twice, and the writer's memo of them costs more memory than it
     saves time.
     """
-    from .ir import render_method_sig, render_statement  # here, so report readers load no IR
+    # imported here, so report readers load no analyzer
+    from .ir import render_method_sig, render_statement
+    from .taint import Party
 
     labeled = [v for v in views if v.pi is not None]
     steps: dict[StmtId, tuple[list, str]] = {}
@@ -95,23 +98,33 @@ def emit_report(
         for s in lk.path:
             if s not in steps:
                 steps[s] = (list(s), render_statement(bundle.statement(s)))
-    sources: dict[StmtId, dict] = {}  # resolve_sources makes one source per statement
-    sinks: dict[tuple[StmtId, MethodSig], dict] = {}
+    # each source's, spec's and party's strings are computed once: an enum
+    # hashes and reads .value in Python
+    sources: dict[StmtId, tuple[dict, str, str]] = {}  # one source per statement
+    specs: dict[int, tuple[str, str]] = {}  # spec index -> (destination, signature)
+    sinks: dict[tuple[StmtId, str], dict] = {}
+    third, parties = Party.THIRD, (Party.FIRST.value, Party.THIRD.value)
     leak_docs = []
     for lk in leaks:
-        sp, spec = lk.source, lk.sink_spec
-        source = sources.get(sp.stmt)
-        if source is None:
-            source = sources[sp.stmt] = {"stmt": list(sp.stmt), "view": _view_doc(sp.view)}
-        sink = sinks.get(key := (lk.sink_stmt, spec.sig))
+        sp = lk.source
+        entry = sources.get(sp.stmt)
+        if entry is None:
+            fragment = {"stmt": list(sp.stmt), "view": _view_doc(sp.view)}
+            entry = sources[sp.stmt] = (fragment, sp.pi.value, CATEGORY_OF[sp.pi].value)
+        source, kind, category = entry
+        spec = specs.get(lk.sink_index)
+        if spec is None:
+            sig = lk.sink_spec.sig
+            spec = specs[lk.sink_index] = (lk.sink_spec.category.value, render_method_sig(sig))
+        destination, signature = spec
+        sink = sinks.get(key := (lk.sink_stmt, signature))
         if sink is None:
-            sig = render_method_sig(spec.sig)
-            sink = sinks[key] = {"stmt": list(lk.sink_stmt), "signature": sig}
+            sink = sinks[key] = {"stmt": list(lk.sink_stmt), "signature": signature}
         leak_docs.append({
-            "pi_kind": lk.pi.value,
-            "pi_category": CATEGORY_OF[lk.pi].value,
-            "party": lk.party.value,
-            "destination": spec.category.value,
+            "pi_kind": kind,
+            "pi_category": category,
+            "party": parties[lk.party is third],
+            "destination": destination,
             "source": source,
             "sink": sink,
             "path": [steps[s][0] for s in lk.path],
@@ -153,13 +166,13 @@ def _float(o: float) -> str:
     return float.__repr__(o)
 
 
-# each JSON scalar type and how json.dumps writes it
+# each JSON scalar type and how json.dumps writes it; all but float in C
 _SCALARS = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
     float: _float,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
 }
 
 
@@ -167,53 +180,77 @@ def serialize_report(doc: dict) -> str:
     """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for a
     document with string keys, written without the pure-Python encoder.
 
-    A container reached again at the same depth (emit_report shares path
-    statements, sources and sinks) is rendered once: fragments are
-    memoised by (id, depth), and stored only from the second time a
-    container is reached, so one that appears once costs an id in a set and
-    no fragment. The document must not change while it is written. A value
-    json cannot write raises TypeError.
+    Each dict shape (its keys in insertion order) is laid out once per
+    depth: its sorted keys, each key's ``"key": `` text with the separator
+    and indentation before it, and an itemgetter of its values in that
+    order. A container reached again at the same depth (emit_report shares
+    path statements, sources and sinks) is rendered once: its text is
+    memoised from the second time it is reached, so one that appears once
+    costs a memo entry and no text. Each container's text is one join of its
+    parts, and the document's last part holds the closing bracket and the
+    final newline, so no text is copied twice into one container. The
+    document must not change while it is written. A value json cannot write
+    raises TypeError.
     """
-    seen: set[int] = set()
-    memo: dict[tuple[int, int], str] = {}
+    # per depth: memo of containers by id, dict layouts by shape,
+    # separator, dict closer, list closer
+    levels: list[tuple[dict, dict, str, str, str]] = []
     scalar = _SCALARS.get
-    string = _SCALARS[str]
 
-    def render(o, depth: int) -> str:
-        write = scalar(type(o))
-        if write is not None:
-            return write(o)
+    def render(o, depth: int) -> str:  # any value but a str, int, float, bool or None
+        if depth == len(levels) - 1:  # add the children's level
+            close = "\n" + "  " * (depth + 1)
+            levels.append(({}, {}, ",\n  " + close[1:], close + "}", close + "]"))
+        memo, layouts, sep, dict_close, list_close = levels[depth]
         if isinstance(o, dict):
             if not o:
                 return "{}"
+            shape = tuple(o)
+            layout = layouts.get(shape)
+            if layout is None:
+                keys = sorted(shape)
+                # itemgetter of one key returns the value, not a 1-tuple
+                get = itemgetter(*keys) if len(keys) > 1 else lambda d, k=keys[0]: (d[k],)
+                parts = [None] * (2 * len(keys) + 1)
+                parts[::2] = [sep + _SCALARS[str](k) + ": " for k in keys] + [dict_close]
+                parts[0] = "{" + parts[0][1:]
+                layout = layouts[shape] = (get, parts)
+            get, parts = layout
+            values = get(o)
+            parts = parts.copy()
         elif isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
+            values = o
+            parts = [sep] * (2 * len(o) + 1)
+            parts[0] = "[" + sep[1:]
+            parts[-1] = list_close
         else:  # a subclass of str, int or float, as json takes them
             base = next((t for t in (str, int, float) if isinstance(o, t)), None)
             if base is None:
                 raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
             return _SCALARS[base](o)
-        key = (id(o), depth)
-        text = memo.get(key)
-        if text is not None:
-            return text
-        sep = ",\n" + "  " * (depth + 1)
-        if isinstance(o, dict):
-            items = sep.join(
-                [f"{string(k)}: {render(v, depth + 1)}" for k, v in sorted(o.items())]
-            )
-            text = f"{{{sep[1:]}{items}\n{'  ' * depth}}}"
-        else:
-            items = sep.join([render(v, depth + 1) for v in o])
-            text = f"[{sep[1:]}{items}\n{'  ' * depth}]"
-        if id(o) in seen:
-            memo[key] = text
-        else:
-            seen.add(id(o))
+        child = depth + 1
+        child_memo = levels[child][0]
+        texts = []
+        append = texts.append
+        for v in values:
+            write = scalar(type(v))
+            if write is not None:
+                append(write(v))
+            else:
+                append(child_memo.get(id(v)) or render(v, child))
+        parts[1::2] = texts
+        text = "".join(parts)
+        key = id(o)
+        memo[key] = text if key in memo else ""  # "": reached once, no text kept
         return text
 
-    return render(doc, 0) + "\n"
+    levels.append(({}, {}, ",\n  ", "\n}\n", "\n]\n"))  # the document ends in a newline
+    if isinstance(doc, (dict, list, tuple)) and doc:
+        return render(doc, 0)
+    write = scalar(type(doc))
+    return (render(doc, 0) if write is None else write(doc)) + "\n"
 
 
 def write_atomic(path, text: str) -> None:

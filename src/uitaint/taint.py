@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
+from typing import NamedTuple
 
 from .ir import (
     AppBundle,
@@ -69,13 +71,13 @@ class TaintGraph:
     sink_specs: tuple[SinkSpec, ...]  # the registry's
 
 
-@dataclass(frozen=True)
-class Leak:
+class Leak(NamedTuple):
     """One source-to-sink flow, carrying its shortest witness path."""
 
     source: SourcePoint
     sink_stmt: StmtId
     sink_spec: SinkSpec
+    sink_index: int  # of sink_spec in the registry's specs
     pi: PiKind
     party: Party
     path: tuple[StmtId, ...]
@@ -262,7 +264,8 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
     """
     bundle = graph.bundle
     third = _third_party_classes(bundle.code_units, bundle.app_package)
-    leaks = []
+    spec_keys: dict[int, tuple[str, str]] = {}  # spec index -> (category, signature)
+    keyed = []  # (sort key, leak)
     for sp, seed in graph.seeds.items():
         best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,), third)
         # sink keys are (sink statement, spec index): ints hash in C
@@ -279,24 +282,21 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
         for key, path in hits.items():
             party = _party(path, third)
             sink_sid, index = key
-            leaks.append(
-                Leak(
-                    source=sp,
-                    sink_stmt=sink_sid,
-                    sink_spec=graph.sink_specs[index],
-                    pi=sp.pi,
-                    party=party,
-                    path=path,
-                    path_len=len(path) - 1,
-                    alt_third_party_path=party is Party.FIRST and key in crossing,
-                )
+            spec = graph.sink_specs[index]
+            spec_key = spec_keys.get(index)
+            if spec_key is None:
+                spec_key = spec_keys[index] = (spec.category.value, render_method_sig(spec.sig))
+            leak = Leak(
+                source=sp,
+                sink_stmt=sink_sid,
+                sink_spec=spec,
+                sink_index=index,
+                pi=sp.pi,
+                party=party,
+                path=path,
+                path_len=len(path) - 1,
+                alt_third_party_path=party is Party.FIRST and key in crossing,
             )
-    leaks.sort(
-        key=lambda lk: (
-            lk.source.stmt,
-            lk.sink_stmt,
-            lk.sink_spec.category.value,
-            render_method_sig(lk.sink_spec.sig),
-        )
-    )
-    return leaks
+            keyed.append(((sp.stmt, sink_sid, spec_key), leak))
+    keyed.sort(key=itemgetter(0))
+    return [leak for _, leak in keyed]

@@ -69,6 +69,53 @@ def write_bundle(
     return root
 
 
+_HUB = "com.hub.app.Hub"
+_HUB_FIND = f"<{_HUB}: android.view.View findViewById(int)>"
+_HUB_FIELD = f"<{_HUB}: java.lang.String shared>"
+HUB_LOG = "<android.util.Log: int d(java.lang.String,java.lang.String)>"
+_HUB_RELAY = "<io.fakelib.Relay: java.lang.String send(java.lang.String)>"
+_HUB_HINTS = ("Email", "Phone", "Address", "Zip", "SSN", "Height", "Weight", "Gender",
+              "Dosage", "Surname", "Birthday", "Allergy")
+
+
+def write_hub_bundle(root: Path, n_sources: int = 2, n_sinks: int = 3) -> Path:
+    """n_sources write one static field that n_sinks Log.d sinks read; every
+    third source writes it through a third-party relay method."""
+    lines = ["  r0 = this"]
+    for k in range(n_sources):
+        lines.append(f"  $v{k} = virtualinvoke r0.{_HUB_FIND}({0x7F010001 + k})")
+        if k % 3 == 2:
+            lines += [f"  $u{k} = staticinvoke {_HUB_RELAY}($v{k})", f"  {_HUB_FIELD} = $u{k}"]
+        else:
+            lines.append(f"  {_HUB_FIELD} = $v{k}")
+    for k in range(n_sinks):
+        lines += [f"  $s{k} = {_HUB_FIELD}", f'  staticinvoke {HUB_LOG}("t{k}", $s{k})']
+    code = (
+        f"class {_HUB} extends android.app.Activity\n\nfield java.lang.String shared\n\n"
+        "method void onCreate(android.os.Bundle b1):\n" + "\n".join(lines) + "\n"
+    )
+    relay = (
+        "class io.fakelib.Relay\n\n"
+        "method static java.lang.String send(java.lang.String p0):\n  return p0\n"
+    )
+    hints = [_HUB_HINTS[k % len(_HUB_HINTS)] for k in range(n_sources)]
+    layout = (
+        '<LinearLayout xmlns:android="http://schemas.android.com/apk/res/android">\n'
+        + "".join(
+            f'  <EditText android:id="@+id/{hint.lower()}{k}" android:hint="{hint}" />\n'
+            for k, hint in enumerate(hints)
+        )
+        + "</LinearLayout>\n"
+    )
+    return write_bundle(
+        root, package="com.hub.app",
+        rtable="".join(
+            f"id {hint.lower()}{k} 0x{0x7F010001 + k:08x}\n" for k, hint in enumerate(hints)
+        ),
+        layouts={"main.xml": layout}, code={"Hub.jtac": code, "Relay.jtac": relay},
+    )
+
+
 @pytest.fixture
 def bundle_dir(tmp_path):
     """Factory fixture: call with the same arguments as write_bundle."""

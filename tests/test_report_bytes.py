@@ -2,9 +2,10 @@
 
 The digests were taken with SOURCE_DATE_EPOCH=1700000000 over the bundles of
 tests/data and the gen-fixtures bundles at seeds 1, 7 and 29, analyzed by
-`uitaint corpus` and folded by `uitaint aggregate`. A change that alters any
-byte of these files fails here; one that means to must update the digests and
-say why.
+`uitaint corpus` and folded by `uitaint aggregate`, and over a hub-shaped
+bundle whose report repeats each `source` and `sink` fragment a dozen times.
+A change that alters any byte of these files fails here; one that means to
+must update the digests and say why.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import shutil
 import pytest
 
 from uitaint.cli import main
-from conftest import DATA
+from conftest import DATA, write_hub_bundle
 
 REPORT_SHA256 = {
     "fx00000001.json": "f0884e37def5967b438da5097dcef6697a3f06aec70de6494347eba6e821d558",
@@ -32,6 +33,13 @@ SUMMARY_SHA256 = {
     "prevalence.csv": "2e75f2622858a9fe2deebdfa03791f20b52fde18fc44585ba484780c859b2b2a",
     "summary.json": "ea837fcf748b59dce8691e53eeb97f59cdbee63c2a5f23ff7cd4c8f3eba06795",
     "view_types.csv": "cf85b4cf418ce14b8ab16ae782bbdbe134ab4baac7a02bef7dc57d791e01db31",
+}
+
+
+# 12 sources x 12 Log.d sinks through one static field, every third source
+# through a third-party relay: 144 leaks sharing 12 source and 12 sink dicts
+HUB_REPORT_SHA256 = {
+    "hub.json": "29a2bead4d6bec46649d9093ff700e761276bd5e953545a7665ae97fff8dd376",
 }
 
 
@@ -56,3 +64,11 @@ def test_report_summary_and_csv_bytes_are_pinned(tmp_path, monkeypatch, jobs):
     assert main(["aggregate", "--reports", str(reports), "--out", str(summary)]) == 0
     assert _digests(reports) == REPORT_SHA256
     assert _digests(summary) == SUMMARY_SHA256
+
+
+def test_hub_shaped_report_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    write_hub_bundle(tmp_path / "apps" / "hub", n_sources=12, n_sinks=12)
+    reports = tmp_path / "reports"
+    assert main(["corpus", "--apps", str(tmp_path / "apps"), "--out", str(reports)]) == 0
+    assert _digests(reports) == HUB_REPORT_SHA256
