@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import logging
@@ -20,8 +19,8 @@ from pathlib import Path
 from .errors import AnalysisError, EmptyCorpus, InvalidSpec, UsageError
 
 # Each command imports the package modules it runs when it runs, so
-# `aggregate` and `explain` never load the analyzer, and only a corpus run
-# with two or more workers loads the process pool.
+# `aggregate` and `explain` never load the analyzer or dataclasses, and only
+# a corpus run with two or more workers loads the process pool.
 
 log = logging.getLogger(__name__)
 
@@ -192,6 +191,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_gen_fixtures(args) -> int:
+    import dataclasses
+
     from .fixtures import FixtureSpec, generate
 
     if args.count < 1:

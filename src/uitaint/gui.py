@@ -8,6 +8,7 @@ the bundle's resource-id table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import WidgetSyntaxError
 from .ir import LayoutDoc, RTable
@@ -17,6 +18,8 @@ from .lines import config_lines
 # loosely and filled in by the classifier.
 
 
+# A dataclass, where the rest of the model is NamedTuples: bench/tracing.py
+# labels views with dataclasses.replace, as pipeline.analyze_bundle does.
 @dataclass(frozen=True)
 class ViewElement:
     """One input-capable element of a layout file."""
@@ -30,8 +33,7 @@ class ViewElement:
     pi: object | None = None  # PiKind once classified
 
 
-@dataclass(frozen=True)
-class WidgetRegistry:
+class WidgetRegistry(NamedTuple):
     """The view classes that accept user input."""
 
     input_capable: frozenset[str]

@@ -10,25 +10,23 @@ A code unit is one class in a Jimple-like textual form, one statement per line:
       r0.<com.example.Main: java.lang.String cached> = $r1
 
 There is no control flow in this representation; statement order only matters
-for the (class, method, ordinal) statement ids.
+for the (class, method, ordinal) statement ids. Text in the renderer's
+spelling is parsed here, one pattern per line form; any other text goes to
+the full grammar in `grammar`, which gives every syntax error.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (
     DuplicateClass,
-    IrSyntaxError,
     MalformedManifest,
-    MalformedSignature,
     MissingManifest,
     RTableSyntaxError,
-    UnknownInvokeKind,
     XmlSyntaxError,
 )
 from .lines import numbered_lines
@@ -47,6 +45,9 @@ MAX_RESOURCE_ID = 0xFFFFFFFF
 # ---------------------------------------------------------------------------
 # model
 
+# Model values are NamedTuples, cheaper to define than dataclasses. As tuples,
+# Reg("x") == StrConst("x") and NullConst() is falsy: test optionals `is None`.
+
 
 class StmtId(NamedTuple):
     """Unique statement id: (class, method token, ordinal within the body)."""
@@ -56,41 +57,35 @@ class StmtId(NamedTuple):
     ordinal: int
 
 
-@dataclass(frozen=True)
-class Reg:
+class Reg(NamedTuple):
     """A local register. The receiver pseudo-register is spelled "this"."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class IntConst:
+class IntConst(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class StrConst:
+class StrConst(NamedTuple):
     value: str
 
 
-@dataclass(frozen=True)
-class NullConst:
+class NullConst(NamedTuple):
     pass
 
 
 Atom = Reg | IntConst | StrConst | NullConst
 
 
-@dataclass(frozen=True)
-class MethodSig:
+class MethodSig(NamedTuple):
     declaring_class: str
     return_type: str
     name: str
     param_types: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FieldSig:
+class FieldSig(NamedTuple):
     declaring_class: str
     type: str
     name: str
@@ -100,55 +95,52 @@ class FieldSig:
         return self.declaring_class.rsplit(".", 1)[-1]
 
 
-@dataclass(frozen=True)
-class InvokeExpr:
+class InvokeExpr(NamedTuple):
     kind: str
     receiver: Reg | None
     sig: MethodSig
     args: tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
-class Statement:
+class AssignAtom(NamedTuple):
     sid: StmtId
-
-
-@dataclass(frozen=True)
-class AssignAtom(Statement):
     dst: Reg
     src: Atom
 
 
-@dataclass(frozen=True)
-class AssignCast(Statement):
+class AssignCast(NamedTuple):
+    sid: StmtId
     dst: Reg
     cast_type: str
     src: Reg
 
 
-@dataclass(frozen=True)
-class FieldRead(Statement):
+class FieldRead(NamedTuple):
+    sid: StmtId
     dst: Reg
     fld: FieldSig
     base: Reg | None  # None for static reads
 
 
-@dataclass(frozen=True)
-class FieldWrite(Statement):
+class FieldWrite(NamedTuple):
+    sid: StmtId
     fld: FieldSig
     base: Reg | None
     value: Atom
 
 
-@dataclass(frozen=True)
-class InvokeStmt(Statement):
+class InvokeStmt(NamedTuple):
+    sid: StmtId
     result: Reg | None
     expr: InvokeExpr
 
 
-@dataclass(frozen=True)
-class ReturnStmt(Statement):
+class ReturnStmt(NamedTuple):
+    sid: StmtId
     value: Atom | None
+
+
+Statement = AssignAtom | AssignCast | FieldRead | FieldWrite | InvokeStmt | ReturnStmt
 
 
 def method_token(sig: MethodSig) -> str:
@@ -156,8 +148,7 @@ def method_token(sig: MethodSig) -> str:
     return f"{sig.name}({','.join(sig.param_types)})"
 
 
-@dataclass
-class MethodBody:
+class MethodBody(NamedTuple):
     sig: MethodSig
     params: tuple[str, ...]
     is_static: bool
@@ -168,8 +159,7 @@ class MethodBody:
         return method_token(self.sig)
 
 
-@dataclass
-class CodeUnit:
+class CodeUnit(NamedTuple):
     class_name: str
     superclass: str | None
     fields: tuple[FieldSig, ...]
@@ -182,8 +172,7 @@ class CodeUnit:
         return None
 
 
-@dataclass
-class RTable:
+class RTable(NamedTuple):
     """Resource-id table joining layout id names to integer ids."""
 
     entries: dict[str, int]
@@ -192,23 +181,23 @@ class RTable:
         return self.entries.get(name)
 
 
-@dataclass
-class LayoutDoc:
+class LayoutDoc(NamedTuple):
     """A parsed layout XML file; `file` is the name within res/layout/."""
 
     file: str
     root: ET.Element
 
 
-@dataclass
 class AppBundle:
-    app_package: str
-    layouts: list[LayoutDoc]
-    rtable: RTable
-    code_units: dict[str, CodeUnit]
-    _stmt_index: dict[StmtId, Statement] | None = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("app_package", "layouts", "rtable", "code_units", "_stmt_index")
+
+    def __init__(self, app_package: str, layouts: list[LayoutDoc], rtable: RTable,
+                 code_units: dict[str, CodeUnit]):
+        self.app_package = app_package
+        self.layouts = layouts
+        self.rtable = rtable
+        self.code_units = code_units
+        self._stmt_index: dict[StmtId, Statement] | None = None
 
     def iter_statements(self):
         """Yield (unit, method, statement) over all code in sorted class order."""
@@ -225,7 +214,7 @@ class AppBundle:
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# names, literals and the register check
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
@@ -236,404 +225,11 @@ _STR_BODY = r'"(?:[^"\\\n]|\\[nt"\\r])*'
 # Digit and letter classes are spelled out because \d and \w also take
 # non-ASCII digits and letters such as "²", "٣" and "é".
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
-# One token per match: a name, a punctuation mark, a line end, a literal or
-# the end of the text. The leading blanks are skipped without a token.
-_TOKEN = re.compile(
-    rf"""[ \t\r]*(?:
-      (?P<ident>{_IDENT})
-    | (?P<punct>[<>(),:.=\[\]])
-    | (?P<nl>\n)
-    | (?P<hex>-?0[xX][0-9a-fA-F]*)
-    | (?P<int>-?[0-9]+)
-    | (?P<str>{_STR_BODY}")
-    | (?P<eof>\Z)
-    | (?P<bad>.)
-    )""",
-    re.VERBOSE,
-)
-# An unclosed literal's body stops at its first bad escape, or at the
-# newline or end of text that leaves it unterminated.
-_STR_PREFIX = re.compile(_STR_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 
 
 def _unescape(body):
     return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
-
-
-def _lex(text, filename):
-    """Tokens of text as (kind, value, line, col) tuples, the last one eof.
-
-    Kinds are ident, punct, nl, int, str and eof.
-    """
-    toks = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        value = m[kind]
-        start = m.end() - len(value)
-        col = start - line_start + 1
-        if kind == "nl":
-            toks.append((kind, value, line, col))
-            line, line_start = line + 1, m.end()
-            continue
-        elif kind == "int":
-            try:
-                value = int(value)
-            except ValueError:  # more digits than int() converts
-                raise IrSyntaxError("integer literal too long", filename, line, col) from None
-        elif kind == "hex":
-            if value[-1] in "xX":
-                raise IrSyntaxError("bad hex literal", filename, line, col)
-            kind, value = "int", int(value, 16)
-        elif kind == "str":
-            value = _unescape(value[1:-1])
-        elif kind == "eof":
-            toks.append((kind, None, line, col))
-            return toks
-        elif kind == "bad":
-            if value == '"':
-                stop = _STR_PREFIX.match(text, start).end()
-                if stop < len(text) and text[stop] == "\\":
-                    col = stop - line_start + 1
-                    raise IrSyntaxError("bad escape in string", filename, line, col)
-                raise IrSyntaxError("unterminated string literal", filename, line, col)
-            raise IrSyntaxError(f"unexpected character {value!r}", filename, line, col)
-        toks.append((kind, value, line, col))
-
-
-# ---------------------------------------------------------------------------
-# parser
-
-
-class _Parser:
-    """Recursive descent over the tokens of _lex: the one grammar of the IR.
-
-    It takes any spelling the grammar allows and gives every error text;
-    _parse_lines is a faster way to the same result for rendered text.
-    """
-
-    def __init__(self, text, filename):
-        self.filename = filename
-        toks = _lex(text, filename)
-        self.toks = toks + toks[-1:] * 2  # peek(2) past the end reads eof
-        self.pos = 0
-
-    # -- token plumbing
-
-    def peek(self, ahead=0):
-        return self.toks[self.pos + ahead]
-
-    def next(self):
-        tok = self.toks[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message, tok=None, cls=IrSyntaxError):
-        tok = tok or self.peek()
-        raise cls(message, self.filename, tok[2], tok[3])
-
-    def at_punct(self, ch):
-        t = self.toks[self.pos]
-        return t[0] == "punct" and t[1] == ch
-
-    def at_sig(self, ahead=0):
-        """At the '<' that opens a signature."""
-        t = self.toks[self.pos + ahead]
-        return t[0] == "punct" and t[1] == "<"
-
-    def at_word(self, word):
-        t = self.toks[self.pos]
-        return t[0] == "ident" and t[1] == word
-
-    def expect_punct(self, ch, cls=IrSyntaxError):
-        if not self.at_punct(ch):
-            self.error(f"expected {ch!r}", cls=cls)
-        return self.next()
-
-    def expect_word(self, word):
-        if not self.at_word(word):
-            self.error(f"expected {word!r}")
-        return self.next()
-
-    def expect_ident(self, what="identifier", cls=IrSyntaxError):
-        t = self.peek()
-        if t[0] != "ident":
-            self.error(f"expected {what}", cls=cls)
-        self.pos += 1
-        return t[1]
-
-    def skip_newlines(self):
-        while self.toks[self.pos][0] == "nl":
-            self.pos += 1
-
-    def end_line(self):
-        kind = self.toks[self.pos][0]
-        if kind == "eof":
-            return
-        if kind != "nl":
-            self.error("expected end of line")
-        self.skip_newlines()
-
-    # -- small grammar pieces
-
-    def qname(self, cls=IrSyntaxError):
-        t = self.peek()
-        if t[0] != "ident":
-            self.error("expected qualified name", cls=cls)
-        self.pos += 1
-        name = t[1]
-        while self.at_punct(".") and self.peek(1)[0] == "ident":
-            name += "." + self.peek(1)[1]
-            self.pos += 2
-        return name
-
-    def type_name(self, cls=IrSyntaxError):
-        name = self.qname(cls=cls)
-        while self.at_punct("["):
-            self.next()
-            self.expect_punct("]", cls=cls)
-            name += "[]"
-        return name
-
-    def register(self, what="register"):
-        t = self.peek()
-        name = self.expect_ident(what)
-        if name in RESERVED:
-            self.error(f"{name!r} cannot be used as a {what}", t)
-        return Reg(name)
-
-    def atom(self):
-        kind, value, _, _ = self.peek()
-        if kind == "int":
-            self.pos += 1
-            return IntConst(value)
-        if kind == "str":
-            self.pos += 1
-            return StrConst(value)
-        if kind == "ident":
-            if value == "null":
-                self.pos += 1
-                return NullConst()
-            if value == "this":
-                self.pos += 1
-                return Reg("this")
-            return self.register()
-        self.error("expected atom")
-
-    def field_sig(self):
-        """<QName: Type Name> with the angle brackets."""
-        self.expect_punct("<", cls=MalformedSignature)
-        cls_name = self.qname(cls=MalformedSignature)
-        self.expect_punct(":", cls=MalformedSignature)
-        ftype = self.type_name(cls=MalformedSignature)
-        fname = self.expect_ident("field name", cls=MalformedSignature)
-        self.expect_punct(">", cls=MalformedSignature)
-        return FieldSig(cls_name, ftype, fname)
-
-    def method_sig(self):
-        """<QName: Type Name(Type, ...)> with the angle brackets."""
-        self.expect_punct("<", cls=MalformedSignature)
-        cls_name = self.qname(cls=MalformedSignature)
-        self.expect_punct(":", cls=MalformedSignature)
-        rtype = self.type_name(cls=MalformedSignature)
-        mname = self.expect_ident("method name", cls=MalformedSignature)
-        self.expect_punct("(", cls=MalformedSignature)
-        params = []
-        if not self.at_punct(")"):
-            params.append(self.type_name(cls=MalformedSignature))
-            while self.at_punct(","):
-                self.next()
-                params.append(self.type_name(cls=MalformedSignature))
-        self.expect_punct(")", cls=MalformedSignature)
-        self.expect_punct(">", cls=MalformedSignature)
-        return MethodSig(cls_name, rtype, mname, tuple(params))
-
-    def invoke_expr(self):
-        kind_tok = self.peek()
-        kind = self.expect_ident("invoke kind")
-        if kind not in INVOKE_KINDS:
-            self.error(f"unknown invoke kind {kind!r}", kind_tok, UnknownInvokeKind)
-        receiver = None
-        if kind == "staticinvoke":
-            if not self.at_sig():
-                self.error("staticinvoke takes no receiver")
-        else:
-            t = self.peek()
-            if t[0] != "ident":
-                self.error("expected receiver register")
-            if t[1] == "this":
-                self.pos += 1
-                receiver = Reg("this")
-            else:
-                receiver = self.register("receiver")
-            self.expect_punct(".")
-        sig = self.method_sig()
-        self.expect_punct("(")
-        args = []
-        if not self.at_punct(")"):
-            args.append(self.atom())
-            while self.at_punct(","):
-                self.next()
-                args.append(self.atom())
-        self.expect_punct(")")
-        if len(args) != len(sig.param_types):
-            self.error(
-                f"{len(args)} argument(s) for {len(sig.param_types)} parameter(s)",
-                kind_tok,
-            )
-        return InvokeExpr(kind, receiver, sig, tuple(args))
-
-    # -- statements
-
-    def statement(self, make_sid):
-        t = self.peek()
-        if t[0] == "ident" and t[1] == "return":
-            self.next()
-            value = None
-            if self.peek()[0] not in ("nl", "eof"):
-                value = self.atom()
-            stmt = ReturnStmt(make_sid(), value)
-        elif t[0] == "ident" and t[1] in INVOKE_KINDS:
-            expr = self.invoke_expr()
-            stmt = InvokeStmt(make_sid(), None, expr)
-        elif t[0] == "ident" and t[1].endswith("invoke"):
-            self.error(f"unknown invoke kind {t[1]!r}", t, UnknownInvokeKind)
-        elif self.at_sig():
-            fld = self.field_sig()
-            self.expect_punct("=")
-            value = self.atom()
-            stmt = FieldWrite(make_sid(), fld, None, value)
-        elif t[0] == "ident":
-            dst = self.register()
-            if self.at_punct("="):
-                self.next()
-                stmt = self.assignment_rhs(dst, make_sid)
-            elif self.at_punct("."):
-                self.next()
-                fld = self.field_sig()
-                self.expect_punct("=")
-                value = self.atom()
-                stmt = FieldWrite(make_sid(), fld, dst, value)
-            else:
-                self.error("expected '=' or '.' after register")
-        else:
-            self.error("expected statement")
-        self.end_line()
-        return stmt
-
-    def assignment_rhs(self, dst, make_sid):
-        t = self.peek()
-        if t[0] == "ident" and t[1] in INVOKE_KINDS:
-            expr = self.invoke_expr()
-            return InvokeStmt(make_sid(), dst, expr)
-        if t[0] == "ident" and t[1].endswith("invoke"):
-            self.error(f"unknown invoke kind {t[1]!r}", t, UnknownInvokeKind)
-        if self.at_punct("("):
-            self.next()
-            cast_type = self.type_name()
-            self.expect_punct(")")
-            src = self.register("cast operand")
-            return AssignCast(make_sid(), dst, cast_type, src)
-        if self.at_sig():
-            fld = self.field_sig()
-            return FieldRead(make_sid(), dst, fld, None)
-        if t[0] == "ident" and self.peek(1)[0] == "punct" and self.peek(1)[1] == ".":
-            if self.at_sig(2):
-                base = self.register("base register")
-                self.next()  # the dot
-                fld = self.field_sig()
-                return FieldRead(make_sid(), dst, fld, base)
-        return AssignAtom(make_sid(), dst, self.atom())
-
-    # -- declarations
-
-    def method_decl(self, class_name, seen_sigs):
-        head = self.expect_word("method")
-        is_static = False
-        if self.at_word("static"):
-            self.next()
-            is_static = True
-        rtype = self.type_name()
-        name_tok = self.peek()
-        name = self.expect_ident("method name")
-        if name in RESERVED:
-            self.error(f"{name!r} cannot be used as a method name", name_tok)
-        self.expect_punct("(")
-        ptypes, pnames = [], []
-        if not self.at_punct(")"):
-            while True:
-                ptypes.append(self.type_name())
-                pnames.append(self.register("parameter").name)
-                if not self.at_punct(","):
-                    break
-                self.next()
-        self.expect_punct(")")
-        self.expect_punct(":")
-        self.end_line()
-        sig = MethodSig(class_name, rtype, name, tuple(ptypes))
-        if (name, sig.param_types) in seen_sigs:
-            self.error(f"duplicate method {method_token(sig)}", head)
-        seen_sigs.add((name, sig.param_types))
-        if len(set(pnames)) != len(pnames):
-            self.error("duplicate parameter name", head)
-
-        token = method_token(sig)
-        statements = []
-        lines = []
-        while True:
-            self.skip_newlines()
-            if self.peek()[0] == "eof" or self.at_word("method"):
-                break
-            if self.at_word("field") or self.at_word("class"):
-                self.error("declarations must precede method bodies")
-            ordinal = len(statements)
-            line = self.peek()[2]
-            stmt = self.statement(lambda: StmtId(class_name, token, ordinal))
-            statements.append(stmt)
-            lines.append(line)
-        body = MethodBody(sig, tuple(pnames), is_static, tuple(statements))
-        bad = _bad_read(body)
-        if bad is not None:
-            index, message = bad
-            self.error(message, (None, None, lines[index], 1))
-        return body
-
-    def code_unit(self):
-        self.skip_newlines()
-        self.expect_word("class")
-        class_name = self.qname()
-        superclass = None
-        if self.at_word("extends"):
-            self.next()
-            superclass = self.qname()
-        self.end_line()
-
-        fields = []
-        while self.at_word("field"):
-            self.next()
-            ftype = self.type_name()
-            fname = self.expect_ident("field name")
-            fields.append(FieldSig(class_name, ftype, fname))
-            self.end_line()
-
-        methods = []
-        seen = set()
-        while self.at_word("method"):
-            methods.append(self.method_decl(class_name, seen))
-            self.skip_newlines()
-        if self.peek()[0] != "eof":
-            self.error("expected 'method' or end of file")
-        return CodeUnit(class_name, superclass, tuple(fields), tuple(methods))
-
-    def signature(self):
-        self.skip_newlines()
-        sig = self.method_sig()
-        self.skip_newlines()
-        if self.peek()[0] != "eof":
-            self.error("trailing input after signature", cls=MalformedSignature)
-        return sig
 
 
 def _reads(s):
@@ -706,8 +302,9 @@ class _Fallback(Exception):
     """Raised where the line fast path does not take a text."""
 
 
-def _sig_of(text):
-    cls_name, type_name, name, params = _SIG.fullmatch(text).groups()
+def _sig_of(m):
+    """The MethodSig or FieldSig of a match of _SIG."""
+    cls_name, type_name, name, params = m.groups()
     if params is None:
         return FieldSig(cls_name, type_name, name)
     params = tuple(params.split(",")) if params else ()
@@ -720,7 +317,7 @@ def _shared(text, shared):
     value = shared.get(text)
     if value is None:
         if text[0] == "<":
-            value = _sig_of(text)
+            value = _sig_of(_SIG.fullmatch(text))
         elif text in RESERVED:
             raise _Fallback
         else:
@@ -792,10 +389,10 @@ def _statement(line, sid, shared):
 
 def _parse_lines(text, shared):
     """The CodeUnit of text, each of whose lines is blank or spelled as
-    render_code_unit spells it and passes the checks of _Parser.
+    render_code_unit spells it and passes the checks of grammar.Parser.
 
-    Raises _Fallback on any other text. Signatures and registers come from
-    shared (see _shared).
+    Raises _Fallback on any other text, which grammar.Parser parses.
+    Signatures and registers come from shared (see _shared).
     """
     class_name = superclass = None
     fields, methods, seen = [], [], set()
@@ -863,12 +460,19 @@ def parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
     try:
         return _parse_lines(text, {})
     except _Fallback:
-        return _Parser(text, filename).code_unit()
+        from .grammar import Parser
+
+        return Parser(text, filename).code_unit()
 
 
 def parse_method_sig(text: str) -> MethodSig:
     """Parse a canonical `<Class: RetType name(T1,T2)>` signature string."""
-    return _Parser(text, "<signature>").signature()
+    m = _SIG.fullmatch(text)
+    if m is not None and m[4] is not None:  # a method's, spelled as rendered
+        return _sig_of(m)
+    from .grammar import Parser
+
+    return Parser(text, "<signature>").signature()
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +532,7 @@ def render_statement(stmt: Statement) -> str:
 
 def render_code_unit(unit: CodeUnit) -> str:
     lines = [f"class {unit.class_name}"]
-    if unit.superclass:
+    if unit.superclass is not None:
         lines[0] += f" extends {unit.superclass}"
     for f in unit.fields:
         lines.append(f"field {f.type} {f.name}")
@@ -1029,7 +633,9 @@ def parse_bundle(app_dir) -> AppBundle:
             try:
                 unit = _parse_lines(text, shared)
             except _Fallback:  # only errors name the file
-                unit = _Parser(text, str(path.relative_to(app_dir))).code_unit()
+                from .grammar import Parser
+
+                unit = Parser(text, str(path.relative_to(app_dir))).code_unit()
             if unit.class_name in code_units:
                 rel = path.relative_to(app_dir)
                 raise DuplicateClass(f"{rel}: class {unit.class_name} already defined")

@@ -8,8 +8,8 @@ at least one lexicon match decides the label.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DuplicateTerm, LexiconSyntaxError
 from .lines import config_lines
@@ -118,31 +118,34 @@ def tokenize(s: str) -> list[str]:
     return [t.lower() for t in _NON_ALPHA.split(s) if t]
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(NamedTuple):
     tokens: tuple[str, ...]
     kind: PiKind
 
 
-@dataclass(frozen=True)
 class Lexicon:
-    entries: tuple[LexEntry, ...]
-    # term tokens -> (-weight, kind order, kind) of the term's best entry,
-    # where a term's weight is its length in characters
-    terms: dict = field(init=False, repr=False, compare=False)
-    longest: int = field(init=False, repr=False, compare=False)  # tokens of the longest term
+    """The entries and the term table that classify looks signals up in;
+    two lexicons are equal when their entries are."""
 
-    def __post_init__(self):
-        missing = [k.value for k in PiKind if not any(e.kind == k for e in self.entries)]
+    __slots__ = ("entries", "terms", "longest")
+
+    def __init__(self, entries: tuple[LexEntry, ...]):
+        missing = [k.value for k in PiKind if not any(e.kind == k for e in entries)]
         if missing:
             raise LexiconSyntaxError(f"kinds without terms: {', '.join(missing)}")
+        # term tokens -> (-weight, kind order, kind) of the term's best entry,
+        # where a term's weight is its length in characters
         terms = {}
-        for e in self.entries:
+        for e in entries:
             rank = (-sum(map(len, e.tokens)), KIND_ORDER[e.kind], e.kind)
             if e.tokens not in terms or rank < terms[e.tokens]:
                 terms[e.tokens] = rank
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "longest", max(map(len, terms)))
+        self.entries = entries
+        self.terms = terms
+        self.longest = max(map(len, terms))  # tokens of the longest term
+
+    def __eq__(self, other):
+        return self.entries == other.entries if isinstance(other, Lexicon) else NotImplemented
 
 
 def load_lexicon(path) -> Lexicon:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+from typing import NamedTuple
 
 from .gui import WidgetRegistry, extract_views, join_rtable, load_widget_registry
 from .ir import parse_bundle
@@ -17,8 +18,7 @@ from .taint import build_graph, extract_leaks
 log = logging.getLogger(__name__)
 
 
-@dataclasses.dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """The widget registry, PI lexicon and sink registry an analysis uses."""
 
     widgets: WidgetRegistry
@@ -38,7 +38,7 @@ def load_config(widgets=None, lexicon=None, sinks=None) -> Config:
 
 def analyze_bundle(app_dir, config: Config | None = None) -> dict:
     """Analyze the bundle at app_dir and return its report document."""
-    config = config or load_config()
+    config = load_config() if config is None else config
 
     bundle = parse_bundle(app_dir)
 

@@ -120,6 +120,11 @@ def emit_report(
         sink = sinks.get(key := (lk.sink_stmt, signature))
         if sink is None:
             sink = sinks[key] = {"stmt": list(lk.sink_stmt), "signature": signature}
+        path, path_text = [], []  # one lookup per statement
+        for s in lk.path:
+            step, text = steps[s]
+            path.append(step)
+            path_text.append(text)
         leak_docs.append({
             "pi_kind": kind,
             "pi_category": category,
@@ -127,8 +132,8 @@ def emit_report(
             "destination": destination,
             "source": source,
             "sink": sink,
-            "path": [steps[s][0] for s in lk.path],
-            "path_text": [steps[s][1] for s in lk.path],
+            "path": path,
+            "path_text": path_text,
             "path_len": lk.path_len,
             "alt_third_party_path": lk.alt_third_party_path,
         })

@@ -9,7 +9,7 @@ leak when tainted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadPosition, IrSyntaxError, SinkSyntaxError
 from .gui import ViewElement
@@ -29,8 +29,7 @@ from .lines import config_lines
 from .pi import DestCategory, PiKind
 
 
-@dataclass(frozen=True)
-class SinkSpec:
+class SinkSpec(NamedTuple):
     """One sink signature with its destination and tainted positions.
 
     Positions are "recv" or "argN" strings; a `*` in the registry file
@@ -42,17 +41,23 @@ class SinkSpec:
     positions: frozenset[str]
 
 
-@dataclass
 class SinkRegistry:
-    specs: tuple[SinkSpec, ...]
+    """The sink specs and their lookup by signature; two registries are
+    equal when their specs are."""
 
-    def __post_init__(self):
+    __slots__ = ("specs", "_index")
+
+    def __init__(self, specs: tuple[SinkSpec, ...]):
+        self.specs = specs
         # exact-signature lookup ignores the return type: dispatch never
         # depends on it and decompilers disagree about covariant returns
         self._index: dict[tuple, list[SinkSpec]] = {}
-        for spec in self.specs:
+        for spec in specs:
             key = (spec.sig.declaring_class, spec.sig.name, spec.sig.param_types)
             self._index.setdefault(key, []).append(spec)
+
+    def __eq__(self, other):
+        return self.specs == other.specs if isinstance(other, SinkRegistry) else NotImplemented
 
     def match(self, sig: MethodSig) -> list[SinkSpec]:
         return list(self._index.get((sig.declaring_class, sig.name, sig.param_types), ()))
@@ -114,8 +119,7 @@ def load_default_sinks() -> SinkRegistry:
     return load_sinks(None)
 
 
-@dataclass(frozen=True)
-class SourcePoint:
+class SourcePoint(NamedTuple):
     """A findViewById call site resolved to a labeled view."""
 
     stmt: StmtId
@@ -124,12 +128,11 @@ class SourcePoint:
     result_reg: str | None
 
 
-@dataclass
 class SourceDiagnostics:
-    sites: int = 0
-    resolved: int = 0
-    unlabeled_id_skips: int = 0
-    unresolved_arg_skips: int = 0
+    __slots__ = ("sites", "resolved", "unlabeled_id_skips", "unresolved_arg_skips")
+
+    def __init__(self):
+        self.sites = self.resolved = self.unlabeled_id_skips = self.unresolved_arg_skips = 0
 
 
 def _is_find_view_by_id(expr: InvokeExpr) -> bool:

@@ -9,7 +9,6 @@ tainted position of a registered sink call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
@@ -61,8 +60,7 @@ def _field_node(fld: FieldSig) -> Node:
     return ("field", fld.declaring_class, fld.type, fld.name)
 
 
-@dataclass
-class TaintGraph:
+class TaintGraph(NamedTuple):
     bundle: AppBundle
     adjacency: dict[Node, set[tuple[Node, StmtId]]]
     seeds: dict[SourcePoint, Node]
@@ -135,7 +133,7 @@ def build_graph(
                     for pos in spec.positions:
                         node = None
                         if pos == "recv":
-                            node = reg(expr.receiver) if expr.receiver else None
+                            node = None if expr.receiver is None else reg(expr.receiver)
                         else:
                             node = reg(expr.args[int(pos[3:])])
                         if node is not None:
@@ -239,21 +237,18 @@ def _third_party_classes(class_names, app_package: str) -> frozenset[str]:
     )
 
 
-def _party(path: tuple[StmtId, ...], third: frozenset[str]) -> Party:
-    """Third party iff any statement on the path sits in a class of `third`.
-
-    Only the enclosing class of each path statement matters; the platform
-    signature a sink call invokes never affects the verdict.
-    """
-    return Party.THIRD if any(sid.cls in third for sid in path) else Party.FIRST
-
-
 def extract_leaks(graph: TaintGraph) -> list[Leak]:
     """All (source, sink statement, sink spec) leaks with shortest witness paths.
 
     For each pair exactly one leak is reported; among equal-length shortest
     paths the lexicographically smallest statement-id sequence is retained.
     Output is sorted by (source stmt, sink stmt, category, signature).
+
+    A leak is third party iff a statement of its witness path sits in a
+    third-party class: the source, the sink or an edge label, which the
+    winning state's crossed bit records. Only the enclosing class of each
+    statement matters; the platform signature a sink call invokes never
+    affects the verdict.
 
     A first-party leak is flagged alt_third_party_path iff some path from the
     source to a register feeding the same sink statement and spec takes an
@@ -268,8 +263,9 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
     keyed = []  # (sort key, leak)
     for sp, seed in graph.seeds.items():
         best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,), third)
+        source_third = sp.stmt.cls in third
         # sink keys are (sink statement, spec index): ints hash in C
-        hits: dict[tuple[StmtId, int], tuple[StmtId, ...]] = {}
+        hits: dict[tuple[StmtId, int], tuple[tuple[StmtId, ...], bool]] = {}  # (path, crossed)
         crossing = set()  # sink keys that a crossed state feeds
         for (node, crossed), path in best.items():
             for key in graph.sink_feeds.get(node, ()):
@@ -277,11 +273,11 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
                 if crossed:
                     crossing.add(key)
                 prev = hits.get(key)
-                if prev is None or (len(cand), cand) < (len(prev), prev):
-                    hits[key] = cand
-        for key, path in hits.items():
-            party = _party(path, third)
+                if prev is None or (len(cand), cand) < (len(prev[0]), prev[0]):
+                    hits[key] = (cand, crossed)
+        for key, (path, crossed) in hits.items():
             sink_sid, index = key
+            party = Party.THIRD if crossed or source_third or sink_sid.cls in third else Party.FIRST
             spec = graph.sink_specs[index]
             spec_key = spec_keys.get(index)
             if spec_key is None:

@@ -34,6 +34,7 @@ from uitaint.ir import (
     StrConst,
     method_token,
     parse_code_unit,
+    render_code_unit,
 )
 from uitaint.pi import KIND_ORDER, PiKind, tokenize
 from uitaint.taint import classify_package, package_of
@@ -735,6 +736,21 @@ class _Parser:
         if self.peek().kind != "eof":
             self.error("expected 'method' or end of file")
         return CodeUnit(class_name, superclass, tuple(fields), tuple(methods))
+
+
+def typed(value):
+    """value in a form that compares type for type.
+
+    The model's NamedTuples compare as plain tuples, so Reg("x") ==
+    StrConst("x") and NullConst() == (); a code unit's rendering tells its
+    atoms and statements apart, and the type tells any other value apart.
+    A dict (a bundle's code units) compares value by value.
+    """
+    if isinstance(value, CodeUnit):
+        return value, render_code_unit(value)
+    if isinstance(value, dict):
+        return {k: typed(v) for k, v in value.items()}
+    return type(value), value
 
 
 def reference_parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:

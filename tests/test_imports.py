@@ -14,24 +14,34 @@ from pathlib import Path
 import pytest
 
 import uitaint
-from conftest import DATA
+from uitaint.errors import IrSyntaxError
+from uitaint.ir import parse_bundle
+from conftest import DATA, write_bundle
 
 SRC = Path(uitaint.__file__).resolve().parent.parent
 
+# standard modules that only building a dataclass needs
+BUILDERS = {"dataclasses", "inspect", "ast"}
+
 # run one command through main in a fresh interpreter; print what it loaded
 PROBE = """\
-import json, sys
+import contextlib, io, json, sys
 from uitaint.cli import main
-code = main(sys.argv[1:])
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
 print(json.dumps({
     "code": code,
     "modules": sorted(m for m in sys.modules if m.startswith("uitaint")),
     "pool": "concurrent.futures.process" in sys.modules,
+    "loaded": sorted(sys.modules),
+    "stderr": err.getvalue(),
 }))
 """
 
 READERS = {"uitaint", "uitaint.cli", "uitaint.errors", "uitaint.lines", "uitaint.pi",
            "uitaint.report"}
+# no uitaint.grammar: valid bundles and configs take the line fast path
 ANALYZER = READERS | {"uitaint.gui", "uitaint.ir", "uitaint.pipeline",
                       "uitaint.sources_sinks", "uitaint.taint"}
 FIXTURES = {"uitaint", "uitaint.cli", "uitaint.errors", "uitaint.fixtures", "uitaint.lines",
@@ -46,8 +56,12 @@ def _fresh(code: str, *args) -> str:
     return out.stdout
 
 
+def _probe(*args) -> dict:
+    return json.loads(_fresh(PROBE, *args).splitlines()[-1])
+
+
 def _run(*args) -> dict:
-    result = json.loads(_fresh(PROBE, *args).splitlines()[-1])
+    result = _probe(*args)
     assert result["code"] == 0
     return result
 
@@ -87,16 +101,37 @@ def test_corpus_of_two_bundles_at_two_jobs_loads_the_pool(work, tmp_path):
     assert result["pool"]
 
 
+def test_a_malformed_unit_loads_the_grammar_for_its_error(tmp_path):
+    app = write_bundle(tmp_path / "app", code={
+        "A.jtac": "class a.A\nmethod static void f():\n  r1 = r9\n",
+    })
+    with pytest.raises(IrSyntaxError) as raised:
+        parse_bundle(app)
+    result = _probe("analyze", "--app", app, "--out", tmp_path / "r.json")
+    assert result["code"] == 2
+    assert set(result["modules"]) == ANALYZER | {"uitaint.grammar"}
+    assert result["stderr"] == f"IrSyntaxError: {raised.value}\n"
+    assert str(raised.value) == "code/A.jtac:3:1: register 'r9' is read but never assigned"
+
+
 def test_aggregate_loads_only_the_report_reader(work, tmp_path):
     result = _run("aggregate", "--reports", work / "reports", "--out", tmp_path / "s")
     assert set(result["modules"]) == READERS
     assert not result["pool"]
+    assert BUILDERS.intersection(result["loaded"]) == _bare_builders()
 
 
 def test_explain_loads_only_the_report_reader(work):
     result = _run("explain", "--report", work / "reports" / "panic.json", "--leak", "0")
     assert set(result["modules"]) == READERS
     assert not result["pool"]
+    assert BUILDERS.intersection(result["loaded"]) == _bare_builders()
+
+
+def _bare_builders() -> set:
+    """The dataclass builders an interpreter that runs nothing has loaded."""
+    loaded = json.loads(_fresh("import json, sys; print(json.dumps(list(sys.modules)))"))
+    return BUILDERS.intersection(loaded)
 
 
 def test_gen_fixtures_loads_no_analyzer(tmp_path):

@@ -5,13 +5,13 @@ from __future__ import annotations
 import gc
 import random
 import re
-import weakref
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uitaint import ir
+from uitaint import grammar, ir
 from uitaint.errors import (
     DuplicateClass,
     IrSyntaxError,
@@ -45,14 +45,17 @@ from uitaint.ir import (
     parse_method_sig,
     parse_rtable,
     render_code_unit,
+    render_method_sig,
     render_statement,
     resolve_call,
 )
 from uitaint.fixtures import FixtureSpec, generate
+from uitaint.sources_sinks import load_sinks
 from conftest import (
     DATA,
     reference_parse_code_unit,
     reference_parse_method_sig,
+    typed,
     write_bundle,
 )
 
@@ -115,7 +118,7 @@ def test_hex_literals_parse_and_render_decimal():
         "class a.B\nmethod static int f():\n  r1 = 0x7f0800e5\n  return r1\n"
     )
     stmt = unit.methods[0].statements[0]
-    assert stmt.src == IntConst(0x7F0800E5)
+    assert typed(stmt.src) == typed(IntConst(0x7F0800E5))
     assert render_statement(stmt) == "r1 = 2131230949"
 
 
@@ -125,9 +128,9 @@ def test_string_escapes_round_trip():
         '  r1 = "a\\nb\\tc\\rd\\"e\\\\f"\n  return\n'
     )
     unit = parse_code_unit(text)
-    assert unit.methods[0].statements[0].src == StrConst('a\nb\tc\rd"e\\f')
+    assert typed(unit.methods[0].statements[0].src) == typed(StrConst('a\nb\tc\rd"e\\f'))
     reparsed = parse_code_unit(render_code_unit(unit))
-    assert reparsed == unit
+    assert typed(reparsed) == typed(unit)
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +398,19 @@ def _unit_corpus(tmp_path):
 
 
 def _count_fine_passes(monkeypatch):
-    """A list that grows by the text of each _Parser pass over _lex's tokens."""
-    lex, fine_passes = ir._lex, []
+    """A list that grows by the text of each grammar.Parser pass over _lex's tokens."""
+    lex, fine_passes = grammar._lex, []
 
     def counting_lex(text, filename):
         fine_passes.append(text)
         return lex(text, filename)
 
-    monkeypatch.setattr(ir, "_lex", counting_lex)
+    monkeypatch.setattr(grammar, "_lex", counting_lex)
     return fine_passes
 
 
 def _fine(text, filename="T.jtac"):
-    return ir._Parser(text, filename).code_unit()
+    return grammar.Parser(text, filename).code_unit()
 
 
 def test_parser_matches_reference_parser(tmp_path, monkeypatch):
@@ -417,10 +420,10 @@ def test_parser_matches_reference_parser(tmp_path, monkeypatch):
         """ours == reference on text; a unit it gives renders to text that
         takes the line fast path to the same unit."""
         outcome = _outcome(parse, text)
-        assert outcome == _outcome(ref, text), repr(text)
+        assert typed(outcome) == typed(_outcome(ref, text)), repr(text)
         if isinstance(outcome, CodeUnit):
             before = len(fine_passes)
-            assert parse(render_code_unit(outcome)) == outcome, repr(text)
+            assert typed(parse(render_code_unit(outcome))) == typed(outcome), repr(text)
             assert len(fine_passes) == before, repr(text)
         return outcome
 
@@ -540,13 +543,46 @@ def test_every_shipped_and_generated_unit_takes_the_fast_path(tmp_path, monkeypa
     units = [parse_code_unit(text, "T.jtac") for text in texts]
     assert len(texts) > 100 and fine_passes == []
     for text, unit in zip(texts, units):
-        assert unit == _fine(text)
+        assert typed(unit) == typed(_fine(text))
     assert len(fine_passes) == len(texts)  # _fine counts, so the counter is live
 
     for app in (DATA / "keep_yoga", DATA / "panic_shield", tmp_path / "fx0"):
         del fine_passes[:]
         bundle = parse_bundle(app)
         assert bundle.code_units and fine_passes == []
+
+
+def test_every_built_in_sink_signature_takes_the_fast_path(monkeypatch):
+    fine_passes = _count_fine_passes(monkeypatch)
+    specs = load_sinks(None).specs
+    assert len(specs) > 20 and fine_passes == []
+    for spec in specs:
+        text = render_method_sig(spec.sig)
+        assert typed(spec.sig) == typed(grammar.Parser(text, "<signature>").signature())
+
+
+NULLS = """\
+class a.N
+field java.lang.String f
+method static java.lang.String g(java.lang.String p0):
+  $n = null
+  <a.N: java.lang.String f> = null
+  staticinvoke <a.Log: void d(java.lang.String,java.lang.String)>(null, p0)
+  return null
+method static void h():
+  return
+"""
+
+
+def test_null_in_every_atom_position_parses_as_null():
+    unit = parse_code_unit(NULLS)
+    assign, write, call, ret = unit.methods[0].statements
+    assert type(assign.src) is NullConst and type(write.value) is NullConst
+    assert [type(a) for a in call.expr.args] == [NullConst, Reg]
+    assert type(ret.value) is NullConst
+    assert unit.methods[1].statements[0].value is None
+    assert render_code_unit(unit) == NULLS
+    assert typed(unit) == typed(_fine(NULLS))
 
 
 def test_parse_bundle_keeps_no_signature_memo(tmp_path):
@@ -563,12 +599,13 @@ def test_parse_bundle_keeps_no_signature_memo(tmp_path):
     second = call_sigs(parse_bundle(write_bundle(tmp_path / "two", code=code)))
     # one bundle shares one MethodSig per signature text, across its files
     assert len({id(s) for s in first}) == 1 and len(first) == 3
-    # two bundles share none, and nothing keeps the first bundle's
+    # two bundles share none, and nothing keeps the first bundle's: once its
+    # bundle is gone, its MethodSig has no more references than a fresh one
     assert first[0] == second[0] and first[0] is not second[0]
-    gone = weakref.ref(first[0])
+    sig, control = first[0], MethodSig(*first[0])
     del first
     gc.collect()
-    assert gone() is None
+    assert sys.getrefcount(sig) == sys.getrefcount(control)
     # nor does the module hold a cache of its own
     for value in vars(ir).values():
         assert not hasattr(value, "cache_info")

@@ -14,7 +14,7 @@ from uitaint.gui import load_widget_registry
 from uitaint.ir import parse_bundle
 from uitaint.pi import PiKind, load_lexicon
 from uitaint.sources_sinks import load_sinks
-from conftest import write_bundle
+from conftest import typed, write_bundle
 
 _LOG_D = "<android.util.Log: int d(java.lang.String,java.lang.String)>"
 
@@ -112,4 +112,4 @@ def test_jtac_byte_order_mark_is_skipped(tmp_path):
     text = "class a.A\r\nmethod static void f():\r\n  return\r\n"
     marked = write_bundle(tmp_path / "marked", code={"A.jtac": "\ufeff" + text})
     plain = write_bundle(tmp_path / "plain", code={"A.jtac": text})
-    assert parse_bundle(marked).code_units == parse_bundle(plain).code_units
+    assert typed(parse_bundle(marked).code_units) == typed(parse_bundle(plain).code_units)

@@ -2,8 +2,9 @@
 
 The digests were taken with SOURCE_DATE_EPOCH=1700000000 over the bundles of
 tests/data and the gen-fixtures bundles at seeds 1, 7 and 29, analyzed by
-`uitaint corpus` and folded by `uitaint aggregate`, and over a hub-shaped
-bundle whose report repeats each `source` and `sink` fragment a dozen times.
+`uitaint corpus` and folded by `uitaint aggregate`, over a hub-shaped bundle
+whose report repeats each `source` and `sink` fragment a dozen times, and
+over a bundle with `null` in every atom position.
 A change that alters any byte of these files fails here; one that means to
 must update the digests and say why.
 """
@@ -16,7 +17,7 @@ import shutil
 import pytest
 
 from uitaint.cli import main
-from conftest import DATA, write_hub_bundle
+from conftest import DATA, write_bundle, write_hub_bundle
 
 REPORT_SHA256 = {
     "fx00000001.json": "f0884e37def5967b438da5097dcef6697a3f06aec70de6494347eba6e821d558",
@@ -41,6 +42,50 @@ SUMMARY_SHA256 = {
 HUB_REPORT_SHA256 = {
     "hub.json": "29a2bead4d6bec46649d9093ff700e761276bd5e953545a7665ae97fff8dd376",
 }
+
+# null as an assignment, a field-write value, a call argument on and off the
+# witness paths, and a return value, in first- and third-party code
+NULL_REPORT_SHA256 = {
+    "nulls.json": "02be46db9dc64bdbf48f35b40131ecc959f7b8337a4fbecb4f7d8be5f2e1583b",
+}
+
+_NULL_MAIN = "com.nul.app.Main"
+_NULL_FIELD = f"<{_NULL_MAIN}: java.lang.String cache>"
+_NULL_LOG = "<android.util.Log: int d(java.lang.String,java.lang.String)>"
+_NULL_CODE = {
+    "Main.jtac": f"""\
+class {_NULL_MAIN} extends android.app.Activity
+field java.lang.String cache
+method void onCreate(android.os.Bundle b1):
+  r0 = this
+  $n = null
+  $e = virtualinvoke r0.<{_NULL_MAIN}: android.view.View findViewById(int)>(2130837505)
+  $s = virtualinvoke r0.<{_NULL_MAIN}: java.lang.String pick(java.lang.String,java.lang.String)>(null, $e)
+  r0.{_NULL_FIELD} = null
+  r0.{_NULL_FIELD} = $s
+  $c = r0.{_NULL_FIELD}
+  staticinvoke {_NULL_LOG}(null, $c)
+  $w = staticinvoke <io.nul.sdk.Wrap: java.lang.String wrap(java.lang.String,java.lang.String)>($n, $e)
+  staticinvoke {_NULL_LOG}($w, null)
+method java.lang.String pick(java.lang.String p0, java.lang.String p1):
+  $z = null
+  return p1
+method java.lang.String none():
+  return null
+""",
+    "Wrap.jtac": """\
+class io.nul.sdk.Wrap
+method static java.lang.String wrap(java.lang.String p0, java.lang.String p1):
+  $x = null
+  <io.nul.sdk.Wrap: java.lang.String last> = null
+  return p1
+""",
+}
+_NULL_LAYOUT = (
+    '<LinearLayout xmlns:android="http://schemas.android.com/apk/res/android">\n'
+    '  <EditText android:id="@+id/email" android:hint="Email" />\n'
+    "</LinearLayout>\n"
+)
 
 
 def _digests(directory):
@@ -72,3 +117,13 @@ def test_hub_shaped_report_bytes_are_pinned(tmp_path, monkeypatch):
     reports = tmp_path / "reports"
     assert main(["corpus", "--apps", str(tmp_path / "apps"), "--out", str(reports)]) == 0
     assert _digests(reports) == HUB_REPORT_SHA256
+
+
+def test_null_atom_report_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    write_bundle(tmp_path / "apps" / "nulls", package="com.nul.app",
+                 rtable="id email 0x7f020001\n", layouts={"main.xml": _NULL_LAYOUT},
+                 code=_NULL_CODE)
+    reports = tmp_path / "reports"
+    assert main(["corpus", "--apps", str(tmp_path / "apps"), "--out", str(reports)]) == 0
+    assert _digests(reports) == NULL_REPORT_SHA256

@@ -2,24 +2,23 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 
-from uitaint.ir import MethodSig, parse_bundle, parse_method_sig
+from uitaint.ir import AppBundle, MethodSig, RTable, StmtId, parse_bundle, parse_method_sig
 from uitaint.pi import PiKind
 from uitaint.sources_sinks import (
     DestCategory,
     SinkRegistry,
     SinkSpec,
+    SourcePoint,
     load_default_sinks,
     resolve_sources,
 )
 from uitaint.taint import (
     Party,
-    _party,
-    _third_party_classes,
+    TaintGraph,
     build_graph,
     classify_package,
     extract_leaks,
@@ -405,10 +404,21 @@ def test_no_alternative_flag_when_only_the_relay_result_is_tainted(tmp_path):
 
 
 def test_classify_party_on_raw_paths():
-    from uitaint.ir import StmtId
-
     def party(path, app):
-        return _party(path, _third_party_classes({sid.cls for sid in path}, app))
+        """The party of the one leak of a graph whose witness is path:
+        (source, edge labels..., sink)."""
+        source, *labels, sink = path
+        nodes = [("reg", "C", "m()", f"r{i}") for i in range(len(labels) + 1)]
+        graph = TaintGraph(
+            bundle=AppBundle(app, [], RTable({}), dict.fromkeys(sid.cls for sid in path)),
+            adjacency={a: {(b, label)} for a, b, label in zip(nodes, nodes[1:], labels)},
+            seeds={SourcePoint(source, _view(), PiKind.EMAIL, "r0"): nodes[0]},
+            sink_feeds={nodes[-1]: {(sink, 0)}},
+            sink_specs=SINKS.specs,
+        )
+        (leak,) = extract_leaks(graph)
+        assert leak.path == path
+        return leak.party
 
     app = "com.app.x"
     first = StmtId("com.app.x.Main", "m()", 0)
@@ -417,6 +427,8 @@ def test_classify_party_on_raw_paths():
     assert party((first, first), app) is Party.FIRST
     assert party((first, platform, first), app) is Party.FIRST
     assert party((first, third, first), app) is Party.THIRD
+    assert party((third, first), app) is Party.THIRD  # the source's class counts
+    assert party((first, third), app) is Party.THIRD  # and the sink's
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +534,8 @@ def test_leaks_do_not_depend_on_edge_or_feed_order():
         def shuffled(table):
             return {k: rng.sample(sorted(v, key=repr), len(v)) for k, v in table.items()}
 
-        other = dataclasses.replace(
-            graph, adjacency=shuffled(graph.adjacency), sink_feeds=shuffled(graph.sink_feeds)
+        other = graph._replace(
+            adjacency=shuffled(graph.adjacency), sink_feeds=shuffled(graph.sink_feeds)
         )
         assert extract_leaks(other) == extract_leaks(graph), f"seed {seed}"
 
