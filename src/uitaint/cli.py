@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import functools
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -22,8 +21,6 @@ from .errors import AnalysisError, EmptyCorpus, InvalidSpec, UsageError
 # `aggregate` and `explain` never load the analyzer or dataclasses, and only
 # a corpus run with two or more workers loads the process pool.
 
-log = logging.getLogger(__name__)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -31,8 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Detect leaks of user-entered personal information in "
         "decompiled app bundles.",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="increase log verbosity (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="analyze one app bundle")
@@ -89,10 +84,10 @@ def _diag_line(report: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    from .pipeline import analyze_bundle, load_config
+    from .pipeline import analyze_bundle
     from .report import serialize_report, write_atomic
 
-    report = analyze_bundle(args.app, load_config(args.widgets, args.lexicon, args.sinks))
+    report = analyze_bundle(args.app, args.widgets, args.lexicon, args.sinks)
     text = serialize_report(report)
     if args.out:
         write_atomic(args.out, text)
@@ -112,13 +107,13 @@ def _analyze_one(app_dir: str, out_dir: str, config_paths: tuple) -> tuple[int, 
     object has to cross the process pool. A failed bundle's earlier report
     is removed, so aggregate never counts it.
     """
-    from .pipeline import analyze_bundle, load_config
+    from .pipeline import analyze_bundle
     from .report import serialize_report, write_atomic
 
     name = Path(app_dir).name
     report = Path(out_dir) / f"{name}.json"
     try:
-        write_atomic(report, serialize_report(analyze_bundle(app_dir, load_config(*config_paths))))
+        write_atomic(report, serialize_report(analyze_bundle(app_dir, *config_paths)))
         return 0, ""
     except (AnalysisError, OSError) as exc:
         code, line = 2, f"{name}: {type(exc).__name__}: {exc}"
@@ -151,7 +146,7 @@ def cmd_corpus(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     paths = (args.widgets, args.lexicon, args.sinks)
-    load_config(*paths)  # a bad config fails once, here; forked workers inherit it
+    load_config(*paths)  # a bad config fails once, here; forked workers inherit the memos
     job = functools.partial(_analyze_one, out_dir=str(out_dir), config_paths=paths)
     app_dirs = [str(p) for p in apps]
     workers = min(args.jobs, len(apps))
@@ -237,15 +232,15 @@ def cmd_explain(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (AnalysisError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - analyzer bug guard
-        log.exception("internal error")
+        import traceback
+
+        traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

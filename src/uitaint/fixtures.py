@@ -8,6 +8,7 @@ miss them nor smear taint between them; decoys are guaranteed non-flows.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -103,9 +104,8 @@ class FixtureSpec:
         lo, hi = self.chain_len
         if lo < 1 or hi < lo:
             raise InvalidSpec(f"chain_len must satisfy 1 <= lo <= hi, got {self.chain_len}")
-        _check_mix("pi_mix", self.pi_mix, {k.value for k in PiKind})
-        _check_mix("destination_mix", self.destination_mix,
-                   {c.value for c in DestCategory})
+        _check_mix("pi_mix", self.pi_mix, [k.value for k in PiKind])
+        _check_mix("destination_mix", self.destination_mix, [c.value for c in DestCategory])
 
     @classmethod
     def from_dict(cls, doc: dict) -> FixtureSpec:
@@ -136,18 +136,27 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _check_mix(name: str, mix: dict[str, float] | None, valid: set[str]) -> None:
+def _check_mix(name: str, mix: dict[str, float] | None, valid: list[str]) -> None:
+    """valid lists the names in the order generate passes their weights."""
     if mix is None:
         return
     if not isinstance(mix, dict):
         raise InvalidSpec(f"{name} must map names to weights, got {mix!r}")
-    unknown = set(mix) - valid
+    unknown = set(mix) - set(valid)
     if unknown:
         raise InvalidSpec(f"{name} has unknown keys: {sorted(unknown)}")
     if not all(_is_real(w) and 0 <= w < math.inf for w in mix.values()):
         raise InvalidSpec(f"{name} weights must be finite nonnegative numbers")
     if not any(w > 0 for w in mix.values()):
         raise InvalidSpec(f"{name} needs at least one positive weight")
+    # random.choices totals the weights as a float this way, and raises if
+    # the total is not finite
+    try:
+        total = list(itertools.accumulate(mix[k] for k in valid if mix.get(k, 0) > 0))[-1] + 0.0
+    except OverflowError:  # an int weight too large for a float
+        total = math.inf
+    if not math.isfinite(total):
+        raise InvalidSpec(f"{name} weights must have a finite sum")
 
 
 @dataclass(frozen=True)

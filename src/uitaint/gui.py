@@ -7,6 +7,7 @@ the bundle's resource-id table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -43,11 +44,14 @@ class WidgetRegistry(NamedTuple):
         return tag in self.input_capable or "." in tag
 
 
+@functools.cache
 def load_widget_registry(path) -> WidgetRegistry:
     """Load a registry file, or the built-in one for None: `input:Name` lines.
 
     `container:Name` lines are accepted and ignored; the layout walker
-    descends into every tag whatever the registry says.
+    descends into every tag whatever the registry says. Memoised by path,
+    so a process parses each file once and its callers share the result;
+    a load that raises is not cached.
     """
     inputs = set()
     for where, line in config_lines(path, "widgets.txt", WidgetSyntaxError):

@@ -8,7 +8,7 @@ character (a form feed, say) ends a line.
 from __future__ import annotations
 
 import re
-from importlib import resources
+from pathlib import Path
 
 _EOL = re.compile(r"\r\n?|\n")
 
@@ -27,7 +27,7 @@ def config_lines(path, builtin: str, error: type[Exception]):
     data/<builtin> when path is None or empty; other bytes raise error.
     A leading byte-order mark is skipped."""
     if not path:
-        path = resources.files(__package__) / "data" / builtin
+        path = Path(__file__).parent / "data" / builtin
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             text = fh.read()

@@ -7,6 +7,7 @@ at least one lexicon match decides the label.
 
 from __future__ import annotations
 
+import functools
 import re
 from enum import Enum
 from typing import NamedTuple
@@ -148,11 +149,13 @@ class Lexicon:
         return self.entries == other.entries if isinstance(other, Lexicon) else NotImplemented
 
 
+@functools.cache
 def load_lexicon(path) -> Lexicon:
     """Load `<kind>\\t<term>` lines from path, or the built-in file for None.
 
     Multi-token terms separate tokens with spaces. Entries are kept in
     (kind order, tokens) order, so the line order of the file is immaterial.
+    Memoised by path, like `gui.load_widget_registry`.
     """
     entries = []
     seen = set()

@@ -8,6 +8,7 @@ leak when tainted.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import NamedTuple
 
@@ -89,9 +90,11 @@ def _parse_positions(raw: str, arity: int, where: str) -> frozenset[str]:
     return frozenset(positions)
 
 
+@functools.cache
 def load_sinks(path) -> SinkRegistry:
     """Load `<category>\\t<signature>\\t<positions>` lines from path, or the
-    built-in file for None, into a registry."""
+    built-in file for None, into a registry. Memoised by path, like
+    `gui.load_widget_registry`."""
     specs = []
     seen = set()
     for where, line in config_lines(path, "sinks.tsv", SinkSyntaxError):

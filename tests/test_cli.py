@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import shutil
@@ -13,7 +14,6 @@ import pytest
 
 import uitaint
 from uitaint.cli import main
-from uitaint.pipeline import load_config
 from conftest import DATA
 
 PANIC = DATA / "panic_shield"
@@ -218,9 +218,17 @@ def test_gen_fixtures_invalid_spec_exits_2(tmp_path, capsys):
         (b'{"seed": "a"}', "seed must be an integer, got 'a'"),
         (b'{"seed": 1, "party_mix": "q"}', "party_mix must be a number, got 'q'"),
         (b"[" * 100_000, "bad spec file"),
+        # each weight is finite, their total is not
+        (b'{"seed": 1, "pi_mix": {"email": 1e308, "phone": 1e308}}',
+         "pi_mix weights must have a finite sum"),
+        (b'{"seed": 1, "destination_mix": {"net": 1.7e308, "log": 1.7e308}}',
+         "destination_mix weights must have a finite sum"),
+        (b'{"seed": 1, "pi_mix": {"email": 1' + b"0" * 400 + b"}}",
+         "pi_mix weights must have a finite sum"),
     ],
     ids=["not-utf8", "str-count", "huge-float-count", "str-seed", "str-party-mix",
-         "nested-too-deep"],
+         "nested-too-deep", "pi-mix-overflows", "destination-mix-overflows",
+         "int-weight-overflows"],
 )
 def test_gen_fixtures_bad_spec_file_exits_2(tmp_path, capsys, body, message):
     spec = tmp_path / "spec.json"
@@ -288,20 +296,19 @@ def test_corpus_more_jobs_than_bundles_runs_in_process(tmp_path, monkeypatch):
 
 
 def _count_config_loads(monkeypatch, log):
-    """Empty load_config's cache and append '<pid> <loader>' to log for each
-    config file parsed from now on, in this process or a forked worker."""
-    load_config.cache_clear()
+    """Empty the three loaders' memos and append '<pid> <loader>' to log for
+    each config file parsed from now on, in this process or a forked worker."""
     for module, name in (("gui", "load_widget_registry"), ("pi", "load_lexicon"),
                          ("sources_sinks", "load_sinks")):
-        real = getattr(getattr(uitaint, module), name)
+        home = importlib.import_module(f"uitaint.{module}")
+        getattr(home, name).cache_clear()
 
-        def counted(path, real=real, name=name):
+        def counted(*args, real=home.config_lines, name=name):
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()} {name}\n")
-            return real(path)
+            return real(*args)
 
-        monkeypatch.setattr(f"uitaint.{module}.{name}", counted)
-        monkeypatch.setattr(f"uitaint.pipeline.{name}", counted)
+        monkeypatch.setattr(home, "config_lines", counted)
 
 
 def test_serial_corpus_parses_each_config_once(tmp_path, monkeypatch):
@@ -310,6 +317,34 @@ def test_serial_corpus_parses_each_config_once(tmp_path, monkeypatch):
     _count_config_loads(monkeypatch, log)
     assert main(["corpus", "--apps", str(apps), "--out", str(tmp_path / "r")]) == 0
     assert main(["analyze", "--app", str(PANIC), "--out", str(tmp_path / "p.json")]) == 0
+    pid = os.getpid()
+    assert sorted(log.read_text().splitlines()) == [
+        f"{pid} load_lexicon", f"{pid} load_sinks", f"{pid} load_widget_registry",
+    ]
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["builtin", "flags"])
+def test_every_entry_point_parses_each_config_once(tmp_path, monkeypatch, custom):
+    apps = _gen_corpus(tmp_path, n=2)
+    flags = _custom_config(tmp_path) if custom else []
+    paths = ([str(tmp_path / n) for n in ("widgets.txt", "lexicon.tsv", "sinks.tsv")]
+             if custom else [None] * 3)
+    log = tmp_path / "loads.log"
+    _count_config_loads(monkeypatch, log)
+    for k in range(2):
+        assert main(["analyze", "--app", str(PANIC), "--out", str(tmp_path / f"p{k}.json"),
+                     *flags]) == 0
+        assert main(["corpus", "--apps", str(apps), "--out", str(tmp_path / f"r{k}"),
+                     *flags]) == 0
+    uitaint.analyze_bundle(PANIC, *paths)
+    assert uitaint.load_config(*paths) == (
+        uitaint.load_widget_registry(paths[0]), uitaint.load_lexicon(paths[1]),
+        uitaint.load_sinks(paths[2]),
+    )
+    if not custom:
+        uitaint.default_widget_registry()
+        uitaint.load_default_lexicon()
+        uitaint.load_default_sinks()
     pid = os.getpid()
     assert sorted(log.read_text().splitlines()) == [
         f"{pid} load_lexicon", f"{pid} load_sinks", f"{pid} load_widget_registry",
@@ -477,10 +512,10 @@ def test_corpus_writes_other_reports_after_an_analyzer_bug(tmp_path, capsys, mon
     assert main(["corpus", "--apps", str(apps), "--out", str(expected)]) == 2
     real = uitaint.pipeline.analyze_bundle
 
-    def buggy(app_dir, config):
+    def buggy(app_dir, *config_paths):
         if Path(app_dir).name == "fx00000301":
             raise RuntimeError("boom")
-        return real(app_dir, config)
+        return real(app_dir, *config_paths)
 
     monkeypatch.setattr("uitaint.pipeline.analyze_bundle", buggy)  # forked workers inherit it
     capsys.readouterr()

@@ -58,11 +58,22 @@ def _tree_identical(a, b):
         {"seed": 3, "pi_mix": {"email": "x"}},
         {"seed": 3, "destination_mix": {"net": float("nan"), "log": 1.0}},
         {"seed": 3, "destination_mix": {"net": float("inf")}},
+        {"seed": 3, "pi_mix": {"email": 1e308, "phone": 1e308}},
+        {"seed": 3, "destination_mix": {"net": 1.7e308, "log": 1.7e308}},
+        {"seed": 3, "pi_mix": {"email": 10**400}},
     ],
 )
 def test_bad_specs_rejected(kwargs):
     with pytest.raises(InvalidSpec):
         FixtureSpec(**kwargs)
+
+
+def test_huge_weights_with_a_finite_sum_generate(tmp_path):
+    spec = FixtureSpec(seed=3, n_sources=4, pi_mix={"email": 8e307, "phone": 8e307},
+                       destination_mix={"net": 8.9e307, "log": 8.9e307})
+    _, gt = generate(spec, tmp_path / "b")
+    assert {lk.pi.value for lk in gt.leaks} <= {"email", "phone"}
+    assert {lk.category.value for lk in gt.leaks} <= {"net", "log"}
 
 
 def test_from_dict_round_trip():

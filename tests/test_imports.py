@@ -23,6 +23,9 @@ SRC = Path(uitaint.__file__).resolve().parent.parent
 # standard modules that only building a dataclass needs
 BUILDERS = {"dataclasses", "inspect", "ast"}
 
+# no command logs; only a corpus run's process pool loads logging
+LOGGING = "logging"
+
 # run one command through main in a fresh interpreter; print what it loaded
 PROBE = """\
 import contextlib, io, json, sys
@@ -86,6 +89,7 @@ def test_analyze_loads_the_analyzer_and_no_pool(tmp_path):
     result = _run("analyze", "--app", DATA / "panic_shield", "--out", tmp_path / "r.json")
     assert set(result["modules"]) == ANALYZER
     assert not result["pool"]
+    assert LOGGING not in result["loaded"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "4"])
@@ -93,12 +97,14 @@ def test_corpus_of_one_bundle_loads_no_pool(work, tmp_path, jobs):
     result = _run("corpus", "--apps", work / "one", "--out", tmp_path / "r", "-j", jobs)
     assert set(result["modules"]) == ANALYZER
     assert not result["pool"]
+    assert LOGGING not in result["loaded"]
 
 
 def test_corpus_of_two_bundles_at_two_jobs_loads_the_pool(work, tmp_path):
     result = _run("corpus", "--apps", work / "two", "--out", tmp_path / "r", "-j", "2")
     assert set(result["modules"]) == ANALYZER
     assert result["pool"]
+    assert LOGGING in result["loaded"]  # concurrent.futures imports it
 
 
 def test_a_malformed_unit_loads_the_grammar_for_its_error(tmp_path):
@@ -119,6 +125,7 @@ def test_aggregate_loads_only_the_report_reader(work, tmp_path):
     assert set(result["modules"]) == READERS
     assert not result["pool"]
     assert BUILDERS.intersection(result["loaded"]) == _bare_builders()
+    assert LOGGING not in result["loaded"]
 
 
 def test_explain_loads_only_the_report_reader(work):
@@ -126,6 +133,7 @@ def test_explain_loads_only_the_report_reader(work):
     assert set(result["modules"]) == READERS
     assert not result["pool"]
     assert BUILDERS.intersection(result["loaded"]) == _bare_builders()
+    assert LOGGING not in result["loaded"]
 
 
 def _bare_builders() -> set:
@@ -137,6 +145,7 @@ def _bare_builders() -> set:
 def test_gen_fixtures_loads_no_analyzer(tmp_path):
     result = _run("gen-fixtures", "--seed", "3", "--out", tmp_path / "apps")
     assert set(result["modules"]) == FIXTURES
+    assert LOGGING not in result["loaded"]
 
 
 # ---------------------------------------------------------------------------

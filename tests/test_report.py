@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from uitaint.errors import EmptyCorpus
 from uitaint.fixtures import FixtureSpec, generate
 from uitaint.pi import PiKind
-from uitaint.pipeline import analyze_bundle, load_config
+from uitaint.pipeline import analyze_bundle
 from uitaint.report import (
     aggregate,
     export_csv,
@@ -253,7 +253,7 @@ def test_report_shares_one_object_per_path_statement_source_and_sink(tmp_path):
 def test_report_shares_one_sink_dict_per_statement_and_signature_across_categories(tmp_path):
     sinks = tmp_path / "sinks.tsv"
     sinks.write_text(f"log\t{HUB_LOG}\t*\nnet\t{HUB_LOG}\t*\n")
-    doc = analyze_bundle(write_hub_bundle(tmp_path / "hub"), load_config(sinks=str(sinks)))
+    doc = analyze_bundle(write_hub_bundle(tmp_path / "hub"), sinks=str(sinks))
     leaks = doc["leaks"]
     assert len(leaks) == 2 * 3 * 2  # sources x Log.d statements x categories
     assert {lk["destination"] for lk in leaks} == {"log", "net"}
