@@ -17,8 +17,9 @@ the full grammar in `grammar`, which gives every syntax error.
 
 from __future__ import annotations
 
+import os
 import re
-import xml.etree.ElementTree as ET
+from codecs import BOM_UTF8
 from pathlib import Path
 from typing import NamedTuple
 
@@ -166,8 +167,9 @@ class CodeUnit(NamedTuple):
     methods: tuple[MethodBody, ...]
 
     def find_method(self, name, param_types):
+        param_types = tuple(param_types)
         for m in self.methods:
-            if m.sig.name == name and m.sig.param_types == tuple(param_types):
+            if m.sig.name == name and m.sig.param_types == param_types:
                 return m
         return None
 
@@ -185,7 +187,7 @@ class LayoutDoc(NamedTuple):
     """A parsed layout XML file; `file` is the name within res/layout/."""
 
     file: str
-    root: ET.Element
+    root: xml.etree.ElementTree.Element
 
 
 class AppBundle:
@@ -199,13 +201,18 @@ class AppBundle:
         self.code_units = code_units
         self._stmt_index: dict[StmtId, Statement] | None = None
 
-    def iter_statements(self):
-        """Yield (unit, method, statement) over all code in sorted class order."""
+    def iter_methods(self):
+        """Yield (unit, method) over all code in sorted class order."""
         for name in sorted(self.code_units):
             unit = self.code_units[name]
             for m in unit.methods:
-                for s in m.statements:
-                    yield unit, m, s
+                yield unit, m
+
+    def iter_statements(self):
+        """Yield (unit, method, statement) over all code in sorted class order."""
+        for unit, m in self.iter_methods():
+            for s in m.statements:
+                yield unit, m, s
 
     def statement(self, sid: StmtId) -> Statement:
         if self._stmt_index is None:
@@ -349,11 +356,19 @@ def _atom(text, shared):
     return _shared(text, shared)
 
 
-def _statement(line, sid, shared):
+def _names(*atoms):
+    """The names of the registers among atoms."""
+    return [a.name for a in atoms if type(a) is Reg]
+
+
+def _statement(line, shared):
+    """What _parse_lines keeps of one statement line: (statement type, the
+    statement's fields after its sid, the names of the registers it reads,
+    the name of the register it assigns or None)."""
     m = _RETURN_LINE.fullmatch(line) if line[2:8] == "return" else None
     if m:
-        value = m[1]
-        return ReturnStmt(sid, None if value is None else _atom(value, shared))
+        value = None if m[1] is None else _atom(m[1], shared)
+        return ReturnStmt, (value,), _names(value), None
     m = _INVOKE_LINE.fullmatch(line)
     if m:
         dst, kind, recv, sig_text, args = m.groups()
@@ -366,25 +381,32 @@ def _statement(line, sid, shared):
         elif recv is not None:
             recv = _shared(recv, shared)
         result = None if dst is None else _base(dst, shared)
-        return InvokeStmt(sid, result, InvokeExpr(kind, recv, sig, args))
+        return InvokeStmt, (result, InvokeExpr(kind, recv, sig, args)), _names(recv, *args), dst
     m = _ASSIGN_LINE.fullmatch(line)
     if m:
         dst, base, sig_text, cast_type, src, atom = m.groups()
-        dst = _base(dst, shared)
+        reg = _base(dst, shared)
         if sig_text is not None:
             base = None if base is None else _base(base, shared)
-            return FieldRead(sid, dst, _shared(sig_text, shared), base)
+            return FieldRead, (reg, _shared(sig_text, shared), base), _names(base), dst
         if cast_type is not None:
-            return AssignCast(sid, dst, cast_type, _shared(src, shared))
+            return AssignCast, (reg, cast_type, _shared(src, shared)), [src], dst
         if atom.endswith("invoke"):
             raise _Fallback  # the grammar reads it as an invoke kind
-        return AssignAtom(sid, dst, _atom(atom, shared))
+        atom = _atom(atom, shared)
+        return AssignAtom, (reg, atom), _names(atom), dst
     m = _FIELD_WRITE_LINE.fullmatch(line)
     if m:
         base, sig_text, value = m.groups()
         base = None if base is None else _base(base, shared)
-        return FieldWrite(sid, _shared(sig_text, shared), base, _atom(value, shared))
+        value = _atom(value, shared)
+        return FieldWrite, (_shared(sig_text, shared), base, value), _names(base, value), None
     raise _Fallback
+
+
+# A model type called as a function runs the NamedTuple's Python __new__;
+# _new(type, values) builds the same tuple in C.
+_new = tuple.__new__
 
 
 def _parse_lines(text, shared):
@@ -392,7 +414,9 @@ def _parse_lines(text, shared):
     render_code_unit spells it and passes the checks of grammar.Parser.
 
     Raises _Fallback on any other text, which grammar.Parser parses.
-    Signatures and registers come from shared (see _shared).
+    Signatures and registers come from shared (see _shared), and so does
+    what _statement makes of each statement line; a line it refuses is
+    not kept.
     """
     class_name = superclass = None
     fields, methods, seen = [], [], set()
@@ -401,13 +425,21 @@ def _parse_lines(text, shared):
         if line[:2] == "  ":
             if head is None:
                 raise _Fallback
-            statements.append(_statement(line, StmtId(class_name, token, len(statements)), shared))
+            entry = shared.get(line)
+            if entry is None:
+                entry = shared[line] = _statement(line, shared)
+            kind, rest, reads, dst = entry
+            sid = _new(StmtId, (class_name, token, len(statements)))
+            statements.append(_new(kind, (sid, *rest)))
+            read.update(reads)
+            if dst is not None:
+                assigned.add(dst)
         elif line[:7] == "method ":
             m = _METHOD_LINE.fullmatch(line)
             if m is None or class_name is None:
                 raise _Fallback
             if head is not None:
-                methods.append(_method_body(head, statements))
+                methods.append(_method_body(head, statements, read, assigned))
             static, rtype, name, params = m.groups()
             pairs = [p.split(" ") for p in params.split(", ")] if params else []
             ptypes = tuple(t for t, _ in pairs)
@@ -424,7 +456,7 @@ def _parse_lines(text, shared):
             seen.add((name, ptypes))
             head = (MethodSig(class_name, rtype, name, ptypes), pnames, static is not None)
             token = method_token(head[0])
-            statements = []
+            statements, read, assigned = [], set(), set(pnames)
         elif line[:6] == "field ":
             m = _FIELD_LINE.fullmatch(line)
             if m is None or class_name is None or head is not None:
@@ -440,15 +472,18 @@ def _parse_lines(text, shared):
     if class_name is None:
         raise _Fallback
     if head is not None:
-        methods.append(_method_body(head, statements))
+        methods.append(_method_body(head, statements, read, assigned))
     return CodeUnit(class_name, superclass, tuple(fields), tuple(methods))
 
 
-def _method_body(head, statements):
-    body = MethodBody(*head, tuple(statements))
-    if _bad_read(body) is not None:
+def _method_body(head, statements, read, assigned):
+    """The MethodBody of head and statements, which read the registers named
+    in read and assign those in assigned; the register check of _bad_read.
+    `this` is never assigned: it is reserved as a parameter and a target."""
+    unassigned = read - assigned
+    if unassigned and (head[2] or unassigned != {"this"}):
         raise _Fallback
-    return body
+    return MethodBody(*head, tuple(statements))
 
 
 def parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
@@ -578,11 +613,29 @@ def parse_rtable(text: str, filename: str = "rtable.txt") -> RTable:
     return RTable(entries)
 
 
-def _parse_manifest(path: Path) -> str:
+# What opening a path that is absent or not a file raises.
+_NOT_A_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
+
+
+def _xml_root(path: str, error: type[Exception]):
+    """The root element of the XML file at path; a syntax error raises error.
+
+    ElementTree is imported here, not with the module, because loading the
+    built-in configs needs this module but no XML.
+    """
+    from xml.etree import ElementTree
+
     try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as e:
-        raise MalformedManifest(f"{path}: {e}")
+        return ElementTree.parse(path).getroot()
+    except ElementTree.ParseError as e:
+        raise error(f"{path}: {e}")
+
+
+def _parse_manifest(path: str) -> str:
+    try:
+        root = _xml_root(path, MalformedManifest)
+    except _NOT_A_FILE:
+        raise MissingManifest(f"{path} not found") from None
     pkg = root.get("package")
     if pkg is None:
         raise MalformedManifest(f"{path}: root element has no package attribute")
@@ -592,6 +645,49 @@ def _parse_manifest(path: Path) -> str:
     return pkg
 
 
+def _read_text(path: str) -> str:
+    """The text of a file as Path.read_text(encoding="utf-8-sig",
+    errors="replace") reads it: one leading byte-order mark skipped, bad
+    bytes replaced, and "\\r\\n" and "\\r" read as "\\n"."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    if len(data) < 3 and BOM_UTF8.startswith(data):
+        return ""  # read_text drops a file that is only the start of a mark
+    text = data.decode("utf-8-sig", "replace")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _jtac_files(code_dir: str) -> list[tuple[tuple[str, ...], str]]:
+    """(parts, path) of each entry named *.jtac under code_dir, where parts
+    are its path components below code_dir.
+
+    Sorted by parts, which is how sorted(Path(code_dir).rglob("*.jtac"))
+    orders them, so a DuplicateClass names the same file. Like rglob, it
+    lists a directory whose name matches (reading it then fails) and does not
+    descend into a symlink to a directory. A code_dir that is absent or not
+    a directory holds none.
+    """
+    found = []
+    dirs = [((), code_dir)]
+    while dirs:
+        parts, top = dirs.pop()
+        try:
+            with os.scandir(top) as entries:
+                for entry in entries:
+                    name = entry.name
+                    if entry.is_dir(follow_symlinks=False):
+                        dirs.append(((*parts, name), entry.path))
+                    if name.endswith(".jtac"):
+                        found.append(((*parts, name), entry.path))
+        except (FileNotFoundError, NotADirectoryError):
+            if parts:
+                raise
+    found.sort()
+    return found
+
+
 def parse_bundle(app_dir) -> AppBundle:
     """Load a decompiled app bundle directory into an AppBundle.
 
@@ -599,47 +695,43 @@ def parse_bundle(app_dir) -> AppBundle:
     code/**/*.jtac (all optional; absent means empty). Every file is read
     exactly once and the result is deterministic for a given directory.
     """
-    app_dir = Path(app_dir)
-    manifest = app_dir / "manifest.xml"
-    if not manifest.is_file():
-        raise MissingManifest(f"{manifest} not found")
-    app_package = _parse_manifest(manifest)
+    # every path as str(Path(...)) spells it, so messages name files as
+    # Path does, but built without Path objects
+    base = str(Path(app_dir))
+    prefix = "" if base == "." else os.path.join(base, "")
+    app_package = _parse_manifest(prefix + "manifest.xml")
 
-    rtable_path = app_dir / "res" / "rtable.txt"
-    if rtable_path.is_file():
-        rtable = parse_rtable(
-            rtable_path.read_text(encoding="utf-8-sig", errors="replace"),
-            str(rtable_path),
-        )
-    else:
+    rtable_path = prefix + os.path.join("res", "rtable.txt")
+    try:
+        text = _read_text(rtable_path)
+    except _NOT_A_FILE:
         rtable = RTable({})
+    else:
+        rtable = parse_rtable(text, rtable_path)
 
     layouts = []
-    layout_dir = app_dir / "res" / "layout"
-    if layout_dir.is_dir():
-        for path in sorted(layout_dir.glob("*.xml")):
-            try:
-                root = ET.parse(path).getroot()
-            except ET.ParseError as e:
-                raise XmlSyntaxError(f"{path}: {e}")
-            layouts.append(LayoutDoc(path.name, root))
+    layout_dir = prefix + os.path.join("res", "layout", "")
+    try:
+        names = sorted(n for n in os.listdir(layout_dir) if n.endswith(".xml"))
+    except (FileNotFoundError, NotADirectoryError):
+        names = []
+    for name in names:
+        layouts.append(LayoutDoc(name, _xml_root(layout_dir + name, XmlSyntaxError)))
 
     code_units = {}
-    code_dir = app_dir / "code"
-    if code_dir.is_dir():
-        shared = {}  # one signature and register object per text in this bundle
-        for path in sorted(code_dir.rglob("*.jtac")):
-            text = path.read_text(encoding="utf-8-sig", errors="replace")
-            try:
-                unit = _parse_lines(text, shared)
-            except _Fallback:  # only errors name the file
-                from .grammar import Parser
+    shared = {}  # one signature, register and statement line entry per text in this bundle
+    for parts, path in _jtac_files(prefix + "code"):
+        text = _read_text(path)
+        try:
+            unit = _parse_lines(text, shared)
+        except _Fallback:  # only errors name the file
+            from .grammar import Parser
 
-                unit = Parser(text, str(path.relative_to(app_dir))).code_unit()
-            if unit.class_name in code_units:
-                rel = path.relative_to(app_dir)
-                raise DuplicateClass(f"{rel}: class {unit.class_name} already defined")
-            code_units[unit.class_name] = unit
+            unit = Parser(text, os.path.join("code", *parts)).code_unit()
+        if unit.class_name in code_units:
+            rel = os.path.join("code", *parts)
+            raise DuplicateClass(f"{rel}: class {unit.class_name} already defined")
+        code_units[unit.class_name] = unit
 
     return AppBundle(app_package, layouts, rtable, code_units)
 

@@ -83,10 +83,20 @@ class Leak(NamedTuple):
     alt_third_party_path: bool = False
 
 
-def _atom_reg_node(atom, cls, mtok):
-    if isinstance(atom, Reg):
-        return _reg_node(cls, mtok, atom.name)
-    return None
+def _reg_nodes(cls: str, mtok: str):
+    """reg(atom): the node of a register atom of method mtok of cls, one
+    object per register name, or None for a constant."""
+    nodes: dict[str, Node] = {}
+
+    def reg(atom):
+        if type(atom) is not Reg:
+            return None
+        node = nodes.get(atom.name)
+        if node is None:
+            node = nodes[atom.name] = _reg_node(cls, mtok, atom.name)
+        return node
+
+    return reg
 
 
 def build_graph(
@@ -109,37 +119,37 @@ def build_graph(
     def add_edge(src: Node, dst: Node, label: StmtId):
         adjacency.setdefault(src, set()).add((dst, label))
 
-    for unit, method, stmt in bundle.iter_statements():
-        cls, mtok = unit.class_name, method.method_token
-        reg = lambda atom: _atom_reg_node(atom, cls, mtok)
-        match stmt:
-            case AssignAtom(sid=sid, dst=d, src=a):
-                if (n := reg(a)) is not None:
-                    add_edge(n, reg(d), sid)
-            case AssignCast(sid=sid, dst=d, src=s):
-                add_edge(reg(s), reg(d), sid)
-            case FieldRead(sid=sid, dst=d, fld=f):
-                add_edge(_field_node(f), reg(d), sid)
-            case FieldWrite(sid=sid, fld=f, value=v):
-                if (n := reg(v)) is not None:
-                    add_edge(n, _field_node(f), sid)
-            case InvokeStmt(sid=sid, result=result, expr=expr):
-                callee = resolve_call(expr, bundle)
-                if callee is not None:
-                    _add_call_edges(sid, expr, result, callee, reg, add_edge)
-                else:
-                    _add_opaque_edges(sid, expr, result, reg, add_edge)
-                for spec in registry.match(expr.sig):
-                    for pos in spec.positions:
-                        node = None
-                        if pos == "recv":
-                            node = None if expr.receiver is None else reg(expr.receiver)
-                        else:
-                            node = reg(expr.args[int(pos[3:])])
-                        if node is not None:
-                            sink_feeds.setdefault(node, set()).add((sid, spec_index[spec]))
-            case ReturnStmt():
-                pass  # contributes edges only at resolved call sites
+    for unit, method in bundle.iter_methods():
+        reg = _reg_nodes(unit.class_name, method.method_token)
+        for stmt in method.statements:
+            match stmt:
+                case AssignAtom(sid=sid, dst=d, src=a):
+                    if (n := reg(a)) is not None:
+                        add_edge(n, reg(d), sid)
+                case AssignCast(sid=sid, dst=d, src=s):
+                    add_edge(reg(s), reg(d), sid)
+                case FieldRead(sid=sid, dst=d, fld=f):
+                    add_edge(_field_node(f), reg(d), sid)
+                case FieldWrite(sid=sid, fld=f, value=v):
+                    if (n := reg(v)) is not None:
+                        add_edge(n, _field_node(f), sid)
+                case InvokeStmt(sid=sid, result=result, expr=expr):
+                    callee = resolve_call(expr, bundle)
+                    if callee is not None:
+                        _add_call_edges(sid, expr, result, callee, reg, add_edge)
+                    else:
+                        _add_opaque_edges(sid, expr, result, reg, add_edge)
+                    for spec in registry.match(expr.sig):
+                        for pos in spec.positions:
+                            node = None
+                            if pos == "recv":
+                                node = None if expr.receiver is None else reg(expr.receiver)
+                            else:
+                                node = reg(expr.args[int(pos[3:])])
+                            if node is not None:
+                                sink_feeds.setdefault(node, set()).add((sid, spec_index[spec]))
+                case ReturnStmt():
+                    pass  # contributes edges only at resolved call sites
 
     seeds = {}
     for sp in sources:

@@ -62,6 +62,15 @@ def test_analyze_missing_manifest_exits_2(tmp_path, capsys):
     assert "MissingManifest" in capsys.readouterr().err
 
 
+def test_analyze_code_directory_named_like_a_file_exits_2(tmp_path, capsys):
+    app = tmp_path / "app"
+    shutil.copytree(PANIC, app)
+    (app / "code" / "D.jtac").mkdir()
+    assert main(["analyze", "--app", str(app)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"IsADirectoryError: [Errno 21] Is a directory: '{app / 'code' / 'D.jtac'}'"]
+
+
 def test_analyze_bad_config_path_exits_2(tmp_path, capsys):
     rc = main(["analyze", "--app", str(PANIC),
                "--sinks", str(tmp_path / "nope.tsv")])

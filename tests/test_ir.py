@@ -585,22 +585,33 @@ def test_null_in_every_atom_position_parses_as_null():
     assert typed(unit) == typed(_fine(NULLS))
 
 
-def test_parse_bundle_keeps_no_signature_memo(tmp_path):
+def test_parse_bundle_keeps_no_signature_memo(tmp_path, monkeypatch):
     call = "  staticinvoke <a.Log: void d(java.lang.String)>(null)\n"
     code = {
         "A.jtac": "class a.A\nmethod static void f():\n" + call * 2,
-        "B.jtac": "class a.B\nmethod static void g():\n" + call,
+        "B.jtac": "class a.B\nmethod static void g():\n" + call + "  return\n",
     }
+    statement, lines = ir._statement, []
+
+    def counting_statement(line, shared):
+        lines.append(line)
+        return statement(line, shared)
+
+    monkeypatch.setattr(ir, "_statement", counting_statement)
 
     def call_sigs(bundle):
-        return [s.expr.sig for _, _, s in bundle.iter_statements()]
+        return [s.expr.sig for _, _, s in bundle.iter_statements() if type(s) is InvokeStmt]
 
     first = call_sigs(parse_bundle(write_bundle(tmp_path / "one", code=code)))
+    # each distinct statement line is parsed once per bundle
+    assert sorted(lines) == ["  return", call[:-1]]
     second = call_sigs(parse_bundle(write_bundle(tmp_path / "two", code=code)))
+    assert sorted(lines) == ["  return", "  return", call[:-1], call[:-1]]
     # one bundle shares one MethodSig per signature text, across its files
     assert len({id(s) for s in first}) == 1 and len(first) == 3
     # two bundles share none, and nothing keeps the first bundle's: once its
-    # bundle is gone, its MethodSig has no more references than a fresh one
+    # bundle is gone, its MethodSig has no more references than a fresh one,
+    # so no signature or statement line entry outlives parse_bundle
     assert first[0] == second[0] and first[0] is not second[0]
     sig, control = first[0], MethodSig(*first[0])
     del first
@@ -612,6 +623,48 @@ def test_parse_bundle_keeps_no_signature_memo(tmp_path):
         if isinstance(value, (dict, set, list)):
             held = value.values() if isinstance(value, dict) else value
             assert not any(isinstance(v, (MethodSig, FieldSig)) for v in held)
+            assert call[:-1] not in value
+
+
+def _units_one_by_one(app):
+    """{class name: unit} of each .jtac file of the bundle at app, each
+    parsed alone with parse_code_unit."""
+    units = [parse_code_unit(p.read_text(encoding="utf-8-sig", errors="replace"))
+             for p in sorted((app / "code").rglob("*.jtac"))]
+    return {u.class_name: u for u in units}
+
+
+def test_bundle_line_memo_matches_files_parsed_alone(tmp_path):
+    apps = [p for p in sorted(DATA.iterdir()) if (p / "code").is_dir()]
+    for seed in (1, 7, 29):
+        apps.append(generate(FixtureSpec(seed=seed), tmp_path / str(seed))[0])
+    spec = FixtureSpec(seed=7, n_sources=400, n_decoys=40)
+    apps.append(generate(spec, tmp_path / "400")[0])
+    for app in apps:
+        units = parse_bundle(app).code_units
+        assert units and typed(units) == typed(_units_one_by_one(app)), app
+
+
+STATIC_THIS = "class a.S\nmethod static void f():\n  r1 = this\n"
+VIRTUAL_THIS = "class a.V\nmethod void f():\n  r1 = this\n"
+
+
+@pytest.mark.parametrize("static_name", ["A.jtac", "Z.jtac"])
+def test_line_memo_does_not_carry_the_register_check_across_files(
+    tmp_path, monkeypatch, static_name
+):
+    """A line the fast path takes in one method goes to the grammar in a
+    static method of another file, which gives today's error."""
+    fine_passes = _count_fine_passes(monkeypatch)
+    alone = parse_bundle(write_bundle(tmp_path / "alone", code={"V.jtac": VIRTUAL_THIS}))
+    assert typed(alone.code_units) == typed({"a.V": parse_code_unit(VIRTUAL_THIS)})
+    assert fine_passes == []
+    app = write_bundle(tmp_path / "both", code={"V.jtac": VIRTUAL_THIS,
+                                                static_name: STATIC_THIS})
+    with pytest.raises(IrSyntaxError) as info:
+        parse_bundle(app)
+    assert str(info.value) == f"code/{static_name}:3:1: 'this' read in a static method"
+    assert fine_passes == [STATIC_THIS]
 
 
 # ---------------------------------------------------------------------------
@@ -750,3 +803,75 @@ def test_bundle_orders_classes_and_statements(tmp_path):
     assert seen == [("a.First", 0), ("a.First", 1), ("z.Last", 0)]
     sid = seen and bundle.code_units["a.First"].methods[0].statements[1].sid
     assert isinstance(bundle.statement(sid), ReturnStmt)
+
+
+# ---------------------------------------------------------------------------
+# bundle file discovery
+
+
+def _write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def test_duplicate_class_names_the_later_file_in_path_component_order(tmp_path):
+    # as a string "a.b/C.jtac" sorts first, but by components ("a", ...) does
+    app = write_bundle(tmp_path / "app")
+    _write(app / "code" / "a.b" / "C.jtac", "class x.Dup\nmethod void f():\n  return\n")
+    _write(app / "code" / "a" / "B.jtac", "class x.Dup\nmethod void g():\n  return\n")
+    with pytest.raises(DuplicateClass) as info:
+        parse_bundle(app)
+    assert str(info.value) == "code/a.b/C.jtac: class x.Dup already defined"
+
+
+def test_directory_named_like_a_code_file_is_read_and_fails(tmp_path):
+    app = write_bundle(tmp_path / "app", code={"A.jtac": "class a.A\n"})
+    (app / "code" / "D.jtac").mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        parse_bundle(app)
+    assert info.value.filename == str(app / "code" / "D.jtac")
+
+
+def test_symlinked_code_directory_is_not_followed(tmp_path):
+    app = write_bundle(tmp_path / "app")
+    _write(app / "code" / "real" / "A.jtac", "class a.A\n")
+    _write(tmp_path / "elsewhere" / "B.jtac", "class a.B\n")
+    (app / "code" / "alias").symlink_to(app / "code" / "real", target_is_directory=True)
+    (app / "code" / "out").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+    assert list(parse_bundle(app).code_units) == ["a.A"]
+
+
+def test_hidden_code_and_layout_files_are_read(tmp_path):
+    app = write_bundle(tmp_path / "app", layouts={".x.xml": "<LinearLayout/>"})
+    _write(app / "code" / ".h" / "C.jtac", "class a.C\n")
+    bundle = parse_bundle(app)
+    assert list(bundle.code_units) == ["a.C"]
+    assert [layout.file for layout in bundle.layouts] == [".x.xml"]
+
+
+def test_rtable_directory_gives_an_empty_table(tmp_path):
+    app = write_bundle(tmp_path / "app")
+    (app / "res" / "rtable.txt").mkdir(parents=True)
+    assert parse_bundle(app).rtable.entries == {}
+
+
+def test_code_as_a_regular_file_gives_no_code_units(tmp_path):
+    app = write_bundle(tmp_path / "app")
+    _write(app / "code", "class a.A\n")
+    assert parse_bundle(app).code_units == {}
+
+
+def test_manifest_directory_is_a_missing_manifest(tmp_path):
+    app = tmp_path / "app"
+    (app / "manifest.xml").mkdir(parents=True)
+    with pytest.raises(MissingManifest) as info:
+        parse_bundle(app)
+    assert str(info.value) == f"{app / 'manifest.xml'} not found"
+
+
+def test_error_in_a_nested_code_file_names_it_from_the_bundle(tmp_path):
+    app = write_bundle(tmp_path / "app")
+    _write(app / "code" / "p" / "Bad.jtac", "class a.A\n  return\n")
+    with pytest.raises(IrSyntaxError) as info:
+        parse_bundle(app)
+    assert str(info.value).startswith("code/p/Bad.jtac:2:")

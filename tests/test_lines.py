@@ -11,6 +11,7 @@ from uitaint.errors import (
     WidgetSyntaxError,
 )
 from uitaint.gui import load_widget_registry
+from uitaint import ir
 from uitaint.ir import parse_bundle
 from uitaint.pi import PiKind, load_lexicon
 from uitaint.sources_sinks import load_sinks
@@ -113,3 +114,15 @@ def test_jtac_byte_order_mark_is_skipped(tmp_path):
     marked = write_bundle(tmp_path / "marked", code={"A.jtac": "\ufeff" + text})
     plain = write_bundle(tmp_path / "plain", code={"A.jtac": text})
     assert typed(parse_bundle(marked).code_units) == typed(parse_bundle(plain).code_units)
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\xef", b"\xef\xbb", b"\xef\xbb\xbf", b"\xef\xbbx", b"\xef\xbb\xbf\xef\xbb\xbf",
+    b"a\r\nb\rc\n\r", b"\r\r\n\n", b"\xff\xfea\x80", b"id a 1\xe2\x82", b"\xe2\x82\r\n",
+])
+def test_bundle_files_are_read_as_read_text_reads_them(tmp_path, data):
+    """A bundle's rtable.txt and .jtac files are read in one piece as bytes,
+    with the text Path.read_text(encoding="utf-8-sig", errors="replace") gives."""
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    assert ir._read_text(str(path)) == path.read_text(encoding="utf-8-sig", errors="replace")
