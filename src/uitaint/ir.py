@@ -281,10 +281,12 @@ def _bad_read(body):
 # line fast path
 
 # One anchored pattern per line form, spelled as render_code_unit spells it.
+# A signature's class, type, name and, for a method, parameter list are
+# groups of the line pattern, so nothing matches a signature text again.
 _QNAME = rf"{_IDENT}(?:\.{_IDENT})*"
 _TYPE = rf"{_QNAME}(?:\[\])*"
 _ATOM = rf'-?[0-9]+|{_STR_BODY}"|{_IDENT}'
-_SIG_HEAD = rf"<{_QNAME}: {_TYPE} {_IDENT}"
+_SIG_HEAD = rf"<({_QNAME}): ({_TYPE}) ({_IDENT})"
 _CLASS_LINE = re.compile(rf"class ({_QNAME})(?: extends ({_QNAME}))?")
 _FIELD_LINE = re.compile(rf"field ({_TYPE}) ({_IDENT})")
 _METHOD_LINE = re.compile(
@@ -293,43 +295,49 @@ _METHOD_LINE = re.compile(
 _RETURN_LINE = re.compile(rf"  return(?: ({_ATOM}))?")
 _INVOKE_LINE = re.compile(
     rf"  (?:({_IDENT}) = )?({'|'.join(INVOKE_KINDS)}) (?:({_IDENT})\.)?"
-    rf"({_SIG_HEAD}\((?:{_TYPE}(?:,{_TYPE})*)?\)>)\(((?:{_ATOM})(?:, (?:{_ATOM}))*)?\)"
+    rf"({_SIG_HEAD}\(((?:{_TYPE}(?:,{_TYPE})*)?)\)>)\(((?:{_ATOM})(?:, (?:{_ATOM}))*)?\)"
 )
 _FIELD_WRITE_LINE = re.compile(rf"  (?:({_IDENT})\.)?({_SIG_HEAD}>) = ({_ATOM})")
 _ASSIGN_LINE = re.compile(
     rf"  ({_IDENT}) = (?:(?:({_IDENT})\.)?({_SIG_HEAD}>)|\(({_TYPE})\) ({_IDENT})|({_ATOM}))"
 )
 _ATOMS = re.compile(_ATOM)
-# A signature exactly as render_method_sig / render_field_sig spell it; the
-# groups are class, type, name and, for a method, the parameter list.
+# A signature exactly as render_method_sig / render_field_sig spell it, for
+# parse_method_sig; the groups are class, type, name and, for a method, the
+# parameter list.
 _SIG = re.compile(rf"<({_QNAME}): ({_TYPE}) ({_IDENT})(?:\(((?:{_TYPE}(?:,{_TYPE})*)?)\))?>")
+
+
+# A model type called as a function runs the NamedTuple's Python __new__;
+# _new(type, values) builds the same tuple in C.
+_new = tuple.__new__
 
 
 class _Fallback(Exception):
     """Raised where the line fast path does not take a text."""
 
 
-def _sig_of(m):
-    """The MethodSig or FieldSig of a match of _SIG."""
-    cls_name, type_name, name, params = m.groups()
-    if params is None:
-        return FieldSig(cls_name, type_name, name)
-    params = tuple(params.split(",")) if params else ()
-    return MethodSig(cls_name, type_name, name, params)
-
-
-def _shared(text, shared):
-    """The one MethodSig / FieldSig of signature text, or the one Reg of a
-    register name that is not reserved, in shared."""
-    value = shared.get(text)
-    if value is None:
-        if text[0] == "<":
-            value = _sig_of(_SIG.fullmatch(text))
-        elif text in RESERVED:
-            raise _Fallback
+def _sig(text, shared, cls_name, type_name, name, params=None):
+    """The one MethodSig, or FieldSig where params is None, of signature
+    text in shared, built from the groups that spell it out."""
+    sig = shared.get(text)
+    if sig is None:
+        if params is None:
+            sig = _new(FieldSig, (cls_name, type_name, name))
         else:
-            value = Reg(text)
-        shared[text] = value
+            params = tuple(params.split(",")) if params else ()
+            sig = _new(MethodSig, (cls_name, type_name, name, params))
+        shared[text] = sig
+    return sig
+
+
+def _reg(name, shared):
+    """The one Reg of a register name that is not reserved, in shared."""
+    value = shared.get(name)
+    if value is None:
+        if name in RESERVED:
+            raise _Fallback
+        value = shared[name] = _new(Reg, (name,))
     return value
 
 
@@ -337,7 +345,7 @@ def _base(name, shared):
     """The register a statement or right-hand side starts with."""
     if name.endswith("invoke"):
         raise _Fallback  # the grammar reads it as an invoke kind
-    return _shared(name, shared)
+    return _reg(name, shared)
 
 
 def _atom(text, shared):
@@ -353,7 +361,7 @@ def _atom(text, shared):
         return NullConst()
     if text == "this":
         return Reg("this")
-    return _shared(text, shared)
+    return _reg(text, shared)
 
 
 def _names(*atoms):
@@ -371,42 +379,63 @@ def _statement(line, shared):
         return ReturnStmt, (value,), _names(value), None
     m = _INVOKE_LINE.fullmatch(line)
     if m:
-        dst, kind, recv, sig_text, args = m.groups()
-        sig = _shared(sig_text, shared)
+        dst, kind, recv, sig_text, cls_name, rtype, name, params, args = m.groups()
+        sig = _sig(sig_text, shared, cls_name, rtype, name, params)
         args = tuple(_atom(a, shared) for a in _ATOMS.findall(args)) if args else ()
         if len(args) != len(sig.param_types) or (kind == "staticinvoke") != (recv is None):
             raise _Fallback
         if recv == "this":
             recv = Reg("this")
         elif recv is not None:
-            recv = _shared(recv, shared)
+            recv = _reg(recv, shared)
         result = None if dst is None else _base(dst, shared)
-        return InvokeStmt, (result, InvokeExpr(kind, recv, sig, args)), _names(recv, *args), dst
+        expr = _new(InvokeExpr, (kind, recv, sig, args))
+        return InvokeStmt, (result, expr), _names(recv, *args), dst
     m = _ASSIGN_LINE.fullmatch(line)
     if m:
-        dst, base, sig_text, cast_type, src, atom = m.groups()
+        dst, base, sig_text, cls_name, ftype, name, cast_type, src, atom = m.groups()
         reg = _base(dst, shared)
         if sig_text is not None:
             base = None if base is None else _base(base, shared)
-            return FieldRead, (reg, _shared(sig_text, shared), base), _names(base), dst
+            fld = _sig(sig_text, shared, cls_name, ftype, name)
+            return FieldRead, (reg, fld, base), _names(base), dst
         if cast_type is not None:
-            return AssignCast, (reg, cast_type, _shared(src, shared)), [src], dst
+            return AssignCast, (reg, cast_type, _reg(src, shared)), [src], dst
         if atom.endswith("invoke"):
             raise _Fallback  # the grammar reads it as an invoke kind
         atom = _atom(atom, shared)
         return AssignAtom, (reg, atom), _names(atom), dst
     m = _FIELD_WRITE_LINE.fullmatch(line)
     if m:
-        base, sig_text, value = m.groups()
+        base, sig_text, cls_name, ftype, name, value = m.groups()
         base = None if base is None else _base(base, shared)
         value = _atom(value, shared)
-        return FieldWrite, (_shared(sig_text, shared), base, value), _names(base, value), None
+        fld = _sig(sig_text, shared, cls_name, ftype, name)
+        return FieldWrite, (fld, base, value), _names(base, value), None
     raise _Fallback
 
 
-# A model type called as a function runs the NamedTuple's Python __new__;
-# _new(type, values) builds the same tuple in C.
-_new = tuple.__new__
+def _header(line):
+    """What _parse_lines keeps of one method header line, whose checks that
+    depend only on its text have passed: (return type, name, parameter
+    types, parameter names, is static, method token)."""
+    m = _METHOD_LINE.fullmatch(line)
+    if m is None:
+        raise _Fallback
+    static, rtype, name, params = m.groups()
+    pairs = [p.split(" ") for p in params.split(", ")] if params else []
+    ptypes = tuple(t for t, _ in pairs)
+    pnames = tuple(n for _, n in pairs)
+    if (
+        name in RESERVED
+        # the grammar reads a leading "static" as the keyword
+        or (static is None and rtype[:6] == "static" and rtype[6:7] in ("", ".", "["))
+        or len(set(pnames)) != len(pnames)
+        or not RESERVED.isdisjoint(pnames)
+    ):
+        raise _Fallback
+    token = f"{name}({','.join(ptypes)})"  # method_token of its signature
+    return rtype, name, ptypes, pnames, static is not None, token
 
 
 def _parse_lines(text, shared):
@@ -414,9 +443,11 @@ def _parse_lines(text, shared):
     render_code_unit spells it and passes the checks of grammar.Parser.
 
     Raises _Fallback on any other text, which grammar.Parser parses.
-    Signatures and registers come from shared (see _shared), and so does
-    what _statement makes of each statement line; a line it refuses is
-    not kept.
+    Signatures and registers come from shared (see _sig and _reg), and so
+    does what _statement makes of each statement line and _header of each
+    method header line; a line either refuses is not kept. The checks that
+    need more than one line (a duplicate method, the register check) run
+    for every class.
     """
     class_name = superclass = None
     fields, methods, seen = [], [], set()
@@ -435,33 +466,22 @@ def _parse_lines(text, shared):
             if dst is not None:
                 assigned.add(dst)
         elif line[:7] == "method ":
-            m = _METHOD_LINE.fullmatch(line)
-            if m is None or class_name is None:
-                raise _Fallback
-            if head is not None:
-                methods.append(_method_body(head, statements, read, assigned))
-            static, rtype, name, params = m.groups()
-            pairs = [p.split(" ") for p in params.split(", ")] if params else []
-            ptypes = tuple(t for t, _ in pairs)
-            pnames = tuple(n for _, n in pairs)
-            if (
-                name in RESERVED
-                # the grammar reads a leading "static" as the keyword
-                or (static is None and rtype[:6] == "static" and rtype[6:7] in ("", ".", "["))
-                or (name, ptypes) in seen
-                or len(set(pnames)) != len(pnames)
-                or not RESERVED.isdisjoint(pnames)
-            ):
+            entry = shared.get(line)
+            if entry is None:
+                entry = shared[line] = _header(line)
+            rtype, name, ptypes, pnames, is_static, token = entry
+            if class_name is None or (name, ptypes) in seen:
                 raise _Fallback
             seen.add((name, ptypes))
-            head = (MethodSig(class_name, rtype, name, ptypes), pnames, static is not None)
-            token = method_token(head[0])
+            if head is not None:
+                methods.append(_method_body(head, statements, read, assigned))
+            head = (_new(MethodSig, (class_name, rtype, name, ptypes)), pnames, is_static)
             statements, read, assigned = [], set(), set(pnames)
         elif line[:6] == "field ":
             m = _FIELD_LINE.fullmatch(line)
             if m is None or class_name is None or head is not None:
                 raise _Fallback
-            fields.append(FieldSig(class_name, m[1], m[2]))
+            fields.append(_new(FieldSig, (class_name, m[1], m[2])))
         elif line[:6] == "class ":
             m = _CLASS_LINE.fullmatch(line)
             if m is None or class_name is not None:
@@ -473,7 +493,7 @@ def _parse_lines(text, shared):
         raise _Fallback
     if head is not None:
         methods.append(_method_body(head, statements, read, assigned))
-    return CodeUnit(class_name, superclass, tuple(fields), tuple(methods))
+    return _new(CodeUnit, (class_name, superclass, tuple(fields), tuple(methods)))
 
 
 def _method_body(head, statements, read, assigned):
@@ -483,7 +503,7 @@ def _method_body(head, statements, read, assigned):
     unassigned = read - assigned
     if unassigned and (head[2] or unassigned != {"this"}):
         raise _Fallback
-    return MethodBody(*head, tuple(statements))
+    return _new(MethodBody, (*head, tuple(statements)))
 
 
 def parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
@@ -504,7 +524,7 @@ def parse_method_sig(text: str) -> MethodSig:
     """Parse a canonical `<Class: RetType name(T1,T2)>` signature string."""
     m = _SIG.fullmatch(text)
     if m is not None and m[4] is not None:  # a method's, spelled as rendered
-        return _sig_of(m)
+        return _sig(text, {}, *m.groups())
     from .grammar import Parser
 
     return Parser(text, "<signature>").signature()
@@ -719,7 +739,7 @@ def parse_bundle(app_dir) -> AppBundle:
         layouts.append(LayoutDoc(name, _xml_root(layout_dir + name, XmlSyntaxError)))
 
     code_units = {}
-    shared = {}  # one signature, register and statement line entry per text in this bundle
+    shared = {}  # one entry per signature, register, statement and header text in this bundle
     for parts, path in _jtac_files(prefix + "code"):
         text = _read_text(path)
         try:

@@ -3,9 +3,7 @@ graph to report document."""
 
 from __future__ import annotations
 
-import dataclasses
-
-from .gui import extract_views, join_rtable, load_widget_registry
+from .gui import ViewElement, extract_views, join_rtable, load_widget_registry
 from .ir import parse_bundle
 from .pi import classify, load_lexicon
 from .report import emit_report
@@ -31,7 +29,10 @@ def analyze_bundle(app_dir, widgets=None, lexicon=None, sinks=None) -> dict:
         views.extend(extract_views(layout, widgets))
     views, unmatched = join_rtable(views, bundle.rtable)
     views = [
-        v if (kind := classify(v, lexicon)) is None else dataclasses.replace(v, pi=kind)
+        v if (kind := classify(v, lexicon)) is None
+        else ViewElement(
+            v.view_class, v.id_name, v.numeric_id, v.hint, v.text, v.layout_file, kind
+        )
         for v in views
     ]
 

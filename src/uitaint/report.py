@@ -94,10 +94,19 @@ def emit_report(
 
     labeled = [v for v in views if v.pi is not None]
     steps: dict[StmtId, tuple[list, str]] = {}
+    # the statements the parser made from one line share every part after
+    # the sid, and the bundle keeps those parts alive: the same part ids
+    # mean the same text, rendered once
+    texts: dict[tuple, str] = {}
     for lk in leaks:
         for s in lk.path:
             if s not in steps:
-                steps[s] = (list(s), render_statement(bundle.statement(s)))
+                stmt = bundle.statement(s)
+                key = (type(stmt), *map(id, stmt[1:]))
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = render_statement(stmt)
+                steps[s] = (list(s), text)
     # each source's, spec's and party's strings are computed once: an enum
     # hashes and reads .value in Python
     sources: dict[StmtId, tuple[dict, str, str]] = {}  # one source per statement
@@ -181,55 +190,67 @@ _SCALARS = {
 }
 
 
+# dict layouts by (depth, shape), kept across calls: reports and summaries
+# have fixed schemas, so a process holds about a dozen. Cleared when full,
+# so documents of many shapes cannot grow it without bound.
+_LAYOUTS: dict[tuple[int, tuple], tuple] = {}
+_MAX_LAYOUTS = 1024
+
+
+def _dict_layout(shape: tuple, sep: str, close: str) -> tuple:
+    """(getter of the values in sorted key order, the text parts around
+    them) of a dict whose keys in insertion order are shape."""
+    keys = sorted(shape)
+    # itemgetter of one key returns the value, not a 1-tuple
+    get = itemgetter(*keys) if len(keys) > 1 else lambda d, k=keys[0]: (d[k],)
+    parts = [None] * (2 * len(keys) + 1)
+    parts[::2] = [sep + _SCALARS[str](k) + ": " for k in keys] + [close]
+    parts[0] = "{" + parts[0][1:]
+    return get, parts
+
+
 def serialize_report(doc: dict) -> str:
     """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for a
     document with string keys, written without the pure-Python encoder.
 
     Each dict shape (its keys in insertion order) is laid out once per
-    depth: its sorted keys, each key's ``"key": `` text with the separator
-    and indentation before it, and an itemgetter of its values in that
-    order. A container reached again at the same depth (emit_report shares
-    path statements, sources and sinks) is rendered once: its text is
-    memoised from the second time it is reached, so one that appears once
-    costs a memo entry and no text. Each container's text is one join of its
-    parts, and the document's last part holds the closing bracket and the
-    final newline, so no text is copied twice into one container. The
-    document must not change while it is written. A value json cannot write
-    raises TypeError.
+    depth and process: its sorted keys, each key's ``"key": `` text with
+    the separator and indentation before it, and an itemgetter of its
+    values in that order. A dict's text is one join of its layout's parts
+    and its values' texts; a list's is one join of its items' texts on the
+    separator, with the brackets fixed onto the first and last. A container
+    reached again at the same depth (emit_report shares path statements,
+    sources and sinks) is rendered once per call: its text is memoised from
+    the second time it is reached, so one that appears once costs a memo
+    entry and no text. The document's last part holds the closing bracket
+    and the final newline. The document must not change while it is
+    written. A value json cannot write raises TypeError.
     """
-    # per depth: memo of containers by id, dict layouts by shape,
-    # separator, dict closer, list closer
-    levels: list[tuple[dict, dict, str, str, str]] = []
+    # per depth: memo of containers by id, separator, dict closer, list closer
+    levels: list[tuple[dict, str, str, str]] = []
     scalar = _SCALARS.get
 
     def render(o, depth: int) -> str:  # any value but a str, int, float, bool or None
         if depth == len(levels) - 1:  # add the children's level
             close = "\n" + "  " * (depth + 1)
-            levels.append(({}, {}, ",\n  " + close[1:], close + "}", close + "]"))
-        memo, layouts, sep, dict_close, list_close = levels[depth]
+            levels.append(({}, ",\n  " + close[1:], close + "}", close + "]"))
+        memo, sep, dict_close, list_close = levels[depth]
         if isinstance(o, dict):
             if not o:
                 return "{}"
             shape = tuple(o)
-            layout = layouts.get(shape)
+            layout = _LAYOUTS.get((depth, shape))
             if layout is None:
-                keys = sorted(shape)
-                # itemgetter of one key returns the value, not a 1-tuple
-                get = itemgetter(*keys) if len(keys) > 1 else lambda d, k=keys[0]: (d[k],)
-                parts = [None] * (2 * len(keys) + 1)
-                parts[::2] = [sep + _SCALARS[str](k) + ": " for k in keys] + [dict_close]
-                parts[0] = "{" + parts[0][1:]
-                layout = layouts[shape] = (get, parts)
+                layout = _dict_layout(shape, sep, dict_close)
+                if len(_LAYOUTS) >= _MAX_LAYOUTS:
+                    _LAYOUTS.clear()
+                _LAYOUTS[depth, shape] = layout
             get, parts = layout
             values = get(o)
-            parts = parts.copy()
         elif isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            values = o
-            parts = [sep] * (2 * len(o) + 1)
-            parts[0] = "[" + sep[1:]
-            parts[-1] = list_close
+            values, parts = o, None
         else:  # a subclass of str, int or float, as json takes them
             base = next((t for t in (str, int, float) if isinstance(o, t)), None)
             if base is None:
@@ -245,13 +266,19 @@ def serialize_report(doc: dict) -> str:
                 append(write(v))
             else:
                 append(child_memo.get(id(v)) or render(v, child))
-        parts[1::2] = texts
-        text = "".join(parts)
+        if parts is None:
+            texts[0] = "[" + sep[1:] + texts[0]
+            texts[-1] += list_close
+            text = sep.join(texts)
+        else:
+            parts = parts.copy()
+            parts[1::2] = texts
+            text = "".join(parts)
         key = id(o)
         memo[key] = text if key in memo else ""  # "": reached once, no text kept
         return text
 
-    levels.append(({}, {}, ",\n  ", "\n}\n", "\n]\n"))  # the document ends in a newline
+    levels.append(({}, ",\n  ", "\n}\n", "\n]\n"))  # the document ends in a newline
     if isinstance(doc, (dict, list, tuple)) and doc:
         return render(doc, 0)
     write = scalar(type(doc))

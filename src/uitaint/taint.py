@@ -22,6 +22,7 @@ from .ir import (
     FieldWrite,
     InvokeStmt,
     MethodBody,
+    MethodSig,
     Reg,
     ReturnStmt,
     StmtId,
@@ -115,41 +116,53 @@ def build_graph(
     adjacency: dict[Node, set[tuple[Node, StmtId]]] = {}
     sink_feeds: dict[Node, set[tuple[StmtId, int]]] = {}
     spec_index = {spec: i for i, spec in enumerate(registry.specs)}
+    # call signature -> (callee or None, matching sink specs): resolve_call
+    # and the registry read only the signature
+    calls: dict[MethodSig, tuple[MethodBody | None, list[SinkSpec]]] = {}
 
     def add_edge(src: Node, dst: Node, label: StmtId):
         adjacency.setdefault(src, set()).add((dst, label))
 
     for unit, method in bundle.iter_methods():
         reg = _reg_nodes(unit.class_name, method.method_token)
+        # dispatch on the exact type and unpack: class patterns, which test
+        # each case in turn, cost about four times as much per statement
         for stmt in method.statements:
-            match stmt:
-                case AssignAtom(sid=sid, dst=d, src=a):
-                    if (n := reg(a)) is not None:
-                        add_edge(n, reg(d), sid)
-                case AssignCast(sid=sid, dst=d, src=s):
-                    add_edge(reg(s), reg(d), sid)
-                case FieldRead(sid=sid, dst=d, fld=f):
-                    add_edge(_field_node(f), reg(d), sid)
-                case FieldWrite(sid=sid, fld=f, value=v):
-                    if (n := reg(v)) is not None:
-                        add_edge(n, _field_node(f), sid)
-                case InvokeStmt(sid=sid, result=result, expr=expr):
-                    callee = resolve_call(expr, bundle)
-                    if callee is not None:
-                        _add_call_edges(sid, expr, result, callee, reg, add_edge)
-                    else:
-                        _add_opaque_edges(sid, expr, result, reg, add_edge)
-                    for spec in registry.match(expr.sig):
-                        for pos in spec.positions:
-                            node = None
-                            if pos == "recv":
-                                node = None if expr.receiver is None else reg(expr.receiver)
-                            else:
-                                node = reg(expr.args[int(pos[3:])])
-                            if node is not None:
-                                sink_feeds.setdefault(node, set()).add((sid, spec_index[spec]))
-                case ReturnStmt():
-                    pass  # contributes edges only at resolved call sites
+            kind = type(stmt)
+            if kind is AssignAtom:
+                sid, d, a = stmt
+                if (n := reg(a)) is not None:
+                    add_edge(n, reg(d), sid)
+            elif kind is AssignCast:
+                sid, d, _, s = stmt
+                add_edge(reg(s), reg(d), sid)
+            elif kind is FieldRead:
+                sid, d, f, _ = stmt
+                add_edge(_field_node(f), reg(d), sid)
+            elif kind is FieldWrite:
+                sid, f, _, v = stmt
+                if (n := reg(v)) is not None:
+                    add_edge(n, _field_node(f), sid)
+            elif kind is InvokeStmt:
+                sid, result, expr = stmt
+                call = calls.get(expr.sig)
+                if call is None:
+                    call = calls[expr.sig] = (resolve_call(expr, bundle), registry.match(expr.sig))
+                callee, specs = call
+                if callee is not None:
+                    _add_call_edges(sid, expr, result, callee, reg, add_edge)
+                else:
+                    _add_opaque_edges(sid, expr, result, reg, add_edge)
+                for spec in specs:
+                    for pos in spec.positions:
+                        node = None
+                        if pos == "recv":
+                            node = None if expr.receiver is None else reg(expr.receiver)
+                        else:
+                            node = reg(expr.args[int(pos[3:])])
+                        if node is not None:
+                            sink_feeds.setdefault(node, set()).add((sid, spec_index[spec]))
+            # a ReturnStmt contributes edges only at resolved call sites
 
     seeds = {}
     for sp in sources:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uitaint import pipeline
 from uitaint.errors import WidgetSyntaxError
+from uitaint.fixtures import FixtureSpec, generate
 from uitaint.gui import (
     ViewElement,
     default_widget_registry,
@@ -16,7 +19,10 @@ from uitaint.gui import (
     join_rtable,
     load_widget_registry,
 )
-from uitaint.ir import LayoutDoc, RTable
+from uitaint.ir import LayoutDoc, RTable, parse_bundle
+from uitaint.pi import classify
+from uitaint.pipeline import load_config
+from conftest import DATA
 
 ANDROID = "http://schemas.android.com/apk/res/android"
 
@@ -168,3 +174,39 @@ def test_join_preserves_cardinality_and_order(views, entries):
             assert after.numeric_id == entries[before.id_name]
         else:
             assert before.id_name in warnings
+
+
+def test_view_element_stays_a_dataclass():
+    # bench/tracing.py labels views with dataclasses.replace
+    assert dataclasses.is_dataclass(ViewElement)
+
+
+def _replace_labeled_views(app):
+    """The views of the bundle at app, each joined and labeled with
+    dataclasses.replace: the reference for the pipeline's direct builds."""
+    widgets, lexicon, _ = load_config()
+    bundle = parse_bundle(app)
+    views = [v for layout in bundle.layouts for v in extract_views(layout, widgets)]
+    joined = []
+    for v in views:
+        num = None if v.id_name is None else bundle.rtable.lookup(v.id_name)
+        joined.append(v if num is None else dataclasses.replace(v, numeric_id=num))
+    return [v if (kind := classify(v, lexicon)) is None else dataclasses.replace(v, pi=kind)
+            for v in joined]
+
+
+def test_pipeline_labels_the_views_that_dataclasses_replace_gives(tmp_path, monkeypatch):
+    seen, emit = [], pipeline.emit_report
+
+    def emit_report(bundle, views, *rest):
+        seen.append(views)
+        return emit(bundle, views, *rest)
+
+    monkeypatch.setattr(pipeline, "emit_report", emit_report)
+    apps = [p for p in sorted(DATA.iterdir()) if p.is_dir()]
+    apps += [generate(FixtureSpec(seed=seed), tmp_path / str(seed))[0] for seed in (1, 7, 29)]
+    for app in apps:
+        pipeline.analyze_bundle(app)
+        views, expected = seen.pop(), _replace_labeled_views(app)
+        assert views == expected and any(v.pi is not None for v in views), app
+        assert [type(v) for v in views] == [ViewElement] * len(views)

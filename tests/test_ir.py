@@ -585,33 +585,59 @@ def test_null_in_every_atom_position_parses_as_null():
     assert typed(unit) == typed(_fine(NULLS))
 
 
+class _CountingPattern:
+    """A stand-in for a compiled pattern that counts its fullmatch calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def fullmatch(self, text):
+        self.calls += 1
+        return self.pattern.fullmatch(text)
+
+
 def test_parse_bundle_keeps_no_signature_memo(tmp_path, monkeypatch):
-    call = "  staticinvoke <a.Log: void d(java.lang.String)>(null)\n"
+    log_d = "<a.Log: void d(java.lang.String)>"
+    call = f"  staticinvoke {log_d}(null)\n"
+    head = "method static void f(int p0, java.lang.String p1):\n"
     code = {
-        "A.jtac": "class a.A\nmethod static void f():\n" + call * 2,
-        "B.jtac": "class a.B\nmethod static void g():\n" + call + "  return\n",
+        "A.jtac": "class a.A\n" + head + call * 2 + "method static void g():\n" + call,
+        "B.jtac": "class a.B\nmethod static void g():\n" + call + "  return\n" + head,
     }
-    statement, lines = ir._statement, []
+    statement, header, lines, heads = ir._statement, ir._header, [], []
 
     def counting_statement(line, shared):
         lines.append(line)
         return statement(line, shared)
 
+    def counting_header(line):
+        heads.append(line)
+        return header(line)
+
     monkeypatch.setattr(ir, "_statement", counting_statement)
+    monkeypatch.setattr(ir, "_header", counting_header)
+    sig_pattern = _CountingPattern(ir._SIG)
+    monkeypatch.setattr(ir, "_SIG", sig_pattern)
 
     def call_sigs(bundle):
         return [s.expr.sig for _, _, s in bundle.iter_statements() if type(s) is InvokeStmt]
 
     first = call_sigs(parse_bundle(write_bundle(tmp_path / "one", code=code)))
-    # each distinct statement line is parsed once per bundle
+    # each distinct statement and method header line is parsed once per
+    # bundle, and a signature is split by its line pattern's groups alone
     assert sorted(lines) == ["  return", call[:-1]]
+    assert sorted(heads) == ["method static void f(int p0, java.lang.String p1):",
+                             "method static void g():"]
+    assert sig_pattern.calls == 0
     second = call_sigs(parse_bundle(write_bundle(tmp_path / "two", code=code)))
     assert sorted(lines) == ["  return", "  return", call[:-1], call[:-1]]
+    assert len(heads) == 4 and sig_pattern.calls == 0
+    assert parse_method_sig(log_d) == first[0] and sig_pattern.calls == 1  # live
     # one bundle shares one MethodSig per signature text, across its files
-    assert len({id(s) for s in first}) == 1 and len(first) == 3
+    assert len({id(s) for s in first}) == 1 and len(first) == 4
     # two bundles share none, and nothing keeps the first bundle's: once its
     # bundle is gone, its MethodSig has no more references than a fresh one,
-    # so no signature or statement line entry outlives parse_bundle
+    # so no signature, statement or header line entry outlives parse_bundle
     assert first[0] == second[0] and first[0] is not second[0]
     sig, control = first[0], MethodSig(*first[0])
     del first
@@ -623,7 +649,50 @@ def test_parse_bundle_keeps_no_signature_memo(tmp_path, monkeypatch):
         if isinstance(value, (dict, set, list)):
             held = value.values() if isinstance(value, dict) else value
             assert not any(isinstance(v, (MethodSig, FieldSig)) for v in held)
-            assert call[:-1] not in value
+            assert call[:-1] not in value and head[:-1] not in value
+
+
+DUPLICATE_HEAD = "method static void f(int p0):\n  return\n"
+
+
+@pytest.mark.parametrize("twice_name", ["A.jtac", "Z.jtac"])
+def test_a_header_repeated_in_one_class_is_a_duplicate_however_the_bundle_shares_it(
+    tmp_path, monkeypatch, twice_name
+):
+    """One header line in two classes, and twice in one of them: the
+    duplicate check stays per class, and the grammar gives today's error."""
+    fine_passes = _count_fine_passes(monkeypatch)
+    twice = "class a.T\n" + DUPLICATE_HEAD * 2
+    once = "class a.O\n" + DUPLICATE_HEAD
+    alone = parse_bundle(write_bundle(tmp_path / "alone", code={"M.jtac": once}))
+    assert typed(alone.code_units) == typed({"a.O": parse_code_unit(once)})
+    assert fine_passes == []
+    app = write_bundle(tmp_path / "both", code={"M.jtac": once, twice_name: twice})
+    with pytest.raises(IrSyntaxError) as info:
+        parse_bundle(app)
+    assert str(info.value) == f"code/{twice_name}:4:1: duplicate method f(int)"
+    assert fine_passes == [twice]
+
+
+REFUSED_HEAD = "method void g(int this):\n  return\n"
+
+
+def test_a_refused_header_is_not_kept_and_every_file_with_it_falls_back(tmp_path, monkeypatch):
+    fine_passes = _count_fine_passes(monkeypatch)
+    texts = {"A.jtac": "class a.A\n" + REFUSED_HEAD, "B.jtac": "class a.B\n" + REFUSED_HEAD}
+    shared = {}
+    for text in texts.values():
+        with pytest.raises(ir._Fallback):
+            ir._parse_lines(text, shared)
+        assert REFUSED_HEAD.split("\n")[0] not in shared
+    app = write_bundle(tmp_path / "app", code=texts)
+    for name, text in texts.items():  # the first file in order, then the other
+        del fine_passes[:]
+        with pytest.raises(IrSyntaxError) as info:
+            parse_bundle(app)
+        assert str(info.value) == f"code/{name}:2:19: 'this' cannot be used as a parameter"
+        assert fine_passes == [text]
+        (app / "code" / name).unlink()
 
 
 def _units_one_by_one(app):

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from uitaint.errors import EmptyCorpus
 from uitaint.fixtures import FixtureSpec, generate
+from uitaint.ir import StmtId, parse_bundle, render_statement
 from uitaint.pi import PiKind
 from uitaint.pipeline import analyze_bundle
 from uitaint.report import (
+    _LAYOUTS,
+    _MAX_LAYOUTS,
     aggregate,
     export_csv,
     serialize_report,
@@ -188,6 +191,29 @@ def test_writer_rejects_a_key_that_is_not_a_string_beside_a_cached_shape(bad):
         serialize_report({"items": [{"a": 1, "b": 2}, {"b": 2, "a": 1}, bad]})
 
 
+def test_writer_layouts_kept_across_calls_match_json_dumps():
+    """Two documents written in turn, in which the same key sets appear at
+    other depths and in other insertion orders: the second is written with
+    the first's layouts wherever depth and order agree, and new ones
+    elsewhere."""
+    first = {"b": {"y": 1, "x": [2, {"b": 3, "a": 4}]}, "a": [{"x": 5, "y": 6}]}
+    second = {
+        "x": {"a": {"y": 7, "x": 8}, "b": [{"a": 9, "b": 10}, {"b": 11, "a": 12}]},
+        "y": [{"b": {"x": 13, "y": 14}, "a": []}],
+        "a": {"y": 15, "x": 16},
+        "b": {},
+    }
+    for doc in (first, second, first, [second, first]):
+        assert serialize_report(doc) == _json_dumps(doc)
+
+
+def test_writer_layouts_kept_across_calls_are_bounded():
+    doc = {"items": [{f"k{i}": i, "v": [{f"k{i}": None}]} for i in range(1500)]}
+    assert serialize_report(doc) == _json_dumps(doc)
+    assert 0 < len(_LAYOUTS) <= _MAX_LAYOUTS
+    assert serialize_report(doc) == _json_dumps(doc)
+
+
 def test_writer_matches_json_dumps_on_every_built_report(tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     bundles = sorted(p for p in DATA.iterdir() if p.is_dir())
@@ -248,6 +274,22 @@ def test_report_shares_one_object_per_path_statement_source_and_sink(tmp_path):
             assert texts.setdefault(tuple(step), text) is text
     assert len(steps) == 2 * 2 + 3 * 2  # findViewById and write per source, read and Log.d per sink
     assert serialize_report(doc) == _json_dumps(doc)
+
+
+def test_path_texts_are_each_statements_own_rendering(tmp_path):
+    """Path texts are rendered once per statement line: every step's text
+    still renders its own statement, where repeated lines are common."""
+    spec = FixtureSpec(seed=7, n_sources=60, n_decoys=6, chain_len=(1, 4))
+    for app in (PANIC, generate(spec, tmp_path / "fx")[0]):
+        bundle = parse_bundle(app)
+        leaks = analyze_bundle(app)["leaks"]
+        steps = {tuple(step) for lk in leaks for step in lk["path"]}
+        texts = {text for lk in leaks for text in lk["path_text"]}
+        assert app == PANIC or len(texts) < len(steps) / 2
+        for lk in leaks:
+            assert lk["path_text"] == [
+                render_statement(bundle.statement(StmtId(*step))) for step in lk["path"]
+            ]
 
 
 def test_report_shares_one_sink_dict_per_statement_and_signature_across_categories(tmp_path):

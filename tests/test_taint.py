@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from uitaint.ir import AppBundle, MethodSig, RTable, StmtId, parse_bundle, parse_method_sig
-from uitaint.pi import PiKind
+from uitaint import taint
+from uitaint.fixtures import FixtureSpec, generate
+from uitaint.gui import extract_views, join_rtable
+from uitaint.ir import (
+    AppBundle,
+    InvokeStmt,
+    MethodSig,
+    RTable,
+    StmtId,
+    parse_bundle,
+    parse_method_sig,
+)
+from uitaint.pi import PiKind, classify
+from uitaint.pipeline import load_config
 from uitaint.sources_sinks import (
     DestCategory,
     SinkRegistry,
@@ -557,3 +570,47 @@ def test_leaks_are_sorted_and_deterministic(tmp_path):
     keys = [(lk.source.stmt, lk.sink_stmt) for lk in leaks]
     assert keys == sorted(keys)
     assert len(leaks) == 2
+
+
+@pytest.fixture(scope="module")
+def isolated_app(tmp_path_factory):
+    """The bundle of 400 planted flows at fixture seed 7."""
+    spec = FixtureSpec(seed=7, n_sources=400, n_decoys=40)
+    return generate(spec, tmp_path_factory.mktemp("isolated") / "fx")[0]
+
+
+def _graph(app, monkeypatch):
+    """The bundle at app and its graph, with the signature of each
+    resolve_call and SinkRegistry.match call made for the graph."""
+    widgets, lexicon, sinks = load_config()
+    bundle = parse_bundle(app)
+    views = [v for layout in bundle.layouts for v in extract_views(layout, widgets)]
+    views, _ = join_rtable(views, bundle.rtable)
+    labeled = [dataclasses.replace(v, pi=kind) for v in views
+               if (kind := classify(v, lexicon)) is not None]
+    sources, _ = resolve_sources(bundle, labeled)
+    resolved, matched = [], []
+    resolve, match = taint.resolve_call, SinkRegistry.match
+    monkeypatch.setattr(taint, "resolve_call",
+                        lambda expr, b: resolved.append(expr.sig) or resolve(expr, b))
+    monkeypatch.setattr(SinkRegistry, "match",
+                        lambda self, sig: matched.append(sig) or match(self, sig))
+    return bundle, build_graph(bundle, sources, sinks), resolved, matched
+
+
+def test_graph_resolves_and_matches_each_call_signature_once(isolated_app, monkeypatch):
+    bundle, _, resolved, matched = _graph(isolated_app, monkeypatch)
+    sigs = [s.expr.sig for _, _, s in bundle.iter_statements() if type(s) is InvokeStmt]
+    assert (len(sigs), len(set(sigs))) == (1840, 934)
+    assert sorted(resolved) == sorted(matched) == sorted(set(sigs))
+
+
+def test_graph_counts_of_the_400_flow_fixture(isolated_app, monkeypatch):
+    _, graph, _, _ = _graph(isolated_app, monkeypatch)
+    nodes = set(graph.adjacency)
+    for edges in graph.adjacency.values():
+        nodes.update(dst for dst, _ in edges)
+    assert len(nodes) == 3603
+    assert sum(len(edges) for edges in graph.adjacency.values()) == 3385
+    assert len(graph.seeds) == 413
+    assert sum(len(feeds) for feeds in graph.sink_feeds.values()) == 400
