@@ -203,6 +203,7 @@ def cmd_gen_fixtures(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     spec = FixtureSpec.from_dict(doc)
+    dataclasses.replace(spec, seed=spec.seed + args.count - 1)  # check the last seed before any write
 
     out_dir = Path(args.out)
     for k in range(args.count):

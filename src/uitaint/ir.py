@@ -242,21 +242,6 @@ def _unescape(body):
     return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
 
 
-def _reads(s):
-    """The registers statement s reads."""
-    match s:
-        case AssignAtom(src=Reg() as a) | ReturnStmt(value=Reg() as a) | AssignCast(src=a):
-            return (a,)
-        case FieldRead(base=Reg() as b):
-            return (b,)
-        case FieldWrite(base=b, value=v):
-            return tuple(r for r in (b, v) if isinstance(r, Reg))
-        case InvokeStmt(expr=e):
-            regs = tuple(a for a in e.args if isinstance(a, Reg))
-            return regs if e.receiver is None else (e.receiver, *regs)
-    return ()
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -368,8 +353,9 @@ def _names(*atoms):
 
 def _statement(line, shared):
     """What _parse_lines keeps of one statement line: (statement type, the
-    statement's fields after its sid, the names of the registers it reads,
-    the name of the register it assigns or None)."""
+    statement's fields after its sid, the names of the registers it reads in
+    the order they are spelled, the name of the register it assigns or
+    None)."""
     m = _RETURN_LINE.fullmatch(line) if line[2:8] == "return" else None
     if m:
         value = None if m[1] is None else _atom(m[1], shared, m, 1)
@@ -460,11 +446,8 @@ def _parse_lines(text, shared, filename):
     fields, methods, seen = [], [], set()
     head = None  # (sig, params, is_static, line number) of the method being read
     lines = text.split("\n")
-    # the number of the line being read is len(lines) less the exact length
-    # hint of the list iterator, which costs less per line than enumerate
-    unread = iter(lines)
     try:
-        for line in unread:
+        for lineno, line in enumerate(lines, 1):
             if line[:2] == "  ":
                 entry = shared.get(line)
                 if entry is None:
@@ -491,9 +474,9 @@ def _parse_lines(text, shared, filename):
                     raise _LineError(1, f"duplicate method {token}")
                 seen.add((name, ptypes))
                 if head is not None:
-                    methods.append(_method_body(head, statements, read, assigned, lines))
+                    methods.append(_method_body(head, statements, read, assigned, lines, shared))
                 sig = _new(MethodSig, (class_name, rtype, name, ptypes))
-                head = (sig, pnames, is_static, len(lines) - unread.__length_hint__())
+                head = (sig, pnames, is_static, lineno)
                 statements, read, assigned = [], set(), set(pnames)
             elif line[:6] == "field ":
                 m = _FIELD_LINE.fullmatch(line)
@@ -518,18 +501,18 @@ def _parse_lines(text, shared, filename):
         if class_name is None:
             raise _LineError(1, "expected class declaration")
         if head is not None:
-            methods.append(_method_body(head, statements, read, assigned, lines))
+            methods.append(_method_body(head, statements, read, assigned, lines, shared))
     except _LineError as e:
         col, message, *at = e.args
-        lineno = at[0] if at else len(lines) - unread.__length_hint__()
-        raise IrSyntaxError(message, filename, lineno, col) from None
+        raise IrSyntaxError(message, filename, at[0] if at else lineno, col) from None
     return _new(CodeUnit, (class_name, superclass, tuple(fields), tuple(methods)))
 
 
-def _method_body(head, statements, read, assigned, lines):
+def _method_body(head, statements, read, assigned, lines, shared):
     """The MethodBody of head and statements, which read the registers named
     in read and assign those in assigned; head's last item is the number of
-    its header line in lines.
+    its header line in lines, and shared holds what _statement made of each
+    statement line.
 
     Every register read must be a parameter or assigned somewhere in the
     body, or be `this` in a method that is not static (`this` is never
@@ -541,10 +524,11 @@ def _method_body(head, statements, read, assigned, lines):
     if bad and (is_static or bad != {"this"}):
         if not is_static:
             bad.discard("this")
-        index, name = next((i, r.name) for i, s in enumerate(statements)
-                           for r in _reads(s) if r.name in bad)
-        at = [n for n in range(start, len(lines))
-              if lines[n][:2] == "  " and lines[n].strip(" \t\r")][index]
+        # the method's statement lines follow its header, and each one's
+        # entry lists the registers it reads in order; a blank line has none
+        at, name = next((n, r) for n in range(start, len(lines))
+                        if lines[n][:2] == "  " and lines[n] in shared
+                        for r in shared[lines[n]][2] if r in bad)
         if name == "this":
             raise _LineError(1, "'this' read in a static method", at + 1)
         raise _LineError(1, f"register {name!r} is read but never assigned", at + 1)

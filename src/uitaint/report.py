@@ -89,28 +89,18 @@ def emit_report(
     saves time.
     """
     # imported here, so report readers load no analyzer
-    from .ir import render_method_sig, render_statement
+    from .ir import render_statement
     from .taint import Party
 
     labeled = [v for v in views if v.pi is not None]
     steps: dict[StmtId, tuple[list, str]] = {}
-    # the statements the parser made from one line share every part after
-    # the sid, and the bundle keeps those parts alive: the same part ids
-    # mean the same text, rendered once
-    texts: dict[tuple, str] = {}
     for lk in leaks:
         for s in lk.path:
             if s not in steps:
-                stmt = bundle.statement(s)
-                key = (type(stmt), *map(id, stmt[1:]))
-                text = texts.get(key)
-                if text is None:
-                    text = texts[key] = render_statement(stmt)
-                steps[s] = (list(s), text)
-    # each source's, spec's and party's strings are computed once: an enum
-    # hashes and reads .value in Python
+                steps[s] = (list(s), render_statement(bundle.statement(s)))
+    # each source's strings are computed once: an enum hashes and reads
+    # .value in Python
     sources: dict[StmtId, tuple[dict, str, str]] = {}  # one source per statement
-    specs: dict[int, tuple[str, str]] = {}  # spec index -> (destination, signature)
     sinks: dict[tuple[StmtId, str], dict] = {}
     third, parties = Party.THIRD, (Party.FIRST.value, Party.THIRD.value)
     leak_docs = []
@@ -118,17 +108,14 @@ def emit_report(
         sp = lk.source
         entry = sources.get(sp.stmt)
         if entry is None:
+            pi = sp.view.pi
             fragment = {"stmt": list(sp.stmt), "view": _view_doc(sp.view)}
-            entry = sources[sp.stmt] = (fragment, sp.pi.value, CATEGORY_OF[sp.pi].value)
+            entry = sources[sp.stmt] = (fragment, pi.value, CATEGORY_OF[pi].value)
         source, kind, category = entry
-        spec = specs.get(lk.sink_index)
-        if spec is None:
-            sig = lk.sink_spec.sig
-            spec = specs[lk.sink_index] = (lk.sink_spec.category.value, render_method_sig(sig))
-        destination, signature = spec
-        sink = sinks.get(key := (lk.sink_stmt, signature))
+        spec = lk.sink_spec
+        sink = sinks.get(key := (lk.sink_stmt, spec.signature))
         if sink is None:
-            sink = sinks[key] = {"stmt": list(lk.sink_stmt), "signature": signature}
+            sink = sinks[key] = {"stmt": list(lk.sink_stmt), "signature": spec.signature}
         path, path_text = [], []  # one lookup per statement
         for s in lk.path:
             step, text = steps[s]
@@ -138,7 +125,7 @@ def emit_report(
             "pi_kind": kind,
             "pi_category": category,
             "party": parties[lk.party is third],
-            "destination": destination,
+            "destination": spec.category.value,
             "source": source,
             "sink": sink,
             "path": path,
@@ -190,13 +177,6 @@ _SCALARS = {
 }
 
 
-# dict layouts by (depth, shape), kept across calls: reports and summaries
-# have fixed schemas, so a process holds about a dozen. Cleared when full,
-# so documents of many shapes cannot grow it without bound.
-_LAYOUTS: dict[tuple[int, tuple], tuple] = {}
-_MAX_LAYOUTS = 1024
-
-
 def _dict_layout(shape: tuple, sep: str, close: str) -> tuple:
     """(getter of the values in sorted key order, the text parts around
     them) of a dict whose keys in insertion order are shape."""
@@ -214,7 +194,7 @@ def serialize_report(doc: dict) -> str:
     document with string keys, written without the pure-Python encoder.
 
     Each dict shape (its keys in insertion order) is laid out once per
-    depth and process: its sorted keys, each key's ``"key": `` text with
+    depth and call: its sorted keys, each key's ``"key": `` text with
     the separator and indentation before it, and an itemgetter of its
     values in that order. A dict's text is one join of its layout's parts
     and its values' texts; a list's is one join of its items' texts on the
@@ -226,25 +206,23 @@ def serialize_report(doc: dict) -> str:
     and the final newline. The document must not change while it is
     written. A value json cannot write raises TypeError.
     """
-    # per depth: memo of containers by id, separator, dict closer, list closer
-    levels: list[tuple[dict, str, str, str]] = []
+    # per depth: memo of containers by id, dict layouts by shape, separator,
+    # dict closer, list closer
+    levels: list[tuple[dict, dict, str, str, str]] = []
     scalar = _SCALARS.get
 
     def render(o, depth: int) -> str:  # any value but a str, int, float, bool or None
         if depth == len(levels) - 1:  # add the children's level
             close = "\n" + "  " * (depth + 1)
-            levels.append(({}, ",\n  " + close[1:], close + "}", close + "]"))
-        memo, sep, dict_close, list_close = levels[depth]
+            levels.append(({}, {}, ",\n  " + close[1:], close + "}", close + "]"))
+        memo, layouts, sep, dict_close, list_close = levels[depth]
         if isinstance(o, dict):
             if not o:
                 return "{}"
             shape = tuple(o)
-            layout = _LAYOUTS.get((depth, shape))
+            layout = layouts.get(shape)
             if layout is None:
-                layout = _dict_layout(shape, sep, dict_close)
-                if len(_LAYOUTS) >= _MAX_LAYOUTS:
-                    _LAYOUTS.clear()
-                _LAYOUTS[depth, shape] = layout
+                layout = layouts[shape] = _dict_layout(shape, sep, dict_close)
             get, parts = layout
             values = get(o)
         elif isinstance(o, (list, tuple)):
@@ -278,7 +256,7 @@ def serialize_report(doc: dict) -> str:
         memo[key] = text if key in memo else ""  # "": reached once, no text kept
         return text
 
-    levels.append(({}, ",\n  ", "\n}\n", "\n]\n"))  # the document ends in a newline
+    levels.append(({}, {}, ",\n  ", "\n}\n", "\n]\n"))  # the document ends in a newline
     if isinstance(doc, (dict, list, tuple)) and doc:
         return render(doc, 0)
     write = scalar(type(doc))

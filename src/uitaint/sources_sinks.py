@@ -27,19 +27,22 @@ from .ir import (
     parse_method_sig,
 )
 from .lines import config_lines
-from .pi import DestCategory, PiKind
+from .pi import DestCategory
 
 
 class SinkSpec(NamedTuple):
     """One sink signature with its destination and tainted positions.
 
     Positions are "recv" or "argN" strings; a `*` in the registry file
-    expands to the receiver plus every argument at load time.
+    expands to the receiver plus every argument at load time. signature is
+    sig's text in the registry file, which parse_method_sig accepts only as
+    the renderer spells it.
     """
 
     category: DestCategory
     sig: MethodSig
     positions: frozenset[str]
+    signature: str
 
 
 class SinkRegistry:
@@ -114,7 +117,7 @@ def load_sinks(path) -> SinkRegistry:
             raise SinkSyntaxError(f"{where}: duplicate sink {sig_text}")
         seen.add((sig, category))
         positions = _parse_positions(pos_text, len(sig.param_types), where)
-        specs.append(SinkSpec(category, sig, positions))
+        specs.append(SinkSpec(category, sig, positions, sig_text))
     return SinkRegistry(tuple(specs))
 
 
@@ -126,8 +129,7 @@ class SourcePoint(NamedTuple):
     """A findViewById call site resolved to a labeled view."""
 
     stmt: StmtId
-    view: ViewElement
-    pi: PiKind
+    view: ViewElement  # its pi is the source's kind
     result_reg: str | None
 
 
@@ -209,5 +211,5 @@ def resolve_sources(
             continue
         diag.resolved += 1
         result = stmt.result.name if stmt.result is not None else None
-        sources.append(SourcePoint(stmt.sid, view, view.pi, result))
+        sources.append(SourcePoint(stmt.sid, view, result))
     return sources, diag

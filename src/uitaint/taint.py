@@ -26,10 +26,8 @@ from .ir import (
     ReturnStmt,
     StmtId,
     method_token,
-    render_method_sig,
     resolve_call,
 )
-from .pi import PiKind
 from .sources_sinks import SinkRegistry, SinkSpec, SourcePoint
 
 
@@ -75,8 +73,6 @@ class Leak(NamedTuple):
     source: SourcePoint
     sink_stmt: StmtId
     sink_spec: SinkSpec
-    sink_index: int  # of sink_spec in the registry's specs
-    pi: PiKind
     party: Party
     path: tuple[StmtId, ...]
     path_len: int
@@ -275,7 +271,6 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
     """
     bundle = graph.bundle
     third = _third_party_classes(bundle.code_units, bundle.app_package)
-    spec_keys: dict[int, tuple[str, str]] = {}  # spec index -> (category, signature)
     keyed = []  # (sort key, leak)
     for sp, seed in graph.seeds.items():
         best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,), third)
@@ -295,20 +290,15 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
             sink_sid, index = key
             party = Party.THIRD if crossed or source_third or sink_sid.cls in third else Party.FIRST
             spec = graph.sink_specs[index]
-            spec_key = spec_keys.get(index)
-            if spec_key is None:
-                spec_key = spec_keys[index] = (spec.category.value, render_method_sig(spec.sig))
             leak = Leak(
                 source=sp,
                 sink_stmt=sink_sid,
                 sink_spec=spec,
-                sink_index=index,
-                pi=sp.pi,
                 party=party,
                 path=path,
                 path_len=len(path) - 1,
                 alt_third_party_path=party is Party.FIRST and key in crossing,
             )
-            keyed.append(((sp.stmt, sink_sid, spec_key), leak))
+            keyed.append(((sp.stmt, sink_sid, spec.category.value, spec.signature), leak))
     keyed.sort(key=itemgetter(0))
     return [leak for _, leak in keyed]

@@ -234,15 +234,18 @@ def test_gen_fixtures_invalid_spec_exits_2(tmp_path, capsys):
          "destination_mix weights must have a finite sum"),
         (b'{"seed": 1, "pi_mix": {"email": 1' + b"0" * 400 + b"}}",
          "pi_mix weights must have a finite sum"),
+        # the first seed is the largest there is; the second, out of range,
+        # is refused before the first bundle is written
+        (b'{"seed": 18446744073709551615}', "seed out of range: 18446744073709551616"),
     ],
     ids=["not-utf8", "str-count", "huge-float-count", "str-seed", "str-party-mix",
          "nested-too-deep", "pi-mix-overflows", "destination-mix-overflows",
-         "int-weight-overflows"],
+         "int-weight-overflows", "last-seed-out-of-range"],
 )
 def test_gen_fixtures_bad_spec_file_exits_2(tmp_path, capsys, body, message):
     spec = tmp_path / "spec.json"
     spec.write_bytes(body)
-    rc = main(["gen-fixtures", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    rc = main(["gen-fixtures", "--spec", str(spec), "--count", "2", "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("InvalidSpec: ") and message in err

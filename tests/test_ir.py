@@ -526,6 +526,8 @@ _BODY = "class a.A\nmethod void m(int p0):\n  r0 = p0\n"
     # the register check, at the line of the first bad read
     ("  r1 = r9\n", "4:1: register 'r9' is read but never assigned"),
     ("  r1 = r0\n\n  \n  return r8\n", "7:1: register 'r8' is read but never assigned"),
+    # an invoke reads its receiver before its arguments
+    ("  virtualinvoke r7.<a.A: void g(int)>(r6)\n", "4:1: register 'r7' is read but never assigned"),
     ("class a.A\nmethod static void g():\n  r1 = this\n", "3:1: 'this' read in a static method"),
 ])
 def test_error_message_and_column(text, message):

@@ -18,8 +18,6 @@ from uitaint.ir import StmtId, parse_bundle, render_statement
 from uitaint.pi import PiKind
 from uitaint.pipeline import analyze_bundle
 from uitaint.report import (
-    _LAYOUTS,
-    _MAX_LAYOUTS,
     aggregate,
     export_csv,
     serialize_report,
@@ -191,11 +189,10 @@ def test_writer_rejects_a_key_that_is_not_a_string_beside_a_cached_shape(bad):
         serialize_report({"items": [{"a": 1, "b": 2}, {"b": 2, "a": 1}, bad]})
 
 
-def test_writer_layouts_kept_across_calls_match_json_dumps():
-    """Two documents written in turn, in which the same key sets appear at
-    other depths and in other insertion orders: the second is written with
-    the first's layouts wherever depth and order agree, and new ones
-    elsewhere."""
+def test_writer_layouts_match_json_dumps():
+    """Documents written in turn, in which the same key sets appear at other
+    depths and in other insertion orders, and one of 1,500 dict shapes: each
+    shape is laid out once per depth and call."""
     first = {"b": {"y": 1, "x": [2, {"b": 3, "a": 4}]}, "a": [{"x": 5, "y": 6}]}
     second = {
         "x": {"a": {"y": 7, "x": 8}, "b": [{"a": 9, "b": 10}, {"b": 11, "a": 12}]},
@@ -203,15 +200,9 @@ def test_writer_layouts_kept_across_calls_match_json_dumps():
         "a": {"y": 15, "x": 16},
         "b": {},
     }
-    for doc in (first, second, first, [second, first]):
+    shapes = {"items": [{f"k{i}": i, "v": [{f"k{i}": None}]} for i in range(1500)]}
+    for doc in (first, second, first, [second, first], shapes, shapes):
         assert serialize_report(doc) == _json_dumps(doc)
-
-
-def test_writer_layouts_kept_across_calls_are_bounded():
-    doc = {"items": [{f"k{i}": i, "v": [{f"k{i}": None}]} for i in range(1500)]}
-    assert serialize_report(doc) == _json_dumps(doc)
-    assert 0 < len(_LAYOUTS) <= _MAX_LAYOUTS
-    assert serialize_report(doc) == _json_dumps(doc)
 
 
 def test_writer_matches_json_dumps_on_every_built_report(tmp_path, monkeypatch):
@@ -277,8 +268,8 @@ def test_report_shares_one_object_per_path_statement_source_and_sink(tmp_path):
 
 
 def test_path_texts_are_each_statements_own_rendering(tmp_path):
-    """Path texts are rendered once per statement line: every step's text
-    still renders its own statement, where repeated lines are common."""
+    """Every step's text renders its own statement, also in a bundle where
+    many statements repeat one line and so render to one text."""
     spec = FixtureSpec(seed=7, n_sources=60, n_decoys=6, chain_len=(1, 4))
     for app in (PANIC, generate(spec, tmp_path / "fx")[0]):
         bundle = parse_bundle(app)

@@ -6,7 +6,7 @@ import pytest
 
 from uitaint.errors import BadPosition, SinkSyntaxError
 from uitaint.gui import ViewElement
-from uitaint.ir import parse_bundle, parse_method_sig
+from uitaint.ir import parse_bundle, parse_method_sig, render_method_sig
 from uitaint.pi import PiKind
 from uitaint.sources_sinks import (
     DestCategory,
@@ -39,7 +39,7 @@ def test_literal_argument_resolves(tmp_path):
     sources, diag = resolve_sources(bundle, [_labeled(2131230949)])
     assert len(sources) == 1
     src = sources[0]
-    assert src.pi is PiKind.WEIGHT
+    assert src.view.pi is PiKind.WEIGHT
     assert src.result_reg == "$r1"
     assert src.stmt.ordinal == 1
     assert (diag.sites, diag.resolved) == (1, 1)
@@ -196,6 +196,19 @@ def test_star_expands_to_receiver_and_all_args(tmp_path):
     reg = _registry("log\t<a.B: int d(int,int)>\t*\n", tmp_path)
     (spec,) = reg.specs
     assert spec.positions == frozenset({"recv", "arg0", "arg1"})
+
+
+def test_spec_signature_is_the_rendered_signature(tmp_path):
+    hand = _registry(
+        "net\t<a.B: void send(java.lang.String)>\targ0\n"
+        "  log \t <a.B$C: int[] d(int,long[][],a.B)> \t * \n"
+        "localstore\t<a.B: void f()>\trecv\n",
+        tmp_path,
+    )
+    for reg in (load_default_sinks(), hand):
+        assert reg.specs
+        for spec in reg.specs:
+            assert spec.signature == render_method_sig(spec.sig)
 
 
 def test_dual_category_sink(tmp_path):

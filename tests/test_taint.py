@@ -89,7 +89,7 @@ def test_direct_flow_through_copy(tmp_path):
         )
     }
     (leak,) = _leaks(tmp_path, code)
-    assert leak.pi is PiKind.EMAIL
+    assert leak.source.view.pi is PiKind.EMAIL
     assert leak.sink_spec.category is DestCategory.LOG
     assert leak.path_len == 2
     assert _ordinals(leak) == [1, 2, 3]
@@ -423,7 +423,7 @@ def test_classify_party_on_raw_paths():
         graph = TaintGraph(
             bundle=AppBundle(app, [], RTable({}), dict.fromkeys(sid.cls for sid in path)),
             adjacency={a: {(b, label)} for a, b, label in zip(nodes, nodes[1:], labels)},
-            seeds={SourcePoint(source, _view(), PiKind.EMAIL, "r0"): nodes[0]},
+            seeds={SourcePoint(source, _view(), "r0"): nodes[0]},
             sink_feeds={nodes[-1]: {(sink, 0)}},
             sink_specs=SINKS.specs,
         )
@@ -465,6 +465,7 @@ def test_adding_sinks_never_removes_leaks(tmp_path):
                 DestCategory.NET,
                 MethodSig("com.app.Main", "void", "custom", ("java.lang.String",)),
                 frozenset({"recv"}),
+                "<com.app.Main: void custom(java.lang.String)>",
             ),
         )
     )
