@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import re
 import time
 from operator import itemgetter
 from pathlib import Path
@@ -46,6 +47,10 @@ _ITEM_CHECKS = {
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
+        # as `date +%s` prints it; int() would also take "+5", " 5", "1_000"
+        # and non-ASCII digits such as "٣"
+        if epoch is not None and not re.fullmatch("-?[0-9]+", epoch):
+            raise ValueError("not ASCII digits with an optional leading '-'")
         stamp = time.gmtime(int(epoch) if epoch is not None else int(time.time()))
     except (ValueError, OverflowError, OSError) as exc:
         raise BadEnvironment(f"SOURCE_DATE_EPOCH={epoch!r}: {exc}") from exc

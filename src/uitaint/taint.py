@@ -1,10 +1,11 @@
 """Flow-insensitive, field-based taint propagation.
 
-The taint graph has register nodes (one per method-local register, keyed by
-class, method and name) and field cells (one per field signature, shared by
-every object instance). Edges are labeled with the statement that induces
-them; a leak is the shortest labeled path from a findViewById source to a
-tainted position of a registered sink call.
+The taint graph's nodes are dense int ids, numbered in build order: one per
+method-local register (keyed by class, method and name) and one per field
+cell (keyed by field signature, shared by every object instance). Edges are
+labeled with the statement that induces them; a leak is the shortest labeled
+path from a findViewById source to a tainted position of a registered sink
+call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .ir import (
     AssignAtom,
     AssignCast,
     FieldRead,
-    FieldSig,
     FieldWrite,
     InvokeStmt,
     MethodBody,
@@ -46,24 +46,13 @@ PLATFORM_PACKAGE_PREFIXES = (
     "dalvik",
 )
 
-# Node encoding: ("reg", class, method_token, register) | ("field", class, type, name)
-Node = tuple
-
-
-def _reg_node(cls: str, mtok: str, name: str) -> Node:
-    return ("reg", cls, mtok, name)
-
-
-def _field_node(fld: FieldSig) -> Node:
-    return ("field", fld.declaring_class, fld.type, fld.name)
-
-
 class TaintGraph(NamedTuple):
     bundle: AppBundle
-    adjacency: dict[Node, set[tuple[Node, StmtId]]]
-    seeds: dict[SourcePoint, Node]
-    # node -> (sink statement, index in sink_specs) of each sink call it feeds
-    sink_feeds: dict[Node, set[tuple[StmtId, int]]]
+    # node id -> (successor id, label) of each edge it starts
+    adjacency: dict[int, set[tuple[int, StmtId]]]
+    seeds: dict[SourcePoint, int]  # source -> the id of its result register
+    # node id -> (sink statement, index in sink_specs) of each sink call it feeds
+    sink_feeds: dict[int, set[tuple[StmtId, int]]]
     sink_specs: tuple[SinkSpec, ...]  # the registry's
 
 
@@ -79,22 +68,6 @@ class Leak(NamedTuple):
     alt_third_party_path: bool = False
 
 
-def _reg_nodes(cls: str, mtok: str):
-    """reg(atom): the node of a register atom of method mtok of cls, one
-    object per register name, or None for a constant."""
-    nodes: dict[str, Node] = {}
-
-    def reg(atom):
-        if type(atom) is not Reg:
-            return None
-        node = nodes.get(atom.name)
-        if node is None:
-            node = nodes[atom.name] = _reg_node(cls, mtok, atom.name)
-        return node
-
-    return reg
-
-
 def build_graph(
     bundle: AppBundle, sources: list[SourcePoint], registry: SinkRegistry
 ) -> TaintGraph:
@@ -108,15 +81,27 @@ def build_graph(
       leave the bundle get a conservative summary (arguments and receiver
       taint the result, and arguments taint the receiver).
     """
-    adjacency: dict[Node, set[tuple[Node, StmtId]]] = {}
-    sink_feeds: dict[Node, set[tuple[StmtId, int]]] = {}
+    adjacency: dict[int, set[tuple[int, StmtId]]] = {}
+    sink_feeds: dict[int, set[tuple[StmtId, int]]] = {}
     spec_index = {spec: i for i, spec in enumerate(registry.specs)}
+    # node ids in build order, keyed by a register's (class, method token,
+    # name) or by a field's FieldSig (class, type, name); the two never
+    # collide, because a method token contains "(" and a type never does
+    ids: dict[tuple[str, str, str], int] = {}
 
-    def add_edge(src: Node, dst: Node, label: StmtId):
+    def node(key) -> int:
+        return ids.setdefault(key, len(ids))
+
+    def add_edge(src: int, dst: int, label: StmtId):
         adjacency.setdefault(src, set()).add((dst, label))
 
     for unit, method in bundle.iter_methods():
-        reg = _reg_nodes(unit.class_name, method.method_token)
+        cls, mtok = unit.class_name, method.method_token
+
+        def reg(atom):
+            """The node of a register atom of this method, or None for a constant."""
+            return ids.setdefault((cls, mtok, atom.name), len(ids)) if type(atom) is Reg else None
+
         # dispatch on the exact type and unpack: class patterns, which test
         # each case in turn, cost about four times as much per statement
         for stmt in method.statements:
@@ -130,68 +115,63 @@ def build_graph(
                 add_edge(reg(s), reg(d), sid)
             elif kind is FieldRead:
                 sid, d, f, _ = stmt
-                add_edge(_field_node(f), reg(d), sid)
+                add_edge(node(f), reg(d), sid)
             elif kind is FieldWrite:
                 sid, f, _, v = stmt
                 if (n := reg(v)) is not None:
-                    add_edge(n, _field_node(f), sid)
+                    add_edge(n, node(f), sid)
             elif kind is InvokeStmt:
                 sid, result, expr = stmt
                 callee = resolve_call(expr, bundle)
                 if callee is not None:
-                    _add_call_edges(sid, expr, result, callee, reg, add_edge)
+                    _add_call_edges(sid, expr, result, callee, reg, node, add_edge)
                 else:
                     _add_opaque_edges(sid, expr, result, reg, add_edge)
                 for spec in registry.match(expr.sig):
                     for pos in spec.positions:
-                        node = None
-                        if pos == "recv":
-                            node = None if expr.receiver is None else reg(expr.receiver)
-                        else:
-                            node = reg(expr.args[int(pos[3:])])
-                        if node is not None:
-                            sink_feeds.setdefault(node, set()).add((sid, spec_index[spec]))
+                        atom = expr.receiver if pos == "recv" else expr.args[int(pos[3:])]
+                        if (n := reg(atom)) is not None:
+                            sink_feeds.setdefault(n, set()).add((sid, spec_index[spec]))
             # a ReturnStmt contributes edges only at resolved call sites
 
-    seeds = {}
-    for sp in sources:
-        if sp.result_reg is not None:
-            seeds[sp] = _reg_node(sp.stmt.cls, sp.stmt.method, sp.result_reg)
+    seeds = {
+        sp: node((sp.stmt.cls, sp.stmt.method, sp.result_reg))
+        for sp in sources
+        if sp.result_reg is not None
+    }
     return TaintGraph(bundle, adjacency, seeds, sink_feeds, registry.specs)
 
 
-def _add_call_edges(sid, expr, result, callee: MethodBody, reg, add_edge):
+def _add_call_edges(sid, expr, result, callee: MethodBody, reg, node, add_edge):
     ccls = callee.sig.declaring_class
     cmtok = method_token(callee.sig)
     for i, arg in enumerate(expr.args):
         if (n := reg(arg)) is not None:
-            add_edge(n, _reg_node(ccls, cmtok, callee.params[i]), sid)
+            add_edge(n, node((ccls, cmtok, callee.params[i])), sid)
     if expr.receiver is not None and not callee.is_static:
-        add_edge(reg(expr.receiver), _reg_node(ccls, cmtok, "this"), sid)
+        add_edge(reg(expr.receiver), node((ccls, cmtok, "this")), sid)
     if result is not None:
         for s in callee.statements:
             # the return statement labels the edge so cross-class hops
             # surface in the witness path
             if isinstance(s, ReturnStmt) and isinstance(s.value, Reg):
-                add_edge(_reg_node(ccls, cmtok, s.value.name), reg(result), s.sid)
+                add_edge(node((ccls, cmtok, s.value.name)), reg(result), s.sid)
 
 
 def _add_opaque_edges(sid, expr, result, reg, add_edge):
-    arg_nodes = [n for a in expr.args if (n := reg(a)) is not None]
-    recv = reg(expr.receiver) if expr.receiver is not None else None
+    # only registers that gain an edge get an id, so the ids stay dense
+    args = [a for a in expr.args if type(a) is Reg]
+    recv = expr.receiver
     if result is not None:
-        dst = reg(result)
-        for n in arg_nodes:
-            add_edge(n, dst, sid)
-        if recv is not None:
-            add_edge(recv, dst, sid)
+        for a in args if recv is None else [*args, recv]:
+            add_edge(reg(a), reg(result), sid)
     if recv is not None:
-        for n in arg_nodes:
-            add_edge(n, recv, sid)
+        for a in args:
+            add_edge(reg(a), reg(recv), sid)
 
 
 def _lexicographic_bfs(
-    adjacency, seed: Node, prefix: tuple[StmtId, ...], third: frozenset[str]
+    adjacency, seed: int, prefix: tuple[StmtId, ...], third: frozenset[str]
 ):
     """Shortest label paths from seed; equal lengths keep the smallest sequence.
 
@@ -206,7 +186,7 @@ def _lexicographic_bfs(
     best = {start: prefix}
     frontier = {start: prefix}
     while frontier:
-        wave: dict[tuple[Node, bool], tuple[StmtId, ...]] = {}
+        wave: dict[tuple[int, bool], tuple[StmtId, ...]] = {}
         for (node, crossed), path in frontier.items():
             for succ, label in adjacency.get(node, ()):
                 state = (succ, crossed or label.cls in third)

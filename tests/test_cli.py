@@ -679,7 +679,9 @@ def test_malformed_report_exits_2(tmp_path, capsys, command, doc, message):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("epoch", ["abc", "99999999999999999999"])
+@pytest.mark.parametrize(
+    "epoch", ["abc", "99999999999999999999", "٣", "1_700_000_000", " 1700000000", "+5"]
+)
 def test_bad_source_date_epoch_exits_2(monkeypatch, capsys, epoch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
     rc = main(["analyze", "--app", str(PANIC)])

@@ -35,6 +35,7 @@ from uitaint.taint import (
     extract_leaks,
 )
 from conftest import (
+    DATA,
     brute_force_alt_third_party,
     enumerate_min_paths,
     mini_labeled_views,
@@ -419,7 +420,7 @@ def test_classify_party_on_raw_paths():
         """The party of the one leak of a graph whose witness is path:
         (source, edge labels..., sink)."""
         source, *labels, sink = path
-        nodes = [("reg", "C", "m()", f"r{i}") for i in range(len(labels) + 1)]
+        nodes = list(range(len(labels) + 1))
         graph = TaintGraph(
             bundle=AppBundle(app, [], RTable({}), dict.fromkeys(sid.cls for sid in path)),
             adjacency={a: {(b, label)} for a, b, label in zip(nodes, nodes[1:], labels)},
@@ -599,3 +600,18 @@ def test_graph_counts_of_the_400_flow_fixture(isolated_app):
     assert sum(len(edges) for edges in graph.adjacency.values()) == 3385
     assert len(graph.seeds) == 413
     assert sum(len(feeds) for feeds in graph.sink_feeds.values()) == 400
+
+
+@pytest.mark.parametrize("name", ["isolated", "keep_yoga", "panic_shield"])
+def test_node_ids_are_dense_and_set_by_build_order(request, name):
+    app = request.getfixturevalue("isolated_app") if name == "isolated" else DATA / name
+    graph = _graph(app)
+    nodes = set(graph.adjacency) | set(graph.seeds.values()) | set(graph.sink_feeds)
+    for edges in graph.adjacency.values():
+        nodes.update(dst for dst, _ in edges)
+    assert all(type(n) is int for n in nodes)
+    assert nodes == set(range(len(nodes)))
+    again = _graph(app)
+    assert again.adjacency == graph.adjacency
+    assert again.seeds == graph.seeds
+    assert again.sink_feeds == graph.sink_feeds
