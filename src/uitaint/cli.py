@@ -130,10 +130,14 @@ def cmd_corpus(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"-j must be >= 1, got {args.jobs}")
     apps_dir = Path(args.apps)
-    apps = sorted(p for p in apps_dir.iterdir() if p.is_dir())
+    out_dir = Path(args.out)
+    # out_dir may sit under apps_dir, itself or as a symlink, and its
+    # reports are no bundle
+    apps_real = apps_dir.resolve()
+    outs = {out_dir.resolve(), out_dir.parent.resolve() / out_dir.name}
+    apps = sorted(p for p in apps_dir.iterdir() if p.is_dir() and apps_real / p.name not in outs)
     if not apps:
         raise EmptyCorpus(f"no app bundles under {apps_dir}")
-    out_dir = Path(args.out)
     # aggregate would count these as reports of this run
     names = {p.name for p in apps}
     strays = sorted(p.name for p in out_dir.glob("*.json") if p.stem not in names)
@@ -208,8 +212,7 @@ def cmd_gen_fixtures(args) -> int:
     out_dir = Path(args.out)
     for k in range(args.count):
         one = dataclasses.replace(spec, seed=spec.seed + k)
-        bundle_dir, gt = generate(one, out_dir / f"fx{one.seed:08d}")
-        print(bundle_dir)
+        print(generate(one, out_dir / f"fx{one.seed:08d}")[0])
     print(f"generated {args.count} bundle(s) -> {out_dir}", file=sys.stderr)
     return 0
 

@@ -1,9 +1,10 @@
 """Deterministic synthesis of app bundles with planted, annotated leaks.
 
 Each generated bundle carries a ground_truth.tsv listing exactly the leaks the
-analyzer must find: same seed, same bytes. Planted flows live in isolated
-classes with single-use registers so the flow-insensitive engine can neither
-miss them nor smear taint between them; decoys are guaranteed non-flows.
+analyzer must find, one tab-joined PlantedLeak per line: same seed, same bytes.
+Planted flows live in isolated classes with single-use registers so the
+flow-insensitive engine can neither miss them nor smear taint between them;
+decoys are guaranteed non-flows.
 """
 
 from __future__ import annotations
@@ -11,33 +12,38 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InvalidSpec
-from .pi import KIND_ORDER, DestCategory, PiKind
+from .pi import DestCategory, PiKind
 
 _MAX_SEED = 2**64 - 1
 
+# The names a mix may weight, in the order generate draws from them.
+_KINDS = tuple(k.value for k in PiKind)
+_CATEGORIES = tuple(c.value for c in DestCategory)
+
 # id-name stem per PI kind; every stem hits the default lexicon.
 _ID_STEM = {
-    PiKind.EMAIL: "email",
-    PiKind.FIRST_NAME: "firstName",
-    PiKind.LAST_NAME: "lastName",
-    PiKind.PHONE: "phone",
-    PiKind.ADDRESS: "address",
-    PiKind.ZIP: "zip",
-    PiKind.SSN: "ssn",
-    PiKind.CREDIT_CARD: "card",
-    PiKind.AGE: "birthday",
-    PiKind.HEIGHT: "height",
-    PiKind.WEIGHT: "weight",
-    PiKind.GENDER: "gender",
-    PiKind.MEDICAL_HISTORY: "surgery",
-    PiKind.MEDICATION: "dosage",
-    PiKind.BLOOD: "glucose",
-    PiKind.MENTAL_HEALTH: "anxiety",
-    PiKind.SMOKE_ALCOHOL: "alcohol",
+    "email": "email",
+    "first_name": "firstName",
+    "last_name": "lastName",
+    "phone": "phone",
+    "address": "address",
+    "zip": "zip",
+    "ssn": "ssn",
+    "credit_card": "card",
+    "age": "birthday",
+    "height": "height",
+    "weight": "weight",
+    "gender": "gender",
+    "medical_history": "surgery",
+    "medication": "dosage",
+    "blood": "glucose",
+    "mental_health": "anxiety",
+    "smoke_alcohol": "alcohol",
 }
 
 _VIEW_GETTERS = {
@@ -61,10 +67,10 @@ _STREAM_WRITE = "<java.io.OutputStream: void write(byte[])>"
 _FILE_WRITE = "<java.io.FileWriter: void write(java.lang.String)>"
 
 _SINK_SIG = {
-    DestCategory.LOCALSTORE: _PUT_STRING,
-    DestCategory.LOG: _LOG_D,
-    DestCategory.NET: _STREAM_WRITE,
-    DestCategory.FILEIO: _FILE_WRITE,
+    "localstore": _PUT_STRING,
+    "log": _LOG_D,
+    "net": _STREAM_WRITE,
+    "fileio": _FILE_WRITE,
 }
 
 _FLOW_ID_BASE = 0x7F090000
@@ -104,8 +110,8 @@ class FixtureSpec:
         lo, hi = self.chain_len
         if lo < 1 or hi < lo:
             raise InvalidSpec(f"chain_len must satisfy 1 <= lo <= hi, got {self.chain_len}")
-        _check_mix("pi_mix", self.pi_mix, [k.value for k in PiKind])
-        _check_mix("destination_mix", self.destination_mix, [c.value for c in DestCategory])
+        _check_mix("pi_mix", self.pi_mix, _KINDS)
+        _check_mix("destination_mix", self.destination_mix, _CATEGORIES)
 
     @classmethod
     def from_dict(cls, doc: dict) -> FixtureSpec:
@@ -136,8 +142,7 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _check_mix(name: str, mix: dict[str, float] | None, valid: list[str]) -> None:
-    """valid lists the names in the order generate passes their weights."""
+def _check_mix(name: str, mix: dict[str, float] | None, valid: tuple[str, ...]) -> None:
     if mix is None:
         return
     if not isinstance(mix, dict):
@@ -149,52 +154,24 @@ def _check_mix(name: str, mix: dict[str, float] | None, valid: list[str]) -> Non
         raise InvalidSpec(f"{name} weights must be finite nonnegative numbers")
     if not any(w > 0 for w in mix.values()):
         raise InvalidSpec(f"{name} needs at least one positive weight")
-    # random.choices totals the weights as a float this way, and raises if
-    # the total is not finite
+    # random.choices totals the weights generate passes it as a float this
+    # way, and raises if the total is not finite
     try:
-        total = list(itertools.accumulate(mix[k] for k in valid if mix.get(k, 0) > 0))[-1] + 0.0
+        total = list(itertools.accumulate(_weighted(mix, valid)[1]))[-1] + 0.0
     except OverflowError:  # an int weight too large for a float
         total = math.inf
     if not math.isfinite(total):
         raise InvalidSpec(f"{name} weights must have a finite sum")
 
 
-@dataclass(frozen=True)
-class PlantedLeak:
-    pi: PiKind
+class PlantedLeak(NamedTuple):
+    """One planted leak, spelled as detected_tuples spells the leak that finds it."""
+
+    pi: str
     party: str  # "first" | "third"
-    category: DestCategory
+    category: str
     source_id_name: str
     sink_sig: str
-
-    def as_tuple(self):
-        return (self.pi.value, self.party, self.category.value,
-                self.source_id_name, self.sink_sig)
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    leaks: tuple[PlantedLeak, ...] = field(default_factory=tuple)
-
-    def tuples(self) -> set[tuple]:
-        return {lk.as_tuple() for lk in self.leaks}
-
-
-def save_ground_truth(gt: GroundTruth, path) -> None:
-    lines = ["\t".join(lk.as_tuple()) for lk in gt.leaks]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def load_ground_truth(path) -> GroundTruth:
-    leaks = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        pi, party, category, id_name, sink_sig = line.split("\t")
-        leaks.append(
-            PlantedLeak(PiKind(pi), party, DestCategory(category), id_name, sink_sig)
-        )
-    return GroundTruth(tuple(leaks))
 
 
 def detected_tuples(report: dict) -> set[tuple]:
@@ -210,27 +187,20 @@ def detected_tuples(report: dict) -> set[tuple]:
 # generation
 
 
-def _weighted_kinds(mix: dict[str, float] | None):
+def _weighted(mix: dict[str, float] | None, names: tuple[str, ...]):
+    """The names a mix draws, in names order, and their weights; every name
+    at equal weight when there is no mix."""
     if mix is None:
-        return list(PiKind), None
-    kinds = sorted((PiKind(k) for k, w in mix.items() if w > 0),
-                   key=KIND_ORDER.__getitem__)
-    return kinds, [mix[k.value] for k in kinds]
+        return names, None
+    drawn = [n for n in names if mix.get(n, 0) > 0]
+    return drawn, [mix[n] for n in drawn]
 
 
-def _weighted_categories(mix: dict[str, float] | None):
-    if mix is None:
-        return list(DestCategory), None
-    cats = [c for c in DestCategory if mix.get(c.value, 0) > 0]
-    return cats, [mix[c.value] for c in cats]
-
-
-@dataclass
-class _Flow:
+class _Flow(NamedTuple):
     index: int
-    pi: PiKind
+    pi: str
     third: bool
-    category: DestCategory
+    category: str
     view_class: str
     id_name: str
     numeric_id: int
@@ -238,19 +208,19 @@ class _Flow:
     literal_arg: bool
 
 
-def _sink_lines(category: DestCategory, owner: str, value_reg: str):
+def _sink_lines(category: str, owner: str, value_reg: str):
     """Statements calling the category's sink on value_reg, plus any helper
     methods the owner class must declare."""
-    if category is DestCategory.LOCALSTORE:
+    if category == "localstore":
         stmts = [
             f"$ed = staticinvoke <{owner}: android.content.SharedPreferences$Editor prefs()>()",
             f'interfaceinvoke $ed.{_PUT_STRING}("k", {value_reg})',
         ]
         helpers = [("android.content.SharedPreferences$Editor prefs()", "return null")]
-    elif category is DestCategory.LOG:
+    elif category == "log":
         stmts = [f'staticinvoke {_LOG_D}("fx", {value_reg})']
         helpers = []
-    elif category is DestCategory.NET:
+    elif category == "net":
         stmts = [
             f"$by = virtualinvoke {value_reg}.<java.lang.String: byte[] getBytes()>()",
             f"$os = staticinvoke <{owner}: java.io.OutputStream netOut()>()",
@@ -266,8 +236,8 @@ def _sink_lines(category: DestCategory, owner: str, value_reg: str):
     return stmts, helpers
 
 
-def _flow_unit(flow: _Flow, pkg: str) -> tuple[str, str]:
-    """Render one planted flow as (class name, jtac text)."""
+def _flow_unit(flow: _Flow, pkg: str) -> str:
+    """Render one planted flow as jtac text."""
     cls = f"{pkg}.Flow{flow.index}"
     body = ["  r0 = this"]
     if flow.literal_arg:
@@ -303,25 +273,23 @@ def _flow_unit(flow: _Flow, pkg: str) -> tuple[str, str]:
         lines.append("")
         lines.append(f"method static {sig}:")
         lines.append(f"  {ret}")
-    return cls, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
-def _relay_unit(index: int) -> tuple[str, str]:
-    cls = f"io.fakelib.sdk{index}.Relay{index}"
-    text = (
-        f"class {cls}\n\n"
+def _relay_unit(index: int) -> str:
+    return (
+        f"class io.fakelib.sdk{index}.Relay{index}\n\n"
         "method static java.lang.String send(java.lang.String p0):\n"
         "  return p0\n"
     )
-    return cls, text
 
 
-def _decoy_unit(kind: int, index: int, pkg: str, id_name: str, numeric_id: int):
+def _decoy_unit(kind: int, index: int, pkg: str, numeric_id: int) -> str | None:
     """Decoy kinds: 0 = labeled view never looked up (no code unit);
     1 = sink fed only constants; 2 = taint stored to a field never read."""
     cls = f"{pkg}.Decoy{index}"
     if kind == 1:
-        text = (
+        return (
             f"class {cls}\n\n"
             "method void noop():\n"
             f"  $ed = staticinvoke <{cls}: android.content.SharedPreferences$Editor prefs()>()\n"
@@ -329,9 +297,8 @@ def _decoy_unit(kind: int, index: int, pkg: str, id_name: str, numeric_id: int):
             "method static android.content.SharedPreferences$Editor prefs():\n"
             "  return null\n"
         )
-        return cls, text
     if kind == 2:
-        text = (
+        return (
             f"class {cls} extends android.app.Activity\n\n"
             "field java.lang.String dead\n\n"
             "method void run():\n"
@@ -341,22 +308,21 @@ def _decoy_unit(kind: int, index: int, pkg: str, id_name: str, numeric_id: int):
             "  $t = virtualinvoke $v.<android.widget.EditText: java.lang.String getText()>()\n"
             f"  r0.<{cls}: java.lang.String dead> = $t\n"
         )
-        return cls, text
     return None  # kind 0: layout + rtable only
 
 
-def generate(spec: FixtureSpec, out_dir) -> tuple[Path, GroundTruth]:
+def generate(spec: FixtureSpec, out_dir) -> tuple[Path, tuple[PlantedLeak, ...]]:
     """Write the bundle described by spec into out_dir.
 
-    Returns the bundle directory and its ground truth; ground_truth.tsv is
+    Returns the bundle directory and its planted leaks; ground_truth.tsv is
     written inside the bundle so the oracle travels with the fixture.
     """
     out_dir = Path(out_dir)
     rng = random.Random(spec.seed)
     pkg = f"com.fx{spec.seed}.app"
 
-    kinds, kind_weights = _weighted_kinds(spec.pi_mix)
-    cats, cat_weights = _weighted_categories(spec.destination_mix)
+    kinds, kind_weights = _weighted(spec.pi_mix, _KINDS)
+    cats, cat_weights = _weighted(spec.destination_mix, _CATEGORIES)
     lo, hi = spec.chain_len
 
     flows = []
@@ -414,29 +380,22 @@ def generate(spec: FixtureSpec, out_dir) -> tuple[Path, GroundTruth]:
     )
 
     for f in flows:
-        cls, text = _flow_unit(f, pkg)
-        (out_dir / "code" / f"Flow{f.index}.jtac").write_text(text, encoding="utf-8")
+        (out_dir / "code" / f"Flow{f.index}.jtac").write_text(_flow_unit(f, pkg), encoding="utf-8")
         if f.third:
-            _, relay_text = _relay_unit(f.index)
             (out_dir / "code" / f"Relay{f.index}.jtac").write_text(
-                relay_text, encoding="utf-8"
+                _relay_unit(f.index), encoding="utf-8"
             )
-    for kind, j, name, num in decoys:
-        unit = _decoy_unit(kind, j, pkg, name, num)
-        if unit is not None:
-            (out_dir / "code" / f"Decoy{j}.jtac").write_text(unit[1], encoding="utf-8")
+    for kind, j, _, num in decoys:
+        text = _decoy_unit(kind, j, pkg, num)
+        if text is not None:
+            (out_dir / "code" / f"Decoy{j}.jtac").write_text(text, encoding="utf-8")
 
-    gt = GroundTruth(
-        tuple(
-            PlantedLeak(
-                pi=f.pi,
-                party="third" if f.third else "first",
-                category=f.category,
-                source_id_name=f.id_name,
-                sink_sig=_SINK_SIG[f.category],
-            )
-            for f in flows
-        )
+    truth = tuple(
+        PlantedLeak(f.pi, "third" if f.third else "first", f.category, f.id_name,
+                    _SINK_SIG[f.category])
+        for f in flows
     )
-    save_ground_truth(gt, out_dir / "ground_truth.tsv")
-    return out_dir, gt
+    (out_dir / "ground_truth.tsv").write_text(
+        "".join("\t".join(leak) + "\n" for leak in truth), encoding="utf-8"
+    )
+    return out_dir, truth

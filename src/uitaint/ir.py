@@ -660,7 +660,9 @@ _NOT_A_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
 def _xml_root(path: str, error: type[Exception]):
-    """The root element of the XML file at path; a syntax error raises error.
+    """The root element of the XML file at path; a syntax error, or an
+    encoding its XML declaration names that no text codec decodes, raises
+    error.
 
     ElementTree is imported here, not with the module, because loading the
     built-in configs needs this module but no XML.
@@ -669,7 +671,9 @@ def _xml_root(path: str, error: type[Exception]):
 
     try:
         return ElementTree.parse(path).getroot()
-    except ElementTree.ParseError as e:
+    # LookupError: an unknown or non-text codec; ValueError (and UnicodeError,
+    # a subclass): a codec the parser cannot drive, such as utf-32 or idna
+    except (ElementTree.ParseError, LookupError, ValueError) as e:
         raise error(f"{path}: {e}")
 
 

@@ -187,7 +187,7 @@ def test_criterion_5_oracle_corpus(tmp_path):
             bundle, truth = generate(spec, tmp_path / f"fx{k:03d}")
             report = analyze_bundle(bundle)
             detected = detected_tuples(report)
-            want = truth.tuples()
+            want = set(truth)
             assert detected >= want, f"fixture {k}: missed {want - detected}"
             assert detected <= want, f"fixture {k}: extras {detected - want}"
             planted += len(want)

@@ -516,6 +516,24 @@ def test_corpus_names_the_first_three_reports_of_no_bundle(tmp_path, capsys):
     assert (reports / "panic_shield.json").read_text() == "{}"
 
 
+@pytest.mark.parametrize("spelling", ["apps/reports", "apps/../apps/./reports", "symlink"])
+def test_corpus_skips_its_out_directory_under_apps(tmp_path, capsys, spelling):
+    apps = tmp_path / "apps"
+    shutil.copytree(DATA, apps)
+    if spelling == "symlink":  # apps/reports links to a directory outside apps
+        (tmp_path / "elsewhere").mkdir()
+        (apps / "reports").symlink_to(tmp_path / "elsewhere")
+        spelling = "apps/reports"
+    reports = tmp_path / spelling
+    runs = []
+    for _ in range(2):
+        assert main(["corpus", "--apps", str(apps), "--out", str(reports)]) == 0
+        assert capsys.readouterr().err.startswith("analyzed 2 bundles, 0 failed")
+        runs.append({p.name: p.read_bytes() for p in reports.iterdir()})
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]) == ["keep_yoga.json", "panic_shield.json"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_corpus_writes_other_reports_after_an_analyzer_bug(tmp_path, capsys, monkeypatch, jobs):
     apps = _gen_corpus(tmp_path)
