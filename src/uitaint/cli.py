@@ -175,10 +175,13 @@ def cmd_corpus(args) -> int:
 def cmd_aggregate(args) -> int:
     from .report import aggregate, export_csv, parse_report, write_summary
 
-    paths = sorted(Path(args.reports).glob("*.json"))
+    reports_dir = Path(args.reports)
+    out_dir = Path(args.out)
+    paths = sorted(reports_dir.glob("*.json"))
+    if out_dir.resolve() == reports_dir.resolve():  # an earlier run's summary is no report
+        paths = [p for p in paths if p.name != "summary.json"]
     reports = [parse_report(p) for p in paths]
     summary = aggregate(reports)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_summary(summary, out_dir / "summary.json")
     export_csv(summary, out_dir)

@@ -37,6 +37,7 @@ def analyze_bundle(app_dir, widgets=None, lexicon=None, sinks=None) -> dict:
     ]
 
     sources, diag = resolve_sources(bundle, [v for v in views if v.pi is not None])
-    graph = build_graph(bundle, sources, sinks)
-    leaks = extract_leaks(graph)
+    # the graph's one reference is extract_leaks's argument, so it is freed
+    # before the report is built
+    leaks = extract_leaks(build_graph(bundle, sources, sinks))
     return emit_report(bundle, views, leaks, diag, unmatched)

@@ -23,7 +23,7 @@ from .pi import CATEGORY_OF, KIND_ORDER, PI_GROUPS, DestCategory, PiKind
 if TYPE_CHECKING:  # aggregate, explain and the writers run without the analyzer
     from .gui import ViewElement
     from .ir import AppBundle, StmtId
-    from .sources_sinks import SourceDiagnostics
+    from .sources_sinks import SinkSpec, SourceDiagnostics
     from .taint import Leak
 
 SCHEMA_VERSION = 1
@@ -106,7 +106,9 @@ def emit_report(
     # each source's strings are computed once: an enum hashes and reads
     # .value in Python
     sources: dict[StmtId, tuple[dict, str, str]] = {}  # one source per statement
-    sinks: dict[tuple[StmtId, str], dict] = {}
+    # (sink statement, signature) -> (sink, spec, destination): one sink
+    # dict per key, also where a signature is registered in two categories
+    sinks: dict[tuple[StmtId, str], tuple[dict, SinkSpec, str]] = {}
     third, parties = Party.THIRD, (Party.FIRST.value, Party.THIRD.value)
     leak_docs = []
     for lk in leaks:
@@ -118,9 +120,13 @@ def emit_report(
             entry = sources[sp.stmt] = (fragment, pi.value, CATEGORY_OF[pi].value)
         source, kind, category = entry
         spec = lk.sink_spec
-        sink = sinks.get(key := (lk.sink_stmt, spec.signature))
-        if sink is None:
-            sink = sinks[key] = {"stmt": list(lk.sink_stmt), "signature": spec.signature}
+        entry = sinks.get(key := (lk.sink_stmt, spec.signature))
+        if entry is None:
+            sink = {"stmt": list(lk.sink_stmt), "signature": spec.signature}
+            entry = sinks[key] = (sink, spec, spec.category.value)
+        elif entry[1] is not spec:  # the signature's spec in another category
+            entry = sinks[key] = (entry[0], spec, spec.category.value)
+        sink, _, destination = entry
         path, path_text = [], []  # one lookup per statement
         for s in lk.path:
             step, text = steps[s]
@@ -130,7 +136,7 @@ def emit_report(
             "pi_kind": kind,
             "pi_category": category,
             "party": parties[lk.party is third],
-            "destination": spec.category.value,
+            "destination": destination,
             "source": source,
             "sink": sink,
             "path": path,
@@ -209,63 +215,66 @@ def serialize_report(doc: dict) -> str:
     the second time it is reached, so one that appears once costs a memo
     entry and no text. The document's last part holds the closing bracket
     and the final newline. The document must not change while it is
-    written. A value json cannot write raises TypeError.
+    written. A value json cannot write raises TypeError. The per-call
+    state is an argument of a module-level function, not a closure's, so a
+    call leaves no reference cycle and its memos die when it returns.
     """
-    # per depth: memo of containers by id, dict layouts by shape, separator,
-    # dict closer, list closer
-    levels: list[tuple[dict, dict, str, str, str]] = []
-    scalar = _SCALARS.get
-
-    def render(o, depth: int) -> str:  # any value but a str, int, float, bool or None
-        if depth == len(levels) - 1:  # add the children's level
-            close = "\n" + "  " * (depth + 1)
-            levels.append(({}, {}, ",\n  " + close[1:], close + "}", close + "]"))
-        memo, layouts, sep, dict_close, list_close = levels[depth]
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            shape = tuple(o)
-            layout = layouts.get(shape)
-            if layout is None:
-                layout = layouts[shape] = _dict_layout(shape, sep, dict_close)
-            get, parts = layout
-            values = get(o)
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            values, parts = o, None
-        else:  # a subclass of str, int or float, as json takes them
-            base = next((t for t in (str, int, float) if isinstance(o, t)), None)
-            if base is None:
-                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-            return _SCALARS[base](o)
-        child = depth + 1
-        child_memo = levels[child][0]
-        texts = []
-        append = texts.append
-        for v in values:
-            write = scalar(type(v))
-            if write is not None:
-                append(write(v))
-            else:
-                append(child_memo.get(id(v)) or render(v, child))
-        if parts is None:
-            texts[0] = "[" + sep[1:] + texts[0]
-            texts[-1] += list_close
-            text = sep.join(texts)
-        else:
-            parts = parts.copy()
-            parts[1::2] = texts
-            text = "".join(parts)
-        key = id(o)
-        memo[key] = text if key in memo else ""  # "": reached once, no text kept
-        return text
-
-    levels.append(({}, {}, ",\n  ", "\n}\n", "\n]\n"))  # the document ends in a newline
+    # the document ends in a newline
+    levels = [({}, {}, ",\n  ", "\n}\n", "\n]\n")]
     if isinstance(doc, (dict, list, tuple)) and doc:
-        return render(doc, 0)
-    write = scalar(type(doc))
-    return (render(doc, 0) if write is None else write(doc)) + "\n"
+        return _render(doc, 0, levels)
+    write = _SCALARS.get(type(doc))
+    return (_render(doc, 0, levels) if write is None else write(doc)) + "\n"
+
+
+def _render(o, depth: int, levels: list) -> str:
+    """The text of o, any value but a str, int, float, bool or None, at
+    depth; levels holds per depth the memo of containers by id, the dict
+    layouts by shape, the separator, the dict closer and the list closer."""
+    if depth == len(levels) - 1:  # add the children's level
+        close = "\n" + "  " * (depth + 1)
+        levels.append(({}, {}, ",\n  " + close[1:], close + "}", close + "]"))
+    memo, layouts, sep, dict_close, list_close = levels[depth]
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        shape = tuple(o)
+        layout = layouts.get(shape)
+        if layout is None:
+            layout = layouts[shape] = _dict_layout(shape, sep, dict_close)
+        get, parts = layout
+        values = get(o)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        values, parts = o, None
+    else:  # a subclass of str, int or float, as json takes them
+        base = next((t for t in (str, int, float) if isinstance(o, t)), None)
+        if base is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        return _SCALARS[base](o)
+    child = depth + 1
+    child_memo = levels[child][0]
+    scalar = _SCALARS.get
+    texts = []
+    append = texts.append
+    for v in values:
+        write = scalar(type(v))
+        if write is not None:
+            append(write(v))
+        else:
+            append(child_memo.get(id(v)) or _render(v, child, levels))
+    if parts is None:
+        texts[0] = "[" + sep[1:] + texts[0]
+        texts[-1] += list_close
+        text = sep.join(texts)
+    else:
+        parts = parts.copy()
+        parts[1::2] = texts
+        text = "".join(parts)
+    key = id(o)
+    memo[key] = text if key in memo else ""  # "": reached once, no text kept
+    return text
 
 
 def write_atomic(path, text: str) -> None:

@@ -251,34 +251,33 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
     """
     bundle = graph.bundle
     third = _third_party_classes(bundle.code_units, bundle.app_package)
+    # Enum.value is a Python-level property: read each spec's once per call
+    categories = [spec.category.value for spec in graph.sink_specs]
     keyed = []  # (sort key, leak)
     for sp, seed in graph.seeds.items():
         best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,), third)
         source_third = sp.stmt.cls in third
-        # sink keys are (sink statement, spec index): ints hash in C
-        hits: dict[tuple[StmtId, int], tuple[tuple[StmtId, ...], bool]] = {}  # (path, crossed)
+        # sink key (sink statement, spec index: ints hash in C) -> (best path
+        # to one of its feed nodes, crossed); only a winner gets the sink
+        hits: dict[tuple[StmtId, int], tuple[tuple[StmtId, ...], bool]] = {}
         crossing = set()  # sink keys that a crossed state feeds
         for (node, crossed), path in best.items():
             for key in graph.sink_feeds.get(node, ()):
-                cand = path + (key[0],)
                 if crossed:
                     crossing.add(key)
+                # every candidate of a key ends in the same sink statement,
+                # so comparing the paths without it picks the same winner
                 prev = hits.get(key)
-                if prev is None or (len(cand), cand) < (len(prev[0]), prev[0]):
-                    hits[key] = (cand, crossed)
+                if prev is None or (len(path), path) < (len(prev[0]), prev[0]):
+                    hits[key] = (path, crossed)
         for key, (path, crossed) in hits.items():
             sink_sid, index = key
             party = Party.THIRD if crossed or source_third or sink_sid.cls in third else Party.FIRST
             spec = graph.sink_specs[index]
             leak = Leak(
-                source=sp,
-                sink_stmt=sink_sid,
-                sink_spec=spec,
-                party=party,
-                path=path,
-                path_len=len(path) - 1,
-                alt_third_party_path=party is Party.FIRST and key in crossing,
+                sp, sink_sid, spec, party, path + (sink_sid,), len(path),
+                party is Party.FIRST and key in crossing,
             )
-            keyed.append(((sp.stmt, sink_sid, spec.category.value, spec.signature), leak))
+            keyed.append(((sp.stmt, sink_sid, categories[index], spec.signature), leak))
     keyed.sort(key=itemgetter(0))
     return [leak for _, leak in keyed]

@@ -534,6 +534,26 @@ def test_corpus_skips_its_out_directory_under_apps(tmp_path, capsys, spelling):
     assert sorted(runs[0]) == ["keep_yoga.json", "panic_shield.json"]
 
 
+@pytest.mark.parametrize("spelling", ["reports", "reports/../reports/.", "link"])
+def test_aggregate_into_its_reports_directory_skips_its_own_summary(tmp_path, capsys, spelling):
+    reports = tmp_path / "reports"
+    assert main(["corpus", "--apps", str(DATA), "--out", str(reports)]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    assert main(["aggregate", "--reports", str(reports), "--out", str(elsewhere)]) == 0
+    expected = {p.name: p.read_bytes() for p in elsewhere.iterdir()}
+    if spelling == "link":  # --out is a symlink to --reports
+        (tmp_path / "link").symlink_to(reports)
+    capsys.readouterr()
+    runs = []
+    for _ in range(2):
+        assert main(["aggregate", "--reports", str(reports), "--out", str(tmp_path / spelling)]) == 0
+        assert capsys.readouterr().err.startswith("aggregated 2 reports")
+        runs.append({p.name: p.read_bytes() for p in reports.iterdir()})
+    assert runs[0] == runs[1]
+    assert {name: runs[0][name] for name in expected} == expected
+    assert sorted(set(runs[0]) - set(expected)) == ["keep_yoga.json", "panic_shield.json"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_corpus_writes_other_reports_after_an_analyzer_bug(tmp_path, capsys, monkeypatch, jobs):
     apps = _gen_corpus(tmp_path)

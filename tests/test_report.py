@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import gc
 import itertools
 import json
 import tracemalloc
@@ -16,9 +17,12 @@ from uitaint.errors import EmptyCorpus
 from uitaint.fixtures import FixtureSpec, generate
 from uitaint.ir import StmtId, parse_bundle, render_statement
 from uitaint.pi import PiKind
+from uitaint.taint import TaintGraph
+from uitaint import pipeline
 from uitaint.pipeline import analyze_bundle
 from uitaint.report import (
     aggregate,
+    emit_report,
     export_csv,
     serialize_report,
     write_summary,
@@ -294,6 +298,70 @@ def test_report_shares_one_sink_dict_per_statement_and_signature_across_categori
     for a, b in itertools.product(leaks, repeat=2):
         assert (a["sink"] is b["sink"]) == (a["sink"] == b["sink"])
     assert serialize_report(doc) == _json_dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# memory held while one bundle is analyzed and its report written
+
+
+def test_no_taint_graph_is_alive_while_the_report_is_built(monkeypatch):
+    alive = []
+
+    def emit(bundle, *rest):
+        gc.collect()
+        alive.append(
+            sum(1 for o in gc.get_objects() if type(o) is TaintGraph and o.bundle is bundle)
+        )
+        return emit_report(bundle, *rest)
+
+    monkeypatch.setattr(pipeline, "emit_report", emit)
+    assert pipeline.analyze_bundle(PANIC)["leaks"]
+    assert alive == [0]
+
+
+def test_an_analysis_and_its_report_leave_no_reference_cycle(tmp_path):
+    """Everything one analysis and its report allocate is freed by
+    reference counting alone, so no garbage waits for the collector."""
+    bundle, _ = generate(FixtureSpec(seed=7, n_sources=40, n_decoys=4), tmp_path / "fx")
+    serialize_report(analyze_bundle(bundle))  # config memos and regex caches
+    gc.collect()
+    gc.disable()
+    try:
+        serialize_report(analyze_bundle(bundle))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(scope="module")
+def analysis_peaks(tmp_path_factory):
+    """n_sources -> (tracemalloc peak of one warm analysis and its report,
+    length of the report text) for the bench's 400-source spec and twice it."""
+    peaks = {}
+    for n in (400, 800):
+        spec = FixtureSpec(seed=7, n_sources=n, n_decoys=n // 10)
+        bundle, _ = generate(spec, tmp_path_factory.mktemp(f"fx{n}"))
+        serialize_report(analyze_bundle(bundle))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = serialize_report(analyze_bundle(bundle))
+            peaks[n] = tracemalloc.get_traced_memory()[1], len(text)
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_analysis_peak_memory_is_bounded_by_the_report_text(analysis_peaks):
+    """The graph is freed before the report is built: 4.7 times the text at
+    peak against 6.1 with the graph alive beside the document (Python 3.11)."""
+    peak, length = analysis_peaks[400]
+    assert length > 800_000
+    assert peak / length <= 5.4
+
+
+def test_analysis_peak_memory_grows_linearly_with_the_bundle(analysis_peaks):
+    assert analysis_peaks[800][0] / analysis_peaks[400][0] <= 2.2
 
 
 # ---------------------------------------------------------------------------
