@@ -15,11 +15,8 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _HOME = {
     "AnalysisError": "errors",
-    "DestCategory": "pi",
     "FixtureSpec": "fixtures",
     "Party": "taint",
-    "PiCategory": "pi",
-    "PiKind": "pi",
     "aggregate": "report",
     "analyze_bundle": "pipeline",
     "build_graph": "taint",

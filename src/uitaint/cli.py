@@ -138,8 +138,8 @@ def cmd_corpus(args) -> int:
     apps = sorted(p for p in apps_dir.iterdir() if p.is_dir() and apps_real / p.name not in outs)
     if not apps:
         raise EmptyCorpus(f"no app bundles under {apps_dir}")
-    # aggregate would count these as reports of this run
-    names = {p.name for p in apps}
+    # aggregate would count these as reports of this run; it skips its own summary
+    names = {p.name for p in apps} | {"summary"}
     strays = sorted(p.name for p in out_dir.glob("*.json") if p.stem not in names)
     if strays:
         more = f" and {len(strays) - 3} more" if len(strays) > 3 else ""

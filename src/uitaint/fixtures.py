@@ -17,13 +17,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import InvalidSpec
-from .pi import DestCategory, PiKind
+from .pi import DESTINATIONS, KINDS
 
 _MAX_SEED = 2**64 - 1
-
-# The names a mix may weight, in the order generate draws from them.
-_KINDS = tuple(k.value for k in PiKind)
-_CATEGORIES = tuple(c.value for c in DestCategory)
 
 # id-name stem per PI kind; every stem hits the default lexicon.
 _ID_STEM = {
@@ -110,8 +106,8 @@ class FixtureSpec:
         lo, hi = self.chain_len
         if lo < 1 or hi < lo:
             raise InvalidSpec(f"chain_len must satisfy 1 <= lo <= hi, got {self.chain_len}")
-        _check_mix("pi_mix", self.pi_mix, _KINDS)
-        _check_mix("destination_mix", self.destination_mix, _CATEGORIES)
+        _check_mix("pi_mix", self.pi_mix, KINDS)
+        _check_mix("destination_mix", self.destination_mix, DESTINATIONS)
 
     @classmethod
     def from_dict(cls, doc: dict) -> FixtureSpec:
@@ -321,8 +317,8 @@ def generate(spec: FixtureSpec, out_dir) -> tuple[Path, tuple[PlantedLeak, ...]]
     rng = random.Random(spec.seed)
     pkg = f"com.fx{spec.seed}.app"
 
-    kinds, kind_weights = _weighted(spec.pi_mix, _KINDS)
-    cats, cat_weights = _weighted(spec.destination_mix, _CATEGORIES)
+    kinds, kind_weights = _weighted(spec.pi_mix, KINDS)
+    cats, cat_weights = _weighted(spec.destination_mix, DESTINATIONS)
     lo, hi = spec.chain_len
 
     flows = []

@@ -15,9 +15,6 @@ from .errors import WidgetSyntaxError
 from .ir import LayoutDoc, RTable
 from .lines import config_lines
 
-# forward reference to pi.PiKind would be circular; the label field is typed
-# loosely and filled in by the classifier.
-
 
 # A dataclass, where the rest of the model is NamedTuples: bench/tracing.py
 # labels views with dataclasses.replace. The program builds each view with
@@ -32,7 +29,7 @@ class ViewElement:
     hint: str | None
     text: str | None
     layout_file: str
-    pi: object | None = None  # PiKind once classified
+    pi: str | None = None  # one of pi.KINDS once classified
 
 
 class WidgetRegistry(NamedTuple):

@@ -9,98 +9,50 @@ from __future__ import annotations
 
 import functools
 import re
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import DuplicateTerm, LexiconSyntaxError
 from .lines import config_lines
 
 
-class PiCategory(Enum):
-    IDENTITY = "identity"
-    ANTHROPOMETRIC = "anthropometric"
-    MEDICAL = "medical"
-
-
-class PiKind(Enum):
-    """Concrete kinds of personal information an input widget can collect.
-
-    FIRST_NAME and LAST_NAME are the two halves of a person's name and are
-    folded into a single "name" row by prevalence reporting.
-    """
-
-    EMAIL = "email"
-    FIRST_NAME = "first_name"
-    LAST_NAME = "last_name"
-    PHONE = "phone"
-    ADDRESS = "address"
-    ZIP = "zip"
-    SSN = "ssn"
-    CREDIT_CARD = "credit_card"
-    AGE = "age"
-    HEIGHT = "height"
-    WEIGHT = "weight"
-    GENDER = "gender"
-    MEDICAL_HISTORY = "medical_history"
-    MEDICATION = "medication"
-    BLOOD = "blood"
-    MENTAL_HEALTH = "mental_health"
-    SMOKE_ALCOHOL = "smoke_alcohol"
-
-
-class DestCategory(Enum):
-    """Where a sink sends the data it is given.
-
-    It sits beside the PI enums, not with the sink registry, so that code
-    reading reports needs neither the registry nor the IR.
-    """
-
-    NET = "net"
-    LOCALSTORE = "localstore"
-    LOG = "log"
-    FILEIO = "fileio"
-
-
-KIND_ORDER = {kind: i for i, kind in enumerate(PiKind)}
-
+# Each kind of personal information an input widget can collect, and its
+# category, spelled as reports spell them. This order breaks the lexicon's
+# ties and orders the summary's pi_by_destination rows and the generator's
+# draws.
+# first_name and last_name are the two halves of a person's name and are
+# folded into a single "name" row by prevalence reporting.
 CATEGORY_OF = {
-    PiKind.EMAIL: PiCategory.IDENTITY,
-    PiKind.FIRST_NAME: PiCategory.IDENTITY,
-    PiKind.LAST_NAME: PiCategory.IDENTITY,
-    PiKind.PHONE: PiCategory.IDENTITY,
-    PiKind.ADDRESS: PiCategory.IDENTITY,
-    PiKind.ZIP: PiCategory.IDENTITY,
-    PiKind.SSN: PiCategory.IDENTITY,
-    PiKind.CREDIT_CARD: PiCategory.IDENTITY,
-    PiKind.AGE: PiCategory.ANTHROPOMETRIC,
-    PiKind.HEIGHT: PiCategory.ANTHROPOMETRIC,
-    PiKind.WEIGHT: PiCategory.ANTHROPOMETRIC,
-    PiKind.GENDER: PiCategory.ANTHROPOMETRIC,
-    PiKind.MEDICAL_HISTORY: PiCategory.MEDICAL,
-    PiKind.MEDICATION: PiCategory.MEDICAL,
-    PiKind.BLOOD: PiCategory.MEDICAL,
-    PiKind.MENTAL_HEALTH: PiCategory.MEDICAL,
-    PiKind.SMOKE_ALCOHOL: PiCategory.MEDICAL,
+    "email": "identity",
+    "first_name": "identity",
+    "last_name": "identity",
+    "phone": "identity",
+    "address": "identity",
+    "zip": "identity",
+    "ssn": "identity",
+    "credit_card": "identity",
+    "age": "anthropometric",
+    "height": "anthropometric",
+    "weight": "anthropometric",
+    "gender": "anthropometric",
+    "medical_history": "medical",
+    "medication": "medical",
+    "blood": "medical",
+    "mental_health": "medical",
+    "smoke_alcohol": "medical",
 }
+KINDS = tuple(CATEGORY_OF)
+KIND_ORDER = {kind: i for i, kind in enumerate(KINDS)}
+
+# Where a sink sends the data it is given, in the order of the summary's
+# destination tables and the generator's draws. It sits beside the PI kinds,
+# not with the sink registry, so that code reading reports needs neither the
+# registry nor the IR.
+DESTINATIONS = ("net", "localstore", "log", "fileio")
 
 # The sixteen reportable kinds: name is one entry backed by two halves.
-PI_GROUPS: tuple[tuple[str, tuple[PiKind, ...]], ...] = (
-    ("email", (PiKind.EMAIL,)),
-    ("name", (PiKind.FIRST_NAME, PiKind.LAST_NAME)),
-    ("phone", (PiKind.PHONE,)),
-    ("address", (PiKind.ADDRESS,)),
-    ("zip", (PiKind.ZIP,)),
-    ("ssn", (PiKind.SSN,)),
-    ("credit_card", (PiKind.CREDIT_CARD,)),
-    ("age", (PiKind.AGE,)),
-    ("height", (PiKind.HEIGHT,)),
-    ("weight", (PiKind.WEIGHT,)),
-    ("gender", (PiKind.GENDER,)),
-    ("medical_history", (PiKind.MEDICAL_HISTORY,)),
-    ("medication", (PiKind.MEDICATION,)),
-    ("blood", (PiKind.BLOOD,)),
-    ("mental_health", (PiKind.MENTAL_HEALTH,)),
-    ("smoke_alcohol", (PiKind.SMOKE_ALCOHOL,)),
+PI_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = tuple(
+    ("name", ("first_name", "last_name")) if kind == "first_name" else (kind, (kind,))
+    for kind in KINDS if kind != "last_name"
 )
 
 
@@ -121,7 +73,7 @@ def tokenize(s: str) -> list[str]:
 
 class LexEntry(NamedTuple):
     tokens: tuple[str, ...]
-    kind: PiKind
+    kind: str
 
 
 class Lexicon:
@@ -131,7 +83,7 @@ class Lexicon:
     __slots__ = ("entries", "terms", "longest")
 
     def __init__(self, entries: tuple[LexEntry, ...]):
-        missing = [k.value for k in PiKind if not any(e.kind == k for e in entries)]
+        missing = [k for k in KINDS if not any(e.kind == k for e in entries)]
         if missing:
             raise LexiconSyntaxError(f"kinds without terms: {', '.join(missing)}")
         # term tokens -> (-weight, kind order, kind) of the term's best entry,
@@ -163,16 +115,15 @@ def load_lexicon(path) -> Lexicon:
         kind_name, sep, term = line.partition("\t")
         if not sep:
             raise LexiconSyntaxError(f"{where}: expected '<kind>\\t<term>'")
-        try:
-            kind = PiKind(kind_name.strip())
-        except ValueError:
+        kind = kind_name.strip()
+        if kind not in CATEGORY_OF:
             raise LexiconSyntaxError(f"{where}: unknown kind {kind_name!r}")
         tokens = tuple(t.lower() for t in term.split())
         # tokenize() keeps only ASCII letters, so no other term can match
         if not tokens or not all(re.fullmatch("[a-z]+", t) for t in tokens):
             raise LexiconSyntaxError(f"{where}: bad term {term!r}")
         if (kind, tokens) in seen:
-            raise DuplicateTerm(f"{where}: duplicate term {term!r} for {kind.value}")
+            raise DuplicateTerm(f"{where}: duplicate term {term!r} for {kind}")
         seen.add((kind, tokens))
         entries.append(LexEntry(tokens, kind))
     return Lexicon(tuple(sorted(entries, key=lambda e: (KIND_ORDER[e.kind], e.tokens))))
@@ -182,7 +133,7 @@ def load_default_lexicon() -> Lexicon:
     return load_lexicon(None)
 
 
-def classify(view, lexicon: Lexicon) -> PiKind | None:
+def classify(view, lexicon: Lexicon) -> str | None:
     """Label one view element, or None if no signal matches the lexicon.
 
     Signals are tried in priority order id_name > hint > text; the first

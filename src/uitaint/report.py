@@ -18,29 +18,27 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import BadEnvironment, EmptyCorpus, ReportError
-from .pi import CATEGORY_OF, KIND_ORDER, PI_GROUPS, DestCategory, PiKind
+from .pi import CATEGORY_OF, DESTINATIONS, KIND_ORDER, KINDS, PI_GROUPS
 
 if TYPE_CHECKING:  # aggregate, explain and the writers run without the analyzer
     from .gui import ViewElement
     from .ir import AppBundle, StmtId
-    from .sources_sinks import SinkSpec, SourceDiagnostics
+    from .sources_sinks import SourceDiagnostics
     from .taint import Leak
 
 SCHEMA_VERSION = 1
 
-_CATEGORIES = tuple(c.value for c in DestCategory)
 _PARTIES = ("first", "third")
-_KINDS = tuple(k.value for k in PiKind)
 
 # what aggregate and explain read from each leak and view of a report file
 _ITEM_CHECKS = {
     "leaks": {
         "party": _PARTIES.__contains__,
-        "destination": _CATEGORIES.__contains__,
-        "pi_kind": _KINDS.__contains__,
+        "destination": DESTINATIONS.__contains__,
+        "pi_kind": KINDS.__contains__,
         "path_text": lambda x: isinstance(x, list) and len(x) > 0,
     },
-    "views": {"pi_kind": _KINDS.__contains__, "view_class": lambda x: isinstance(x, str)},
+    "views": {"pi_kind": KINDS.__contains__, "view_class": lambda x: isinstance(x, str)},
 }
 
 
@@ -67,8 +65,8 @@ def _view_doc(v: ViewElement):
         "text": v.text,
     }
     if v.pi is not None:
-        doc["pi_kind"] = v.pi.value
-        doc["pi_category"] = CATEGORY_OF[v.pi].value
+        doc["pi_kind"] = v.pi
+        doc["pi_category"] = CATEGORY_OF[v.pi]
     return doc
 
 
@@ -103,40 +101,30 @@ def emit_report(
         for s in lk.path:
             if s not in steps:
                 steps[s] = (list(s), render_statement(bundle.statement(s)))
-    # each source's strings are computed once: an enum hashes and reads
-    # .value in Python
-    sources: dict[StmtId, tuple[dict, str, str]] = {}  # one source per statement
-    # (sink statement, signature) -> (sink, spec, destination): one sink
-    # dict per key, also where a signature is registered in two categories
-    sinks: dict[tuple[StmtId, str], tuple[dict, SinkSpec, str]] = {}
+    sources: dict[StmtId, dict] = {}  # one source dict per statement
+    # one sink dict per (sink statement, signature), also where a signature
+    # is registered in two categories
+    sinks: dict[tuple[StmtId, str], dict] = {}
     third, parties = Party.THIRD, (Party.FIRST.value, Party.THIRD.value)
     leak_docs = []
     for lk in leaks:
-        sp = lk.source
-        entry = sources.get(sp.stmt)
-        if entry is None:
-            pi = sp.view.pi
-            fragment = {"stmt": list(sp.stmt), "view": _view_doc(sp.view)}
-            entry = sources[sp.stmt] = (fragment, pi.value, CATEGORY_OF[pi].value)
-        source, kind, category = entry
-        spec = lk.sink_spec
-        entry = sinks.get(key := (lk.sink_stmt, spec.signature))
-        if entry is None:
-            sink = {"stmt": list(lk.sink_stmt), "signature": spec.signature}
-            entry = sinks[key] = (sink, spec, spec.category.value)
-        elif entry[1] is not spec:  # the signature's spec in another category
-            entry = sinks[key] = (entry[0], spec, spec.category.value)
-        sink, _, destination = entry
+        sp, spec = lk.source, lk.sink_spec
+        source = sources.get(sp.stmt)
+        if source is None:
+            source = sources[sp.stmt] = {"stmt": list(sp.stmt), "view": _view_doc(sp.view)}
+        sink = sinks.get(key := (lk.sink_stmt, spec.signature))
+        if sink is None:
+            sink = sinks[key] = {"stmt": list(lk.sink_stmt), "signature": spec.signature}
         path, path_text = [], []  # one lookup per statement
         for s in lk.path:
             step, text = steps[s]
             path.append(step)
             path_text.append(text)
         leak_docs.append({
-            "pi_kind": kind,
-            "pi_category": category,
+            "pi_kind": sp.view.pi,
+            "pi_category": CATEGORY_OF[sp.view.pi],
             "party": parties[lk.party is third],
-            "destination": destination,
+            "destination": spec.category,
             "source": source,
             "sink": sink,
             "path": path,
@@ -348,26 +336,25 @@ def aggregate(reports: list[dict]) -> dict:
         raise EmptyCorpus("no reports to aggregate")
 
     per_app_party = []  # (first_count, third_count) per report
-    dest_party = {c: {p: 0 for p in _PARTIES} for c in _CATEGORIES}
-    pi_dest_apps = {k: {c: set() for c in _CATEGORIES} for k in PiKind}
+    dest_party = {c: {p: 0 for p in _PARTIES} for c in DESTINATIONS}
+    pi_dest_apps = {k: {c: set() for c in DESTINATIONS} for k in KINDS}
     collectors = {name: set() for name, _ in PI_GROUPS}
-    view_counter: dict[str, dict[PiKind, int]] = {}
+    view_counter: dict[str, dict[str, int]] = {}
 
     for idx, report in enumerate(reports):
         first = third = 0
         for leak in report["leaks"]:
             party = leak["party"]
             dest = leak["destination"]
-            kind = PiKind(leak["pi_kind"])
             dest_party[dest][party] += 1
-            pi_dest_apps[kind][dest].add(idx)
+            pi_dest_apps[leak["pi_kind"]][dest].add(idx)
             if party == "first":
                 first += 1
             else:
                 third += 1
         per_app_party.append((first, third))
         for view in report["views"]:
-            kind = PiKind(view["pi_kind"])
+            kind = view["pi_kind"]
             for name, kinds in PI_GROUPS:
                 if kind in kinds:
                     collectors[name].add(idx)
@@ -393,7 +380,7 @@ def aggregate(reports: list[dict]) -> dict:
             leak_stats[basis] = {"apps": 0, "first": None, "third": None, "total": None}
 
     destinations = []
-    for cat in _CATEGORIES:
+    for cat in DESTINATIONS:
         first = dest_party[cat]["first"]
         third = dest_party[cat]["third"]
         leaks = first + third
@@ -404,11 +391,9 @@ def aggregate(reports: list[dict]) -> dict:
         )
 
     pi_by_destination = []
-    for kind in PiKind:
-        cells = {c: len(pi_dest_apps[kind][c]) for c in _CATEGORIES}
-        pi_by_destination.append(
-            {"pi": kind.value, **cells, "total": sum(cells.values())}
-        )
+    for kind in KINDS:
+        cells = {c: len(pi_dest_apps[kind][c]) for c in DESTINATIONS}
+        pi_by_destination.append({"pi": kind, **cells, "total": sum(cells.values())})
 
     prevalence = [
         {
@@ -432,7 +417,7 @@ def aggregate(reports: list[dict]) -> dict:
                 "view_class": view_class,
                 "views": count,
                 "share": round(count / labeled_total, 4) if labeled_total else 0.0,
-                "top_pi": ";".join(f"{k.value}:{n}" for k, n in top),
+                "top_pi": ";".join(f"{k}:{n}" for k, n in top),
             }
         )
 
@@ -472,8 +457,8 @@ def export_csv(summary: dict, out_dir) -> list[Path]:
                     [basis, party, cell["median"], f"{cell['average']:.2f}", cell["max"]]
                 )
     pi_rows = summary["pi_by_destination"]
-    col_totals = [sum(row[c] for row in pi_rows) for c in _CATEGORIES]
-    pi_table = [[row["pi"], *(row[c] for c in _CATEGORIES), row["total"]] for row in pi_rows]
+    col_totals = [sum(row[c] for row in pi_rows) for c in DESTINATIONS]
+    pi_table = [[row["pi"], *(row[c] for c in DESTINATIONS), row["total"]] for row in pi_rows]
     pi_table.append(["total", *col_totals, sum(col_totals)])
     tables = (
         ("leak_stats.csv", ["basis", "party", "median", "average", "max"], leak_stats),
@@ -483,7 +468,7 @@ def export_csv(summary: dict, out_dir) -> list[Path]:
             [[row["destination"], row["leaks"], f"{row['pct_of_leaks']:.2f}",
               row["first"], row["third"]] for row in summary["destinations"]],
         ),
-        ("pi_by_destination.csv", ["pi", *_CATEGORIES, "total"], pi_table),
+        ("pi_by_destination.csv", ["pi", *DESTINATIONS, "total"], pi_table),
         (
             "prevalence.csv",
             ["pi", "apps_collecting", "fraction"],

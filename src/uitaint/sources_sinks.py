@@ -27,7 +27,7 @@ from .ir import (
     parse_method_sig,
 )
 from .lines import config_lines
-from .pi import DestCategory
+from .pi import DESTINATIONS
 
 
 class SinkSpec(NamedTuple):
@@ -39,7 +39,7 @@ class SinkSpec(NamedTuple):
     the renderer spells it.
     """
 
-    category: DestCategory
+    category: str  # one of pi.DESTINATIONS
     sig: MethodSig
     positions: frozenset[str]
     signature: str
@@ -104,11 +104,9 @@ def load_sinks(path) -> SinkRegistry:
         parts = line.split("\t")
         if len(parts) != 3:
             raise SinkSyntaxError(f"{where}: expected '<category>\\t<signature>\\t<positions>'")
-        cat_name, sig_text, pos_text = (p.strip() for p in parts)
-        try:
-            category = DestCategory(cat_name)
-        except ValueError:
-            raise SinkSyntaxError(f"{where}: unknown category {cat_name!r}")
+        category, sig_text, pos_text = (p.strip() for p in parts)
+        if category not in DESTINATIONS:
+            raise SinkSyntaxError(f"{where}: unknown category {category!r}")
         try:
             sig = parse_method_sig(sig_text)
         except IrSyntaxError as e:

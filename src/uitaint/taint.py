@@ -251,8 +251,6 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
     """
     bundle = graph.bundle
     third = _third_party_classes(bundle.code_units, bundle.app_package)
-    # Enum.value is a Python-level property: read each spec's once per call
-    categories = [spec.category.value for spec in graph.sink_specs]
     keyed = []  # (sort key, leak)
     for sp, seed in graph.seeds.items():
         best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,), third)
@@ -278,6 +276,6 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
                 sp, sink_sid, spec, party, path + (sink_sid,), len(path),
                 party is Party.FIRST and key in crossing,
             )
-            keyed.append(((sp.stmt, sink_sid, categories[index], spec.signature), leak))
+            keyed.append(((sp.stmt, sink_sid, spec.category, spec.signature), leak))
     keyed.sort(key=itemgetter(0))
     return [leak for _, leak in keyed]

@@ -36,7 +36,7 @@ from uitaint.ir import (
     parse_code_unit,
     render_code_unit,
 )
-from uitaint.pi import KIND_ORDER, PiKind, tokenize
+from uitaint.pi import KIND_ORDER, tokenize
 from uitaint.taint import classify_package, package_of
 
 DATA = Path(__file__).parent / "data"
@@ -141,8 +141,7 @@ _RELAY = f"<{MINI_RELAY_CLS}: java.lang.String send(java.lang.String)>"
 
 def mini_labeled_views():
     return [
-        ViewElement("EditText", f"emailField{n}", n, None, None, "main.xml",
-                    PiKind.EMAIL)
+        ViewElement("EditText", f"emailField{n}", n, None, None, "main.xml", "email")
         for n in MINI_IDS
     ]
 

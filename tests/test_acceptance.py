@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from uitaint.cli import main as cli_main
 from uitaint.fixtures import FixtureSpec, detected_tuples, generate
 from uitaint.gui import ViewElement
-from uitaint.pi import PiKind, load_default_lexicon, classify
+from uitaint.pi import load_default_lexicon, classify
 from uitaint.pipeline import analyze_bundle
 from uitaint.report import aggregate
 from uitaint.sources_sinks import load_default_sinks, resolve_sources
@@ -85,22 +85,22 @@ def test_criterion_2_third_party_golden_trace():
 
 
 ADJACENT_TERMS = [
-    ("surgery", PiKind.MEDICAL_HISTORY),
-    ("allergy", PiKind.MEDICAL_HISTORY),
-    ("prescription", PiKind.MEDICATION),
-    ("dosage", PiKind.MEDICATION),
-    ("dose", PiKind.MEDICATION),
-    ("drug", PiKind.MEDICATION),
-    ("glucose", PiKind.BLOOD),
-    ("cholesterol", PiKind.BLOOD),
-    ("oxygen", PiKind.BLOOD),
-    ("pressure", PiKind.BLOOD),
-    ("stress", PiKind.MENTAL_HEALTH),
-    ("panic", PiKind.MENTAL_HEALTH),
-    ("anxiety", PiKind.MENTAL_HEALTH),
-    ("depress", PiKind.MENTAL_HEALTH),
-    ("weightEditText", PiKind.WEIGHT),
-    ("user_birthday_button", PiKind.AGE),
+    ("surgery", "medical_history"),
+    ("allergy", "medical_history"),
+    ("prescription", "medication"),
+    ("dosage", "medication"),
+    ("dose", "medication"),
+    ("drug", "medication"),
+    ("glucose", "blood"),
+    ("cholesterol", "blood"),
+    ("oxygen", "blood"),
+    ("pressure", "blood"),
+    ("stress", "mental_health"),
+    ("panic", "mental_health"),
+    ("anxiety", "mental_health"),
+    ("depress", "mental_health"),
+    ("weightEditText", "weight"),
+    ("user_birthday_button", "age"),
 ]
 
 
@@ -111,7 +111,7 @@ def test_criterion_3_classifier_conformance():
         for id_name, want in ADJACENT_TERMS:
             view = ViewElement("EditText", id_name, 1, None, None, "a.xml")
             got = classify(view, lexicon)
-            if got is not want:
+            if got != want:
                 failures.append((id_name, want, got))
         assert not failures, failures
         info["note"] = f" ({len(ADJACENT_TERMS)} terms)"

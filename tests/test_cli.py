@@ -554,6 +554,22 @@ def test_aggregate_into_its_reports_directory_skips_its_own_summary(tmp_path, ca
     assert sorted(set(runs[0]) - set(expected)) == ["keep_yoga.json", "panic_shield.json"]
 
 
+def test_corpus_runs_again_after_aggregate_into_its_out(tmp_path, capsys):
+    reports = tmp_path / "reports"
+    states = []  # the directory's files after each step
+    for _ in range(2):
+        assert main(["corpus", "--apps", str(DATA), "--out", str(reports)]) == 0
+        states.append({p.name: p.read_bytes() for p in reports.iterdir()})
+        assert main(["aggregate", "--reports", str(reports), "--out", str(reports)]) == 0
+        assert capsys.readouterr().err.splitlines()[-1].startswith("aggregated 2 reports")
+        states.append({p.name: p.read_bytes() for p in reports.iterdir()})
+    reports_only = ["keep_yoga.json", "panic_shield.json"]
+    assert sorted(states[0]) == reports_only
+    assert states[1] == states[2] == states[3]
+    assert {name: states[1][name] for name in reports_only} == states[0]
+    assert "summary.json" in states[1]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_corpus_writes_other_reports_after_an_analyzer_bug(tmp_path, capsys, monkeypatch, jobs):
     apps = _gen_corpus(tmp_path)

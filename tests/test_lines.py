@@ -13,7 +13,7 @@ from uitaint.errors import (
 from uitaint.gui import load_widget_registry
 from uitaint import ir
 from uitaint.ir import parse_bundle
-from uitaint.pi import PiKind, load_lexicon
+from uitaint.pi import KINDS, load_lexicon
 from uitaint.sources_sinks import load_sinks
 from conftest import typed, write_bundle
 
@@ -37,7 +37,7 @@ READERS = {
     ),
     "lexicon": (
         load_lexicon, "email\temail", "phone\tmobile number", "phone\tmobile\x0cnumber",
-        "email", [f"{k.value}\tzz{k.value.replace('_', '')}" for k in PiKind],
+        "email", [f"{k}\tzz{k.replace('_', '')}" for k in KINDS],
         LexiconSyntaxError,
     ),
     "sinks": (

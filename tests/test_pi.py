@@ -14,12 +14,12 @@ from uitaint.errors import DuplicateTerm, LexiconSyntaxError
 from uitaint.gui import ViewElement
 from uitaint.pi import (
     CATEGORY_OF,
+    DESTINATIONS,
     KIND_ORDER,
+    KINDS,
     PI_GROUPS,
     LexEntry,
     Lexicon,
-    PiCategory,
-    PiKind,
     classify,
     load_default_lexicon,
     load_lexicon,
@@ -56,21 +56,21 @@ def test_tokenize(raw, tokens):
 @pytest.mark.parametrize(
     "id_name,kind",
     [
-        ("weightEditText", PiKind.WEIGHT),
-        ("user_birthday_button", PiKind.AGE),
-        ("fear8name", PiKind.MENTAL_HEALTH),
-        ("genderSwitch", PiKind.GENDER),
-        ("firstNameInput", PiKind.FIRST_NAME),
-        ("et_surname", PiKind.LAST_NAME),
-        ("emailAddressField", PiKind.EMAIL),
-        ("phone_number", PiKind.PHONE),
-        ("zipCode", PiKind.ZIP),
-        ("ssnEntry", PiKind.SSN),
-        ("creditCardNumber", PiKind.CREDIT_CARD),
-        ("heightPicker", PiKind.HEIGHT),
-        ("allergyList", PiKind.MEDICAL_HISTORY),
-        ("glucoseReading", PiKind.BLOOD),
-        ("cigarettesPerDay", PiKind.SMOKE_ALCOHOL),
+        ("weightEditText", "weight"),
+        ("user_birthday_button", "age"),
+        ("fear8name", "mental_health"),
+        ("genderSwitch", "gender"),
+        ("firstNameInput", "first_name"),
+        ("et_surname", "last_name"),
+        ("emailAddressField", "email"),
+        ("phone_number", "phone"),
+        ("zipCode", "zip"),
+        ("ssnEntry", "ssn"),
+        ("creditCardNumber", "credit_card"),
+        ("heightPicker", "height"),
+        ("allergyList", "medical_history"),
+        ("glucoseReading", "blood"),
+        ("cigarettesPerDay", "smoke_alcohol"),
         ("submitButton", None),
     ],
 )
@@ -81,36 +81,36 @@ def test_classify_by_id_name(id_name, kind):
 def test_longest_term_wins():
     # tokens [blood, pressure, medication]: "medication" (10 chars) beats
     # "pressure" (8) and "blood" (5)
-    assert classify(_view(id_name="blood_pressure_medication"), LEX) == PiKind.MEDICATION
+    assert classify(_view(id_name="blood_pressure_medication"), LEX) == "medication"
     # "email address" (12) beats "address" (7)
-    assert classify(_view(id_name="emailAddressLine"), LEX) == PiKind.EMAIL
+    assert classify(_view(id_name="emailAddressLine"), LEX) == "email"
 
 
 def test_equal_weight_breaks_by_kind_order():
-    # "email" and "blood" both weigh 5; EMAIL is declared first
-    assert classify(_view(id_name="emailBlood"), LEX) == PiKind.EMAIL
+    # "email" and "blood" both weigh 5; email is declared first
+    assert classify(_view(id_name="emailBlood"), LEX) == "email"
 
 
 def test_multi_token_terms_must_be_contiguous():
     lex = Lexicon(
         tuple(
-            [LexEntry(("credit", "card"), PiKind.CREDIT_CARD)]
+            [LexEntry(("credit", "card"), "credit_card")]
             + [
-                LexEntry((f"zz{k.value.replace('_', '')}",), k)
-                for k in PiKind
-                if k is not PiKind.CREDIT_CARD
+                LexEntry((f"zz{k.replace('_', '')}",), k)
+                for k in KINDS
+                if k != "credit_card"
             ]
         )
     )
-    assert classify(_view(id_name="creditCardField"), lex) == PiKind.CREDIT_CARD
+    assert classify(_view(id_name="creditCardField"), lex) == "credit_card"
     assert classify(_view(id_name="creditLimitCard"), lex) is None
 
 
 def test_signal_priority_id_over_hint_over_text():
-    assert classify(_view(id_name="weightField", hint="email"), LEX) == PiKind.WEIGHT
-    assert classify(_view(id_name="inputBox", hint="Add a fear"), LEX) == PiKind.MENTAL_HEALTH
+    assert classify(_view(id_name="weightField", hint="email"), LEX) == "weight"
+    assert classify(_view(id_name="inputBox", hint="Add a fear"), LEX) == "mental_health"
     assert classify(_view(id_name="inputBox", hint="choose one", text="smoker?"), LEX) \
-        == PiKind.SMOKE_ALCOHOL
+        == "smoke_alcohol"
     assert classify(_view(), LEX) is None
 
 
@@ -120,7 +120,7 @@ def test_signal_priority_id_over_hint_over_text():
 )
 def test_id_match_is_immune_to_hint_and_text(hint, text):
     assert classify(_view(id_name="weightEditText", hint=hint, text=text), LEX) \
-        == PiKind.WEIGHT
+        == "weight"
 
 
 @given(st.sampled_from(sorted(LEX.entries, key=str)))
@@ -133,13 +133,21 @@ def test_every_default_term_classifies_to_its_kind_alone(entry):
 
 
 def test_taxonomy_shape():
-    assert len(PiKind) == 17
-    assert set(CATEGORY_OF) == set(PiKind)
-    assert set(CATEGORY_OF.values()) <= set(PiCategory)
+    # these orders set the CSV rows and columns, the summary's
+    # pi_by_destination rows and the lexicon's tie-break between kinds
+    assert KINDS == (
+        "email", "first_name", "last_name", "phone", "address", "zip", "ssn",
+        "credit_card", "age", "height", "weight", "gender", "medical_history",
+        "medication", "blood", "mental_health", "smoke_alcohol",
+    )
+    assert DESTINATIONS == ("net", "localstore", "log", "fileio")
+    assert tuple(CATEGORY_OF) == KINDS
+    assert list(CATEGORY_OF.values()) == ["identity"] * 8 + ["anthropometric"] * 4 + ["medical"] * 5
+    assert KIND_ORDER == {k: i for i, k in enumerate(KINDS)}
     assert len(PI_GROUPS) == 16
     grouped = [k for _, kinds in PI_GROUPS for k in kinds]
-    assert sorted(grouped, key=lambda k: k.value) == sorted(PiKind, key=lambda k: k.value)
-    assert dict(PI_GROUPS)["name"] == (PiKind.FIRST_NAME, PiKind.LAST_NAME)
+    assert grouped == list(KINDS)
+    assert dict(PI_GROUPS)["name"] == ("first_name", "last_name")
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +164,7 @@ def test_lexicon_line_order_is_immaterial(tmp_path):
 
 
 def _minimal_lines():
-    return [f"{k.value}\tzz{k.value.replace('_', '')}" for k in PiKind]
+    return [f"{k}\tzz{k.replace('_', '')}" for k in KINDS]
 
 
 def test_lexicon_requires_every_kind(tmp_path):
@@ -189,7 +197,7 @@ def test_lexicon_comments_and_case(tmp_path):
     p = tmp_path / "lex.tsv"
     p.write_text("# comment\n" + "\n".join(_minimal_lines()) + "\nemail\tE Mail\n")
     lex = load_lexicon(p)
-    assert LexEntry(("e", "mail"), PiKind.EMAIL) in lex.entries
+    assert LexEntry(("e", "mail"), "email") in lex.entries
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +229,9 @@ _SIGNALS = st.one_of(
 @st.composite
 def _lexicons(draw):
     """Lexicons of one- to three-token terms, one of them under two kinds."""
-    kinds = st.sampled_from(list(PiKind))
+    kinds = st.sampled_from(list(KINDS))
     term = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(tuple)
-    entries = {(k, (f"zz{k.value.replace('_', '')}",)) for k in PiKind}
+    entries = {(k, (f"zz{k.replace('_', '')}",)) for k in KINDS}
     shared = draw(term)
     entries |= {(k, shared) for k in draw(st.lists(kinds, min_size=2, max_size=3, unique=True))}
     entries |= set(draw(st.lists(st.tuples(kinds, term), max_size=25)))
@@ -246,10 +254,10 @@ def test_term_table_matches_lexicon_scan_on_the_default_lexicon(id_name, hint, t
 
 
 def test_one_term_under_two_kinds_goes_to_the_first_kind():
-    entries = [LexEntry((f"zz{k.value.replace('_', '')}",), k) for k in PiKind]
-    entries += [LexEntry(("blood", "type"), PiKind.BLOOD), LexEntry(("type",), PiKind.EMAIL),
-                LexEntry(("blood", "type"), PiKind.AGE)]
+    entries = [LexEntry((f"zz{k.replace('_', '')}",), k) for k in KINDS]
+    entries += [LexEntry(("blood", "type"), "blood"), LexEntry(("type",), "email"),
+                LexEntry(("blood", "type"), "age")]
     lex = Lexicon(tuple(entries))
-    assert classify(_view(id_name="bloodType"), lex) == PiKind.AGE
-    assert classify(_view(id_name="typeBlood"), lex) == PiKind.EMAIL
+    assert classify(_view(id_name="bloodType"), lex) == "age"
+    assert classify(_view(id_name="typeBlood"), lex) == "email"
     assert lex.longest == 2

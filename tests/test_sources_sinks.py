@@ -7,9 +7,7 @@ import pytest
 from uitaint.errors import BadPosition, SinkSyntaxError
 from uitaint.gui import ViewElement
 from uitaint.ir import parse_bundle, parse_method_sig, render_method_sig
-from uitaint.pi import PiKind
 from uitaint.sources_sinks import (
-    DestCategory,
     SinkRegistry,
     SinkSpec,
     load_default_sinks,
@@ -19,7 +17,7 @@ from uitaint.sources_sinks import (
 from conftest import write_bundle
 
 
-def _labeled(numeric_id, kind=PiKind.WEIGHT, id_name="weightEditText"):
+def _labeled(numeric_id, kind="weight", id_name="weightEditText"):
     return ViewElement("EditText", id_name, numeric_id, None, None, "a.xml", kind)
 
 
@@ -39,7 +37,7 @@ def test_literal_argument_resolves(tmp_path):
     sources, diag = resolve_sources(bundle, [_labeled(2131230949)])
     assert len(sources) == 1
     src = sources[0]
-    assert src.view.pi is PiKind.WEIGHT
+    assert src.view.pi == "weight"
     assert src.result_reg == "$r1"
     assert src.stmt.ordinal == 1
     assert (diag.sites, diag.resolved) == (1, 1)
@@ -127,8 +125,8 @@ def test_matched_by_name_and_arity_on_any_receiver(tmp_path):
 
 def test_first_matching_view_wins_per_id(tmp_path):
     bundle = _bundle(tmp_path, ["r0 = this", f"$r1 = virtualinvoke r0.{FIND}(9)"])
-    first = _labeled(9, PiKind.WEIGHT, "weightEditText")
-    second = _labeled(9, PiKind.EMAIL, "emailEditText")
+    first = _labeled(9, "weight", "weightEditText")
+    second = _labeled(9, "email", "emailEditText")
     sources, _ = resolve_sources(bundle, [first, second])
     assert sources[0].view is first
 
@@ -163,7 +161,7 @@ def test_default_sinks_load_and_match():
         "putString(java.lang.String,java.lang.String)>"
     )
     specs = reg.match(put)
-    assert [s.category for s in specs] == [DestCategory.LOCALSTORE]
+    assert [s.category for s in specs] == ["localstore"]
     assert specs[0].positions == frozenset({"arg1"})
 
 
@@ -215,7 +213,7 @@ def test_dual_category_sink(tmp_path):
     sig = "<a.B: void send(java.lang.String)>"
     reg = _registry(f"net\t{sig}\targ0\nlog\t{sig}\targ0\n", tmp_path)
     cats = {s.category for s in reg.match(parse_method_sig(sig))}
-    assert cats == {DestCategory.NET, DestCategory.LOG}
+    assert cats == {"net", "log"}
 
 
 @pytest.mark.parametrize(
@@ -256,4 +254,4 @@ def test_match_sink_on_statement(tmp_path):
     )
     stmts = [s for _, _, s in bundle.iter_statements()]
     (spec,) = load_default_sinks().match(stmts[1].expr.sig)
-    assert spec.category is DestCategory.LOG
+    assert spec.category == "log"

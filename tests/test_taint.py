@@ -17,10 +17,9 @@ from uitaint.ir import (
     parse_bundle,
     parse_method_sig,
 )
-from uitaint.pi import PiKind, classify
+from uitaint.pi import classify
 from uitaint.pipeline import load_config
 from uitaint.sources_sinks import (
-    DestCategory,
     SinkRegistry,
     SinkSpec,
     SourcePoint,
@@ -54,7 +53,7 @@ PUT_STRING = (
 )
 
 
-def _view(numeric_id=100, kind=PiKind.EMAIL):
+def _view(numeric_id=100, kind="email"):
     return ViewElement("EditText", "emailField", numeric_id, None, None, "m.xml", kind)
 
 
@@ -90,8 +89,8 @@ def test_direct_flow_through_copy(tmp_path):
         )
     }
     (leak,) = _leaks(tmp_path, code)
-    assert leak.source.view.pi is PiKind.EMAIL
-    assert leak.sink_spec.category is DestCategory.LOG
+    assert leak.source.view.pi == "email"
+    assert leak.sink_spec.category == "log"
     assert leak.path_len == 2
     assert _ordinals(leak) == [1, 2, 3]
 
@@ -145,7 +144,7 @@ def test_four_edge_chain_through_field_and_getter(tmp_path):
     (leak,) = _leaks(tmp_path, code)
     assert leak.path_len == 4
     assert _ordinals(leak) == [1, 2, 3, 4, 6]
-    assert leak.sink_spec.category is DestCategory.LOCALSTORE
+    assert leak.sink_spec.category == "localstore"
     assert leak.party is Party.FIRST
 
 
@@ -463,7 +462,7 @@ def test_adding_sinks_never_removes_leaks(tmp_path):
         SINKS.specs
         + (
             SinkSpec(
-                DestCategory.NET,
+                "net",
                 MethodSig("com.app.Main", "void", "custom", ("java.lang.String",)),
                 frozenset({"recv"}),
                 "<com.app.Main: void custom(java.lang.String)>",
@@ -473,7 +472,7 @@ def test_adding_sinks_never_removes_leaks(tmp_path):
     widened = _leaks(tmp_path / "again", code, sinks=extra)
 
     def key(lk):
-        return (lk.source.stmt, lk.sink_stmt, lk.sink_spec.category.value)
+        return (lk.source.stmt, lk.sink_stmt, lk.sink_spec.category)
 
     assert set(map(key, base)) < set(map(key, widened))
 
@@ -565,7 +564,7 @@ def test_leaks_are_sorted_and_deterministic(tmp_path):
             ]
         )
     }
-    views = [_view(100), _view(101, PiKind.PHONE)]
+    views = [_view(100), _view(101, "phone")]
     leaks = _leaks(tmp_path, code, views=views)
     keys = [(lk.source.stmt, lk.sink_stmt) for lk in leaks]
     assert keys == sorted(keys)
