@@ -73,6 +73,8 @@ def test_tokenize(raw, tokens):
         ("cigarettesPerDay", "smoke_alcohol"),
         ("submitButton", None),
     ],
+    # Case ids spell a kind as its upper-case constant, e.g. PiKind.WEIGHT.
+    ids=lambda v: f"PiKind.{v.upper()}" if v in KIND_ORDER else None,
 )
 def test_classify_by_id_name(id_name, kind):
     assert classify(_view(id_name=id_name), LEX) == kind
