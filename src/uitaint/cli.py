@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AnalysisError, EmptyCorpus, InvalidSpec, UsageError
+from .errors import AnalysisError, EmptyCorpus, InvalidSpec, ReportError, UsageError
 
 # Each command imports the package modules it runs when it runs, so
 # `aggregate` and `explain` never load the analyzer or dataclasses, and only
@@ -180,6 +180,9 @@ def cmd_aggregate(args) -> int:
     paths = sorted(reports_dir.glob("*.json"))
     if out_dir.resolve() == reports_dir.resolve():  # an earlier run's summary is no report
         paths = [p for p in paths if p.name != "summary.json"]
+        with contextlib.suppress(OSError, ReportError):  # but a bundle's report would be lost
+            parse_report(own := reports_dir / "summary.json")
+            raise UsageError(f"{own} is a bundle's report; aggregate into another --out")
     reports = [parse_report(p) for p in paths]
     summary = aggregate(reports)
     out_dir.mkdir(parents=True, exist_ok=True)

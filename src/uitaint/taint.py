@@ -170,37 +170,6 @@ def _add_opaque_edges(sid, expr, result, reg, add_edge):
             add_edge(reg(a), reg(recv), sid)
 
 
-def _lexicographic_bfs(
-    adjacency, seed: int, prefix: tuple[StmtId, ...], third: frozenset[str]
-):
-    """Shortest label paths from seed; equal lengths keep the smallest sequence.
-
-    The search runs over states (node, crossed), where crossed turns true on
-    the first edge labeled by a statement of a class in `third` and stays
-    true. Returns state -> path, where each path starts with `prefix` and
-    appends one statement id per traversed edge. Within one BFS wave every
-    candidate has the same length, so plain tuple comparison is the
-    lexicographic rule.
-    """
-    start = (seed, False)
-    best = {start: prefix}
-    frontier = {start: prefix}
-    while frontier:
-        wave: dict[tuple[int, bool], tuple[StmtId, ...]] = {}
-        for (node, crossed), path in frontier.items():
-            for succ, label in adjacency.get(node, ()):
-                state = (succ, crossed or label.cls in third)
-                if state in best:
-                    continue
-                cand = path + (label,)
-                prev = wave.get(state)
-                if prev is None or cand < prev:
-                    wave[state] = cand
-        best.update(wave)
-        frontier = wave
-    return best
-
-
 def package_of(class_name: str) -> str:
     return class_name.rsplit(".", 1)[0] if "." in class_name else ""
 
@@ -236,44 +205,70 @@ def extract_leaks(graph: TaintGraph) -> list[Leak]:
     paths the lexicographically smallest statement-id sequence is retained.
     Output is sorted by (source stmt, sink stmt, category, signature).
 
-    A leak is third party iff a statement of its witness path sits in a
-    third-party class: the source, the sink or an edge label, which the
-    winning state's crossed bit records. Only the enclosing class of each
-    statement matters; the platform signature a sink call invokes never
-    affects the verdict.
+    One search per source runs over states (node, crossed), where crossed
+    turns true on the first edge labeled by a statement of a third-party
+    class. It appends groups of states that share one path in (length, path)
+    order: a group takes its successors in label order, the new states that
+    one label reaches form one group (a statement can label several edges),
+    and a state joins the first group that reaches it. So a sink key's first
+    hit is its witness, whose path is rebuilt from (parent group, label).
 
-    A first-party leak is flagged alt_third_party_path iff some path from the
-    source to a register feeding the same sink statement and spec takes an
-    edge labeled by a third-party statement. Both answers come from one
-    traversal per source: the BFS carries a crossed-third-party bit, the
-    witness is the best path over both states of every feed node, and the
-    flag is set iff a crossed state reaches a feed node of the sink key.
+    A leak is third party iff its source, its sink or an edge label sits in
+    a third-party class (the winning group's crossed bit); only the
+    enclosing class of each statement counts, never the platform signature a
+    sink call invokes. A first-party leak is flagged alt_third_party_path iff
+    a crossed group holds a feed node of its key: some path from the source
+    to the sink takes an edge labeled by a third-party statement.
     """
     bundle = graph.bundle
     third = _third_party_classes(bundle.code_units, bundle.app_package)
+    adjacency, sink_feeds = graph.adjacency, graph.sink_feeds
     keyed = []  # (sort key, leak)
     for sp, seed in graph.seeds.items():
-        best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,), third)
+        # group g: the nodes of states (node, crossed[g]) whose path is group
+        # parent[g]'s plus label[g]; group 0 is the seed, labeled by the source
+        parent, label, crossed, groups = [-1], [sp.stmt], [False], [[seed]]
+        seen = ({seed}, set())  # nodes in a group, per crossed bit
+        hits: dict[tuple[StmtId, int], int] = {}  # sink key -> its first group
+        crossing = set()  # sink keys that a crossed group feeds
+        for g, nodes in enumerate(groups):  # grows while it is read
+            c = crossed[g]
+            edges = []
+            for node in nodes:
+                for key in sink_feeds.get(node, ()):
+                    hits.setdefault(key, g)
+                    if c:
+                        crossing.add(key)
+                edges += adjacency.get(node, ())
+            if len(edges) > 1:  # most groups have one edge or none
+                edges.sort(key=itemgetter(1))
+            last = None
+            for succ, lab in edges:
+                if lab != last:
+                    last, fresh = lab, None
+                    cc = c or lab.cls in third
+                    done = seen[cc]
+                if succ not in done:
+                    done.add(succ)
+                    if fresh is None:
+                        fresh = []
+                        parent.append(g)
+                        label.append(lab)
+                        crossed.append(cc)
+                        groups.append(fresh)
+                    fresh.append(succ)
         source_third = sp.stmt.cls in third
-        # sink key (sink statement, spec index: ints hash in C) -> (best path
-        # to one of its feed nodes, crossed); only a winner gets the sink
-        hits: dict[tuple[StmtId, int], tuple[tuple[StmtId, ...], bool]] = {}
-        crossing = set()  # sink keys that a crossed state feeds
-        for (node, crossed), path in best.items():
-            for key in graph.sink_feeds.get(node, ()):
-                if crossed:
-                    crossing.add(key)
-                # every candidate of a key ends in the same sink statement,
-                # so comparing the paths without it picks the same winner
-                prev = hits.get(key)
-                if prev is None or (len(path), path) < (len(prev[0]), prev[0]):
-                    hits[key] = (path, crossed)
-        for key, (path, crossed) in hits.items():
+        for key, g in hits.items():
             sink_sid, index = key
-            party = Party.THIRD if crossed or source_third or sink_sid.cls in third else Party.FIRST
+            party = Party.THIRD if crossed[g] or source_third or sink_sid.cls in third else Party.FIRST
+            path = [sink_sid]
+            while g >= 0:
+                path.append(label[g])
+                g = parent[g]
+            path.reverse()
             spec = graph.sink_specs[index]
             leak = Leak(
-                sp, sink_sid, spec, party, path + (sink_sid,), len(path),
+                sp, sink_sid, spec, party, tuple(path), len(path) - 1,
                 party is Party.FIRST and key in crossing,
             )
             keyed.append(((sp.stmt, sink_sid, spec.category, spec.signature), leak))

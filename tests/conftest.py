@@ -1,10 +1,12 @@
-"""Shared helpers: throwaway bundles, random mini-programs, oracles, a reference parser."""
+"""Shared helpers: throwaway bundles, random mini-programs, oracles, and the
+reference parser and witness search."""
 
 from __future__ import annotations
 
 import random
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,7 @@ from uitaint.ir import (
     render_code_unit,
 )
 from uitaint.pi import KIND_ORDER, tokenize
-from uitaint.taint import classify_package, package_of
+from uitaint.taint import Leak, Party, _third_party_classes, classify_package, package_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -279,6 +281,77 @@ def _reach(adjacency, start):
                 seen.add(succ)
                 stack.append(succ)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# witness search: taint.extract_leaks as it was before the ordered group
+# search, kept as it was
+
+
+def _lexicographic_bfs(
+    adjacency, seed: int, prefix: tuple[StmtId, ...], third: frozenset[str]
+):
+    """Shortest label paths from seed; equal lengths keep the smallest sequence.
+
+    The search runs over states (node, crossed), where crossed turns true on
+    the first edge labeled by a statement of a class in `third` and stays
+    true. Returns state -> path, where each path starts with `prefix` and
+    appends one statement id per traversed edge. Within one BFS wave every
+    candidate has the same length, so plain tuple comparison is the
+    lexicographic rule.
+    """
+    start = (seed, False)
+    best = {start: prefix}
+    frontier = {start: prefix}
+    while frontier:
+        wave: dict[tuple[int, bool], tuple[StmtId, ...]] = {}
+        for (node, crossed), path in frontier.items():
+            for succ, label in adjacency.get(node, ()):
+                state = (succ, crossed or label.cls in third)
+                if state in best:
+                    continue
+                cand = path + (label,)
+                prev = wave.get(state)
+                if prev is None or cand < prev:
+                    wave[state] = cand
+        best.update(wave)
+        frontier = wave
+    return best
+
+
+def reference_extract_leaks(graph) -> list[Leak]:
+    """The oracle for taint.extract_leaks: one BFS per seed that copies a
+    whole path per state, and a (length, path) compare per sink feed."""
+    bundle = graph.bundle
+    third = _third_party_classes(bundle.code_units, bundle.app_package)
+    keyed = []  # (sort key, leak)
+    for sp, seed in graph.seeds.items():
+        best = _lexicographic_bfs(graph.adjacency, seed, (sp.stmt,), third)
+        source_third = sp.stmt.cls in third
+        # sink key (sink statement, spec index: ints hash in C) -> (best path
+        # to one of its feed nodes, crossed); only a winner gets the sink
+        hits: dict[tuple[StmtId, int], tuple[tuple[StmtId, ...], bool]] = {}
+        crossing = set()  # sink keys that a crossed state feeds
+        for (node, crossed), path in best.items():
+            for key in graph.sink_feeds.get(node, ()):
+                if crossed:
+                    crossing.add(key)
+                # every candidate of a key ends in the same sink statement,
+                # so comparing the paths without it picks the same winner
+                prev = hits.get(key)
+                if prev is None or (len(path), path) < (len(prev[0]), prev[0]):
+                    hits[key] = (path, crossed)
+        for key, (path, crossed) in hits.items():
+            sink_sid, index = key
+            party = Party.THIRD if crossed or source_third or sink_sid.cls in third else Party.FIRST
+            spec = graph.sink_specs[index]
+            leak = Leak(
+                sp, sink_sid, spec, party, path + (sink_sid,), len(path),
+                party is Party.FIRST and key in crossing,
+            )
+            keyed.append(((sp.stmt, sink_sid, spec.category, spec.signature), leak))
+    keyed.sort(key=itemgetter(0))
+    return [leak for _, leak in keyed]
 
 
 # ---------------------------------------------------------------------------

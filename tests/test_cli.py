@@ -570,6 +570,21 @@ def test_corpus_runs_again_after_aggregate_into_its_out(tmp_path, capsys):
     assert "summary.json" in states[1]
 
 
+def test_aggregate_into_its_reports_directory_keeps_a_report_named_summary(tmp_path, capsys):
+    apps = tmp_path / "apps"
+    shutil.copytree(DATA / "keep_yoga", apps / "summary")
+    shutil.copytree(DATA / "panic_shield", apps / "panic_shield")
+    reports = tmp_path / "reports"
+    assert main(["corpus", "--apps", str(apps), "--out", str(reports)]) == 0
+    before = {p.name: p.read_bytes() for p in reports.iterdir()}
+    assert sorted(before) == ["panic_shield.json", "summary.json"]
+    capsys.readouterr()
+    assert main(["aggregate", "--reports", str(reports), "--out", str(reports)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "UsageError" in line and str(reports / "summary.json") in line
+    assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_corpus_writes_other_reports_after_an_analyzer_bug(tmp_path, capsys, monkeypatch, jobs):
     apps = _gen_corpus(tmp_path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -39,7 +40,9 @@ from conftest import (
     enumerate_min_paths,
     mini_labeled_views,
     random_mini_bundle,
+    reference_extract_leaks,
     write_bundle,
+    write_hub_bundle,
 )
 from uitaint.gui import ViewElement
 
@@ -550,6 +553,111 @@ def test_leaks_do_not_depend_on_edge_or_feed_order():
             adjacency=shuffled(graph.adjacency), sink_feeds=shuffled(graph.sink_feeds)
         )
         assert extract_leaks(other) == extract_leaks(graph), f"seed {seed}"
+
+
+def _hand_graph(tmp_path, lines):
+    code = {
+        "Main.jtac": _main(lines),
+        "Relay.jtac": (
+            "class io.sdk.Relay\n"
+            "method static java.lang.String send(java.lang.String p0):\n"
+            "  return p0\n"
+        ),
+    }
+    bundle = parse_bundle(write_bundle(tmp_path / "app", package="com.app", code=code))
+    sources, _ = resolve_sources(bundle, [_view()])
+    return build_graph(bundle, sources, SINKS)
+
+
+def _shared_label_graph(tmp_path):
+    """Statement 2 labels three edges: $s -> $t and $s -> r0 put $t and r0
+    in one wave of one path, and both feed sinks."""
+    return _hand_graph(
+        tmp_path,
+        [
+            "r0 = this",
+            f"$s = virtualinvoke r0.{FIND}(100)",
+            "$t = virtualinvoke r0.<ext.lib.Util: java.lang.String via(java.lang.String)>($s)",
+            "$u = $t",
+            "$u = r0",
+            f'staticinvoke {LOG_D}("t", $u)',
+            f'staticinvoke {LOG_D}("t", r0)',
+        ],
+    )
+
+
+def _crossed_later_graph(tmp_path):
+    """$a feeds the sink first by a first-party path, then again after the
+    third-party relay: a first-party witness with an alternative route, so
+    a later hit of the sink key must set the flag and keep the witness."""
+    return _hand_graph(
+        tmp_path,
+        [
+            "r0 = this",
+            f"$s = virtualinvoke r0.{FIND}(100)",
+            "$r = staticinvoke <io.sdk.Relay: java.lang.String send(java.lang.String)>($s)",
+            "$a = $r",
+            "$a = $s",
+            f'staticinvoke {LOG_D}("t", $a)',
+        ],
+    )
+
+
+def _mini_graph(seed):
+    bundle = random_mini_bundle(random.Random(seed))
+    sources, _ = resolve_sources(bundle, mini_labeled_views())
+    return build_graph(bundle, sources, SINKS)
+
+
+_DIFFERENTIAL_INPUTS = {
+    **{f"mini-{seed}": lambda tmp, seed=seed: _mini_graph(seed) for seed in range(40)},
+    **{
+        f"fixture-{seed}": lambda tmp, seed=seed: _graph(
+            generate(FixtureSpec(seed=seed), tmp / "fx")[0]
+        )
+        for seed in (1, 7, 29)
+    },
+    "hub-12x12": lambda tmp: _graph(write_hub_bundle(tmp / "hub", 12, 12)),
+    "chains-60": lambda tmp: _graph(
+        generate(
+            FixtureSpec(seed=3, n_sources=20, chain_len=(60, 60), party_mix=0.5), tmp / "fx"
+        )[0]
+    ),
+    "shared-label": _shared_label_graph,
+    "crossed-later": _crossed_later_graph,
+}
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_INPUTS))
+def test_leaks_match_the_reference_search(tmp_path, name):
+    graph = _DIFFERENTIAL_INPUTS[name](tmp_path)
+    leaks = extract_leaks(graph)
+    assert leaks == reference_extract_leaks(graph)
+    reversed_graph = graph._replace(
+        adjacency={k: list(v)[::-1] for k, v in graph.adjacency.items()},
+        sink_feeds={k: list(v)[::-1] for k, v in graph.sink_feeds.items()},
+    )
+    assert extract_leaks(reversed_graph) == leaks
+    assert reference_extract_leaks(reversed_graph) == leaks
+
+
+def _leak_peak(tmp_path, chain_len):
+    """tracemalloc peak of one extract_leaks call on 40 chains of chain_len."""
+    spec = FixtureSpec(seed=3, n_sources=40, n_decoys=0, chain_len=(chain_len, chain_len))
+    graph = _graph(generate(spec, tmp_path / str(chain_len))[0])
+    extract_leaks(graph)
+    tracemalloc.start()
+    try:
+        extract_leaks(graph)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_witness_search_memory_grows_linearly_with_chain_length(tmp_path):
+    # a search that copies a path per state peaks at 3.7 times
+    ratio = _leak_peak(tmp_path, 800) / _leak_peak(tmp_path, 400)
+    assert ratio <= 2.5, ratio
 
 
 def test_leaks_are_sorted_and_deterministic(tmp_path):
