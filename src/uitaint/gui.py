@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import WidgetSyntaxError
-from .ir import LayoutDoc, RTable
+from .ir import LayoutDoc
 from .lines import config_lines
 
 
@@ -116,8 +116,8 @@ def extract_views(layout: LayoutDoc, registry: WidgetRegistry) -> list[ViewEleme
     return views
 
 
-def join_rtable(views: list[ViewElement], rtable: RTable) -> tuple[list[ViewElement], list[str]]:
-    """Fill numeric ids from the resource table.
+def join_rtable(views: list[ViewElement], rtable: dict) -> tuple[list[ViewElement], list[str]]:
+    """Fill numeric ids from the resource table, id name -> integer id.
 
     Returns the same-length view list plus one warning string per view whose
     id name has no table entry.
@@ -128,7 +128,7 @@ def join_rtable(views: list[ViewElement], rtable: RTable) -> tuple[list[ViewElem
         if v.id_name is None:
             joined.append(v)
             continue
-        num = rtable.lookup(v.id_name)
+        num = rtable.get(v.id_name)
         if num is None:
             warnings.append(v.id_name)
             joined.append(v)

@@ -158,32 +158,12 @@ class MethodBody(NamedTuple):
     is_static: bool
     statements: tuple[Statement, ...]
 
-    @property
-    def method_token(self):
-        return method_token(self.sig)
-
 
 class CodeUnit(NamedTuple):
     class_name: str
     superclass: str | None
     fields: tuple[FieldSig, ...]
     methods: tuple[MethodBody, ...]
-
-    def find_method(self, name, param_types):
-        param_types = tuple(param_types)
-        for m in self.methods:
-            if m.sig.name == name and m.sig.param_types == param_types:
-                return m
-        return None
-
-
-class RTable(NamedTuple):
-    """Resource-id table joining layout id names to integer ids."""
-
-    entries: dict[str, int]
-
-    def lookup(self, name):
-        return self.entries.get(name)
 
 
 class LayoutDoc(NamedTuple):
@@ -194,22 +174,28 @@ class LayoutDoc(NamedTuple):
 
 
 class AppBundle:
-    __slots__ = ("app_package", "layouts", "rtable", "code_units", "_stmt_index")
+    """One app. rtable maps layout id names to integer ids; methods, built
+    once here, maps (class, method token) to the body of every method, in
+    sorted class order, and each method and statement lookup reads it."""
 
-    def __init__(self, app_package: str, layouts: list[LayoutDoc], rtable: RTable,
+    __slots__ = ("app_package", "layouts", "rtable", "code_units", "methods")
+
+    def __init__(self, app_package: str, layouts: list[LayoutDoc], rtable: dict[str, int],
                  code_units: dict[str, CodeUnit]):
         self.app_package = app_package
         self.layouts = layouts
         self.rtable = rtable
         self.code_units = code_units
-        self._stmt_index: dict[StmtId, Statement] | None = None
+        self.methods: dict[tuple[str, str], MethodBody] = {
+            (name, method_token(m.sig)): m
+            for name in sorted(code_units)
+            for m in code_units[name].methods
+        }
 
     def iter_methods(self):
         """Yield (unit, method) over all code in sorted class order."""
-        for name in sorted(self.code_units):
-            unit = self.code_units[name]
-            for m in unit.methods:
-                yield unit, m
+        for (cls, _), m in self.methods.items():
+            yield self.code_units[cls], m
 
     def iter_statements(self):
         """Yield (unit, method, statement) over all code in sorted class order."""
@@ -218,9 +204,7 @@ class AppBundle:
                 yield unit, m, s
 
     def statement(self, sid: StmtId) -> Statement:
-        if self._stmt_index is None:
-            self._stmt_index = {s.sid: s for _, _, s in self.iter_statements()}
-        return self._stmt_index[sid]
+        return self.methods[sid.cls, sid.method].statements[sid.ordinal]
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +610,7 @@ def render_code_unit(unit: CodeUnit) -> str:
 # bundle loading
 
 
-def parse_rtable(text: str, filename: str = "rtable.txt") -> RTable:
+def parse_rtable(text: str, filename: str = "rtable.txt") -> dict[str, int]:
     """Parse `id <name> <int>` lines in the format of lines.numbered_lines.
 
     An int is ASCII decimal digits or 0x and ASCII hex digits, no sign.
@@ -652,7 +636,7 @@ def parse_rtable(text: str, filename: str = "rtable.txt") -> RTable:
             raise RTableSyntaxError(f"{where}: id {value} already bound to {seen_ids[num]!r}")
         entries[name] = num
         seen_ids[num] = name
-    return RTable(entries)
+    return entries
 
 
 # What opening a path that is absent or not a file raises.
@@ -751,7 +735,7 @@ def parse_bundle(app_dir) -> AppBundle:
     try:
         text = _read_text(rtable_path)
     except _NOT_A_FILE:
-        rtable = RTable({})
+        rtable = {}
     else:
         rtable = parse_rtable(text, rtable_path)
 
@@ -779,18 +763,18 @@ def parse_bundle(app_dir) -> AppBundle:
 def resolve_call(expr: InvokeExpr, bundle: AppBundle) -> MethodBody | None:
     """Resolve a call site to a method body within the bundle, or None.
 
-    The statically named class and its superclass chain are searched for a
-    matching (name, parameter types) method; the walk stops as soon as the
-    chain leaves the bundle. No subclasses are ever considered.
+    The statically named class and its superclass chain are looked up in
+    the bundle's method table by the call's method token (name and
+    parameter types); the walk stops as soon as the chain leaves the bundle
+    or comes back to a class it has seen. No subclasses are ever considered.
     """
-    name, params = expr.sig.name, expr.sig.param_types
+    token = method_token(expr.sig)
     cls = expr.sig.declaring_class
     seen = set()
-    while cls is not None and cls in bundle.code_units and cls not in seen:
+    while cls in bundle.code_units and cls not in seen:
+        body = bundle.methods.get((cls, token))
+        if body is not None:
+            return body
         seen.add(cls)
-        unit = bundle.code_units[cls]
-        found = unit.find_method(name, params)
-        if found is not None:
-            return found
-        cls = unit.superclass
+        cls = bundle.code_units[cls].superclass
     return None

@@ -144,39 +144,47 @@ def _is_find_view_by_id(expr: InvokeExpr) -> bool:
     return expr.sig.name == "findViewById" and expr.sig.param_types == ("int",)
 
 
-def _constant_candidates(reg: Reg, body, rtable):
-    """All integer constants assigned to `reg` anywhere in the method body.
+def _register_constants(body, rtable) -> dict[Reg, set]:
+    """Register -> every integer constant assigned to it anywhere in body.
 
-    Returns (values, poisoned): static reads of R$id fields count through the
-    resource table; a read of an unknown R$id name poisons resolution.
+    A static read of an R$id field counts through the resource table; a read
+    of a name the table lacks adds None, which poisons the register.
     """
-    values = set()
-    poisoned = False
+    found = {}
     for s in body.statements:
-        match s:
-            case AssignAtom(dst=d, src=IntConst(value=v)) if d == reg:
-                values.add(v)
-            case FieldRead(dst=d, fld=f, base=None) if (
-                d == reg and f.simple_class_name == "R$id"
-            ):
-                num = rtable.lookup(f.name)
-                if num is None:
-                    poisoned = True
-                else:
-                    values.add(num)
-    return values, poisoned
+        kind = type(s)
+        if kind is AssignAtom and type(s.src) is IntConst:
+            value = s.src.value
+        elif kind is FieldRead and s.base is None and s.fld.simple_class_name == "R$id":
+            value = rtable.get(s.fld.name)
+        else:
+            continue
+        found.setdefault(s.dst, set()).add(value)
+    return found
 
 
-def _resolve_arg(expr: InvokeExpr, body, rtable) -> int | None:
-    arg = expr.args[0]
-    if isinstance(arg, IntConst):
-        return arg.value
-    if not isinstance(arg, Reg) or arg.name == "this":
-        return None
-    values, poisoned = _constant_candidates(arg, body, rtable)
-    if poisoned or len(values) != 1:
-        return None
-    return next(iter(values))
+def _find_view_sites(body, rtable):
+    """Yield (statement, resolved id or None) for each findViewById call site
+    of body, in order.
+
+    A constant argument is its id. A register argument resolves when body
+    gives it one constant and no poison; one pass over body, at its first
+    register-argument site, collects the constants of every register.
+    """
+    constants = None
+    for stmt in body.statements:
+        if type(stmt) is not InvokeStmt or not _is_find_view_by_id(stmt.expr):
+            continue
+        arg = stmt.expr.args[0]
+        if type(arg) is IntConst:
+            yield stmt, arg.value
+        elif type(arg) is Reg:
+            if constants is None:
+                constants = _register_constants(body, rtable)
+            values = constants.get(arg, ())
+            yield stmt, next(iter(values)) if len(values) == 1 else None
+        else:
+            yield stmt, None
 
 
 def resolve_sources(
@@ -195,19 +203,17 @@ def resolve_sources(
 
     sources = []
     diag = SourceDiagnostics()
-    for _, method, stmt in bundle.iter_statements():
-        if not isinstance(stmt, InvokeStmt) or not _is_find_view_by_id(stmt.expr):
-            continue
-        diag.sites += 1
-        value = _resolve_arg(stmt.expr, method, bundle.rtable)
-        if value is None:
-            diag.unresolved_arg_skips += 1
-            continue
-        view = by_id.get(value)
-        if view is None:
-            diag.unlabeled_id_skips += 1
-            continue
-        diag.resolved += 1
-        result = stmt.result.name if stmt.result is not None else None
-        sources.append(SourcePoint(stmt.sid, view, result))
+    for method in bundle.methods.values():
+        for stmt, value in _find_view_sites(method, bundle.rtable):
+            diag.sites += 1
+            if value is None:
+                diag.unresolved_arg_skips += 1
+                continue
+            view = by_id.get(value)
+            if view is None:
+                diag.unlabeled_id_skips += 1
+                continue
+            diag.resolved += 1
+            result = stmt.result.name if stmt.result is not None else None
+            sources.append(SourcePoint(stmt.sid, view, result))
     return sources, diag

@@ -88,6 +88,7 @@ def build_graph(
     # name) or by a field's FieldSig (class, type, name); the two never
     # collide, because a method token contains "(" and a type never does
     ids: dict[tuple[str, str, str], int] = {}
+    returns = {}  # callee (class, method token) -> its statements that return a register
 
     def node(key) -> int:
         return ids.setdefault(key, len(ids))
@@ -95,8 +96,7 @@ def build_graph(
     def add_edge(src: int, dst: int, label: StmtId):
         adjacency.setdefault(src, set()).add((dst, label))
 
-    for unit, method in bundle.iter_methods():
-        cls, mtok = unit.class_name, method.method_token
+    for (cls, mtok), method in bundle.methods.items():
 
         def reg(atom):
             """The node of a register atom of this method, or None for a constant."""
@@ -124,7 +124,7 @@ def build_graph(
                 sid, result, expr = stmt
                 callee = resolve_call(expr, bundle)
                 if callee is not None:
-                    _add_call_edges(sid, expr, result, callee, reg, node, add_edge)
+                    _add_call_edges(sid, expr, result, callee, returns, reg, node, add_edge)
                 else:
                     _add_opaque_edges(sid, expr, result, reg, add_edge)
                 for spec in registry.match(expr.sig):
@@ -142,7 +142,7 @@ def build_graph(
     return TaintGraph(bundle, adjacency, seeds, sink_feeds, registry.specs)
 
 
-def _add_call_edges(sid, expr, result, callee: MethodBody, reg, node, add_edge):
+def _add_call_edges(sid, expr, result, callee: MethodBody, returns, reg, node, add_edge):
     ccls = callee.sig.declaring_class
     cmtok = method_token(callee.sig)
     for i, arg in enumerate(expr.args):
@@ -151,11 +151,15 @@ def _add_call_edges(sid, expr, result, callee: MethodBody, reg, node, add_edge):
     if expr.receiver is not None and not callee.is_static:
         add_edge(reg(expr.receiver), node((ccls, cmtok, "this")), sid)
     if result is not None:
-        for s in callee.statements:
+        rets = returns.get((ccls, cmtok))
+        if rets is None:  # a callee's body is scanned once, at its first call
+            rets = returns[ccls, cmtok] = [
+                s for s in callee.statements if type(s) is ReturnStmt and type(s.value) is Reg
+            ]
+        for s in rets:
             # the return statement labels the edge so cross-class hops
             # surface in the witness path
-            if isinstance(s, ReturnStmt) and isinstance(s.value, Reg):
-                add_edge(node((ccls, cmtok, s.value.name)), reg(result), s.sid)
+            add_edge(node((ccls, cmtok, s.value.name)), reg(result), s.sid)
 
 
 def _add_opaque_edges(sid, expr, result, reg, add_edge):

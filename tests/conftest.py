@@ -1,5 +1,5 @@
-"""Shared helpers: throwaway bundles, random mini-programs, oracles, and the
-reference parser and witness search."""
+"""Shared helpers: throwaway bundles, random mini-programs, shape bundles,
+oracles, and the reference parser, witness search and method lookups."""
 
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from uitaint.ir import (
     NullConst,
     Reg,
     ReturnStmt,
-    RTable,
     StmtId,
     StrConst,
     method_token,
@@ -116,6 +115,63 @@ def write_hub_bundle(root: Path, n_sources: int = 2, n_sinks: int = 3) -> Path:
             f"id {hint.lower()}{k} 0x{0x7F010001 + k:08x}\n" for k, hint in enumerate(hints)
         ),
         layouts={"main.xml": layout}, code={"Hub.jtac": code, "Relay.jtac": relay},
+    )
+
+
+_SHAPE = "com.shape.app.Main"
+_SHAPE_FIND = f"<{_SHAPE}: android.view.View findViewById(int)>"
+SHAPES = ("sites", "callers", "methods")
+
+
+def write_shape_bundle(root: Path, shape: str, k: int) -> Path:
+    """A one-class bundle of one of SHAPES, which each hold k of one thing:
+
+    - "sites": one method with k findViewById($iN) sites, each $iN read from
+      an R$id field; every tenth name is missing from the table, and that
+      $iN also reads the name before it;
+    - "callers": k call sites on one callee of k statements (k >= 2);
+    - "methods": k methods, each called once.
+
+    The "sites" views, and the one view of the others, are labeled email;
+    a Log.d call sinks the last findViewById or call result.
+    """
+    main = [f"class {_SHAPE} extends android.app.Activity", "",
+            "method void onCreate(android.os.Bundle b1):", "  r0 = this"]
+    if shape == "sites":
+        names, callees = [f"v{n}" for n in range(k) if n % 10 != 9], []
+        for n in range(k):
+            main.append(f"  $i{n} = <com.shape.app.R$id: int v{n}>")
+            if n % 10 == 9:  # a known id does not cure the missing name
+                main.append(f"  $i{n} = <com.shape.app.R$id: int v{n - 1}>")
+            main.append(f"  $s{n} = virtualinvoke r0.{_SHAPE_FIND}($i{n})")
+        last = f"$s{k - 1}"
+    else:
+        names = ["v0"]
+        main.append(f"  $s = virtualinvoke r0.{_SHAPE_FIND}({0x7F010000})")
+        if shape == "callers":
+            called = ["relay"] * k
+            callees = ["method java.lang.String relay(java.lang.String p0):", "  $c0 = p0",
+                       *(f"  $c{n} = $c{n - 1}" for n in range(1, k - 1)), f"  return $c{k - 2}"]
+        elif shape == "methods":
+            called = [f"m{n}" for n in range(k)]
+            callees = [line for m in called for line in
+                       (f"method java.lang.String {m}(java.lang.String p0):", "  return p0")]
+        else:
+            raise ValueError(f"unknown shape {shape!r}")
+        sig = "<{}: java.lang.String {}(java.lang.String)>"
+        main += [f"  $r{n} = virtualinvoke r0.{sig.format(_SHAPE, m)}($s)"
+                 for n, m in enumerate(called)]
+        last = f"$r{k - 1}"
+    main.append(f'  staticinvoke {HUB_LOG}("t", {last})')
+    layout = (
+        '<LinearLayout xmlns:android="http://schemas.android.com/apk/res/android">\n'
+        + "".join(f'  <EditText android:id="@+id/{v}" android:hint="Email" />\n' for v in names)
+        + "</LinearLayout>\n"
+    )
+    return write_bundle(
+        root, package="com.shape.app",
+        rtable="".join(f"id {v} 0x{0x7F010000 + int(v[1:]):08x}\n" for v in names),
+        layouts={"main.xml": layout}, code={"Main.jtac": "\n".join(main + callees) + "\n"},
     )
 
 
@@ -212,7 +268,7 @@ def random_mini_bundle(
             "  return p0\n",
             "Relay.jtac",
         )
-    return AppBundle("com.mini.app", [], RTable({}), units)
+    return AppBundle("com.mini.app", [], {}, units)
 
 
 def enumerate_min_paths(graph, seed_node, prefix):
@@ -352,6 +408,88 @@ def reference_extract_leaks(graph) -> list[Leak]:
             keyed.append(((sp.stmt, sink_sid, spec.category, spec.signature), leak))
     keyed.sort(key=itemgetter(0))
     return [leak for _, leak in keyed]
+
+
+# ---------------------------------------------------------------------------
+# method lookups as ir, taint and sources_sinks had them before the bundle's
+# method table: a scan of a class's methods and of the callee's returns per
+# call site, an index of every statement, and a scan of the method body per
+# findViewById site
+
+
+def reference_resolve_call(expr: InvokeExpr, bundle: AppBundle) -> MethodBody | None:
+    """The oracle for ir.resolve_call."""
+    name, params = expr.sig.name, expr.sig.param_types
+    cls = expr.sig.declaring_class
+    seen = set()
+    while cls is not None and cls in bundle.code_units and cls not in seen:
+        seen.add(cls)
+        unit = bundle.code_units[cls]
+        for m in unit.methods:
+            if m.sig.name == name and m.sig.param_types == params:
+                return m
+        cls = unit.superclass
+    return None
+
+
+def reference_statement_index(bundle: AppBundle) -> dict[StmtId, object]:
+    """Statement id -> statement over all code in sorted class order: the
+    oracle for AppBundle.statement and for the order of iter_statements."""
+    units = bundle.code_units
+    return {
+        s.sid: s for name in sorted(units) for m in units[name].methods for s in m.statements
+    }
+
+
+def reference_add_call_edges(sid, expr, result, callee: MethodBody, reg, node, add_edge):
+    """The oracle for taint._add_call_edges, which scans a callee's
+    statements for its returns once per callee: this scans them at every
+    call site."""
+    ccls = callee.sig.declaring_class
+    cmtok = method_token(callee.sig)
+    for i, arg in enumerate(expr.args):
+        if (n := reg(arg)) is not None:
+            add_edge(n, node((ccls, cmtok, callee.params[i])), sid)
+    if expr.receiver is not None and not callee.is_static:
+        add_edge(reg(expr.receiver), node((ccls, cmtok, "this")), sid)
+    if result is not None:
+        for s in callee.statements:
+            # the return statement labels the edge so cross-class hops
+            # surface in the witness path
+            if isinstance(s, ReturnStmt) and isinstance(s.value, Reg):
+                add_edge(node((ccls, cmtok, s.value.name)), reg(result), s.sid)
+
+
+def _reference_constant_candidates(reg: Reg, body, rtable):
+    values = set()
+    poisoned = False
+    for s in body.statements:
+        match s:
+            case AssignAtom(dst=d, src=IntConst(value=v)) if d == reg:
+                values.add(v)
+            case FieldRead(dst=d, fld=f, base=None) if (
+                d == reg and f.simple_class_name == "R$id"
+            ):
+                num = rtable.get(f.name)
+                if num is None:
+                    poisoned = True
+                else:
+                    values.add(num)
+    return values, poisoned
+
+
+def reference_resolve_arg(expr: InvokeExpr, body, rtable) -> int | None:
+    """The id a findViewById call site of body resolves to, or None: the
+    oracle for sources_sinks._find_view_sites."""
+    arg = expr.args[0]
+    if isinstance(arg, IntConst):
+        return arg.value
+    if not isinstance(arg, Reg) or arg.name == "this":
+        return None
+    values, poisoned = _reference_constant_candidates(arg, body, rtable)
+    if poisoned or len(values) != 1:
+        return None
+    return next(iter(values))
 
 
 # ---------------------------------------------------------------------------

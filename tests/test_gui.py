@@ -19,7 +19,7 @@ from uitaint.gui import (
     join_rtable,
     load_widget_registry,
 )
-from uitaint.ir import LayoutDoc, RTable, parse_bundle
+from uitaint.ir import LayoutDoc, parse_bundle
 from uitaint.pi import classify
 from uitaint.pipeline import load_config
 from conftest import DATA
@@ -149,7 +149,7 @@ def _view(id_name, **kw):
 
 def test_join_fills_numeric_ids_and_warns():
     views = [_view("weightEditText"), _view("ghost"), _view(None)]
-    joined, warnings = join_rtable(views, RTable({"weightEditText": 0x7F0800E5}))
+    joined, warnings = join_rtable(views, {"weightEditText": 0x7F0800E5})
     assert joined[0].numeric_id == 2131230949
     assert joined[1].numeric_id is None
     assert joined[2].numeric_id is None
@@ -163,7 +163,7 @@ def test_join_fills_numeric_ids_and_warns():
     st.dictionaries(st.sampled_from(["a", "b", "c"]), st.integers(0, 2**31), max_size=3),
 )
 def test_join_preserves_cardinality_and_order(views, entries):
-    joined, warnings = join_rtable(views, RTable(entries))
+    joined, warnings = join_rtable(views, entries)
     assert len(joined) == len(views)
     assert [v.id_name for v in joined] == [v.id_name for v in views]
     # every named view either got its table value or was warned about
@@ -189,7 +189,7 @@ def _replace_labeled_views(app):
     views = [v for layout in bundle.layouts for v in extract_views(layout, widgets)]
     joined = []
     for v in views:
-        num = None if v.id_name is None else bundle.rtable.lookup(v.id_name)
+        num = None if v.id_name is None else bundle.rtable.get(v.id_name)
         joined.append(v if num is None else dataclasses.replace(v, numeric_id=num))
     return [v if (kind := classify(v, lexicon)) is None else dataclasses.replace(v, pi=kind)
             for v in joined]

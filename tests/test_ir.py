@@ -814,9 +814,9 @@ def test_resolve_survives_superclass_cycle(tmp_path):
 
 def test_parse_rtable_accepts_comments_and_hex():
     table = parse_rtable("# header\nid weightEditText 0x7f0800e5\nid other 7\n")
-    assert table.lookup("weightEditText") == 2131230949
-    assert table.lookup("other") == 7
-    assert table.lookup("missing") is None
+    assert table.get("weightEditText") == 2131230949
+    assert table.get("other") == 7
+    assert table.get("missing") is None
 
 
 @pytest.mark.parametrize(
@@ -875,7 +875,7 @@ def test_bundle_minimal_is_manifest_only(tmp_path):
     bundle = parse_bundle(write_bundle(tmp_path / "app", package="org.x.y"))
     assert bundle.app_package == "org.x.y"
     assert bundle.layouts == [] and bundle.code_units == {}
-    assert bundle.rtable.entries == {}
+    assert bundle.rtable == {}
 
 
 def test_bundle_orders_classes_and_statements(tmp_path):
@@ -937,7 +937,7 @@ def test_hidden_code_and_layout_files_are_read(tmp_path):
 def test_rtable_directory_gives_an_empty_table(tmp_path):
     app = write_bundle(tmp_path / "app")
     (app / "res" / "rtable.txt").mkdir(parents=True)
-    assert parse_bundle(app).rtable.entries == {}
+    assert parse_bundle(app).rtable == {}
 
 
 def test_code_as_a_regular_file_gives_no_code_units(tmp_path):

@@ -12,8 +12,8 @@ from uitaint.fixtures import FixtureSpec, generate
 from uitaint.gui import extract_views, join_rtable
 from uitaint.ir import (
     AppBundle,
+    CodeUnit,
     MethodSig,
-    RTable,
     StmtId,
     parse_bundle,
     parse_method_sig,
@@ -423,8 +423,9 @@ def test_classify_party_on_raw_paths():
         (source, edge labels..., sink)."""
         source, *labels, sink = path
         nodes = list(range(len(labels) + 1))
+        units = {sid.cls: CodeUnit(sid.cls, None, (), ()) for sid in path}
         graph = TaintGraph(
-            bundle=AppBundle(app, [], RTable({}), dict.fromkeys(sid.cls for sid in path)),
+            bundle=AppBundle(app, [], {}, units),
             adjacency={a: {(b, label)} for a, b, label in zip(nodes, nodes[1:], labels)},
             seeds={SourcePoint(source, _view(), "r0"): nodes[0]},
             sink_feeds={nodes[-1]: {(sink, 0)}},
