@@ -97,15 +97,22 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and stderr line of an exception: 2 for bad input or a
+    failed write, 1 for any other exception (an analyzer bug)."""
+    if isinstance(exc, (AnalysisError, OSError)):
+        return 2, f"{type(exc).__name__}: {exc}"
+    return 1, f"internal error: {type(exc).__name__}: {exc}"
+
+
 def _analyze_one(app_dir: str, out_dir: str, config_paths: tuple) -> tuple[int, str]:
     """Worker for corpus analysis: write the report of the bundle at app_dir
     to out_dir/<bundle>.json; takes config paths so the job pickles.
 
-    Returns (0, ""), or the exit code main would give the bundle's error and
-    a one-line failure: 2 for bad input or a failed write, 1 for any other
-    exception (an analyzer bug). The line is built here, so no exception
-    object has to cross the process pool. A failed bundle's earlier report
-    is removed, so aggregate never counts it.
+    Returns (0, ""), or the bundle's exit code and failure line from
+    `_failure`, prefixed by the bundle's name. The line is built here, so no
+    exception object has to cross the process pool. A failed bundle's
+    earlier report is removed, so aggregate never counts it.
     """
     from .pipeline import analyze_bundle
     from .report import serialize_report, write_atomic
@@ -115,13 +122,11 @@ def _analyze_one(app_dir: str, out_dir: str, config_paths: tuple) -> tuple[int, 
     try:
         write_atomic(report, serialize_report(analyze_bundle(app_dir, *config_paths)))
         return 0, ""
-    except (AnalysisError, OSError) as exc:
-        code, line = 2, f"{name}: {type(exc).__name__}: {exc}"
     except Exception as exc:
-        code, line = 1, f"{name}: internal error: {type(exc).__name__}: {exc}"
+        code, line = _failure(exc)
     with contextlib.suppress(IsADirectoryError):  # no report: aggregate refuses it by itself
         report.unlink(missing_ok=True)
-    return code, line
+    return code, f"{name}: {line}"
 
 
 def cmd_corpus(args) -> int:
@@ -244,15 +249,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AnalysisError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - analyzer bug guard
-        import traceback
+    except Exception as exc:
+        code, line = _failure(exc)
+        if code == 1:  # an analyzer bug: show where
+            import traceback
 
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+            traceback.print_exc()
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

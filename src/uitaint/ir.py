@@ -192,14 +192,10 @@ class AppBundle:
             for m in code_units[name].methods
         }
 
-    def iter_methods(self):
-        """Yield (unit, method) over all code in sorted class order."""
-        for (cls, _), m in self.methods.items():
-            yield self.code_units[cls], m
-
     def iter_statements(self):
         """Yield (unit, method, statement) over all code in sorted class order."""
-        for unit, m in self.iter_methods():
+        for (cls, _), m in self.methods.items():
+            unit = self.code_units[cls]
             for s in m.statements:
                 yield unit, m, s
 

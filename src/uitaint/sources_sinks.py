@@ -33,51 +33,43 @@ from .pi import DESTINATIONS
 class SinkSpec(NamedTuple):
     """One sink signature with its destination and tainted positions.
 
-    Positions are "recv" or "argN" strings; a `*` in the registry file
-    expands to the receiver plus every argument at load time. signature is
-    sig's text in the registry file, which parse_method_sig accepts only as
-    the renderer spells it.
+    positions are ascending offsets into a call's (receiver, *args): 0 is
+    the receiver and i + 1 is argument i, resolved from the registry file's
+    `recv`, `argN` and `*` at load time. signature is sig's text in the
+    registry file, which parse_method_sig accepts only as the renderer
+    spells it.
     """
 
     category: str  # one of pi.DESTINATIONS
     sig: MethodSig
-    positions: frozenset[str]
+    positions: tuple[int, ...]
     signature: str
 
 
-class SinkRegistry:
-    """The sink specs and their lookup by signature; two registries are
-    equal when their specs are."""
+class SinkRegistry(NamedTuple):
+    """The sink specs and their lookup by signature."""
 
-    __slots__ = ("specs", "_index")
+    specs: tuple[SinkSpec, ...]
+    # (class, name, parameter types) -> the indexes in specs of its specs;
+    # the key ignores the return type: dispatch never depends on it and
+    # decompilers disagree about covariant returns
+    index: dict[tuple, tuple[int, ...]]
 
-    def __init__(self, specs: tuple[SinkSpec, ...]):
-        self.specs = specs
-        # exact-signature lookup ignores the return type: dispatch never
-        # depends on it and decompilers disagree about covariant returns
-        self._index: dict[tuple, list[SinkSpec]] = {}
-        for spec in specs:
-            key = (spec.sig.declaring_class, spec.sig.name, spec.sig.param_types)
-            self._index.setdefault(key, []).append(spec)
-
-    def __eq__(self, other):
-        return self.specs == other.specs if isinstance(other, SinkRegistry) else NotImplemented
-
-    def match(self, sig: MethodSig) -> list[SinkSpec]:
-        return list(self._index.get((sig.declaring_class, sig.name, sig.param_types), ()))
+    def match(self, sig: MethodSig) -> tuple[int, ...]:
+        return self.index.get((sig.declaring_class, sig.name, sig.param_types), ())
 
 
-def _parse_positions(raw: str, arity: int, where: str) -> frozenset[str]:
+def _parse_positions(raw: str, arity: int, where: str) -> tuple[int, ...]:
     raw = raw.strip()
     if raw == "*":
-        return frozenset(["recv"] + [f"arg{i}" for i in range(arity)])
+        return tuple(range(arity + 1))
     if not raw:
         raise SinkSyntaxError(f"{where}: empty position list")
     positions = set()
     for token in raw.split(","):
         token = token.strip()
         if token == "recv":
-            positions.add(token)
+            positions.add(0)
         elif m := re.fullmatch(r"arg([0-9]+)", token):
             try:
                 index = int(m[1])
@@ -85,12 +77,10 @@ def _parse_positions(raw: str, arity: int, where: str) -> frozenset[str]:
                 index = arity
             if index >= arity:
                 raise BadPosition(f"{where}: {token} out of range for arity {arity}")
-            positions.add(token)
+            positions.add(index + 1)
         else:
             raise BadPosition(f"{where}: bad position {token!r}")
-    if not positions:
-        raise SinkSyntaxError(f"{where}: empty position list")
-    return frozenset(positions)
+    return tuple(sorted(positions))
 
 
 @functools.cache
@@ -99,6 +89,7 @@ def load_sinks(path) -> SinkRegistry:
     built-in file for None, into a registry. Memoised by path, like
     `gui.load_widget_registry`."""
     specs = []
+    index = {}
     seen = set()
     for where, line in config_lines(path, "sinks.tsv", SinkSyntaxError):
         parts = line.split("\t")
@@ -115,8 +106,10 @@ def load_sinks(path) -> SinkRegistry:
             raise SinkSyntaxError(f"{where}: duplicate sink {sig_text}")
         seen.add((sig, category))
         positions = _parse_positions(pos_text, len(sig.param_types), where)
+        key = (sig.declaring_class, sig.name, sig.param_types)
+        index[key] = index.get(key, ()) + (len(specs),)
         specs.append(SinkSpec(category, sig, positions, sig_text))
-    return SinkRegistry(tuple(specs))
+    return SinkRegistry(tuple(specs), index)
 
 
 def load_default_sinks() -> SinkRegistry:

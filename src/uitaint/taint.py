@@ -83,7 +83,6 @@ def build_graph(
     """
     adjacency: dict[int, set[tuple[int, StmtId]]] = {}
     sink_feeds: dict[int, set[tuple[StmtId, int]]] = {}
-    spec_index = {spec: i for i, spec in enumerate(registry.specs)}
     # node ids in build order, keyed by a register's (class, method token,
     # name) or by a field's FieldSig (class, type, name); the two never
     # collide, because a method token contains "(" and a type never does
@@ -127,11 +126,12 @@ def build_graph(
                     _add_call_edges(sid, expr, result, callee, returns, reg, node, add_edge)
                 else:
                     _add_opaque_edges(sid, expr, result, reg, add_edge)
-                for spec in registry.match(expr.sig):
-                    for pos in spec.positions:
-                        atom = expr.receiver if pos == "recv" else expr.args[int(pos[3:])]
-                        if (n := reg(atom)) is not None:
-                            sink_feeds.setdefault(n, set()).add((sid, spec_index[spec]))
+                if sink_ids := registry.match(expr.sig):
+                    operands = (expr.receiver, *expr.args)
+                    for i in sink_ids:
+                        for pos in registry.specs[i].positions:
+                            if (n := reg(operands[pos])) is not None:
+                                sink_feeds.setdefault(n, set()).add((sid, i))
             # a ReturnStmt contributes edges only at resolved call sites
 
     seeds = {
@@ -187,11 +187,15 @@ def _pkg_matches(pkg: str, prefix: str) -> bool:
 
 
 def classify_package(pkg: str, app_package: str) -> str:
-    """Classify a package as "platform", "first" or "third" party."""
+    """Classify a package as "platform", "first" or "third" party.
+
+    First party is the app's org prefix, the first two segments of
+    app_package, and every package under it, app_package among them.
+    """
     for prefix in PLATFORM_PACKAGE_PREFIXES:
         if _pkg_matches(pkg, prefix):
             return "platform"
-    if pkg == app_package or _pkg_matches(pkg, _org_prefix(app_package)):
+    if _pkg_matches(pkg, _org_prefix(app_package)):
         return "first"
     return "third"
 

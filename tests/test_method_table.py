@@ -95,7 +95,7 @@ def test_statement_lookup_matches_the_statement_index(bundles):
 
 def test_find_view_sites_match_the_per_site_scan(bundles):
     for bundle in bundles:
-        for _, method in bundle.iter_methods():
+        for method in bundle.methods.values():
             want = [
                 (s.sid, reference_resolve_arg(s.expr, method, bundle.rtable))
                 for s in method.statements

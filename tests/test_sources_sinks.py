@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uitaint.errors import BadPosition, SinkSyntaxError
 from uitaint.gui import ViewElement
@@ -160,9 +162,9 @@ def test_default_sinks_load_and_match():
         "android.content.SharedPreferences$Editor "
         "putString(java.lang.String,java.lang.String)>"
     )
-    specs = reg.match(put)
+    specs = [reg.specs[i] for i in reg.match(put)]
     assert [s.category for s in specs] == ["localstore"]
-    assert specs[0].positions == frozenset({"arg1"})
+    assert specs[0].positions == (2,)  # argument 1
 
 
 def test_match_ignores_return_type():
@@ -181,7 +183,7 @@ def test_match_is_exact_on_class_name_and_params():
         "<android.content.SharedPreferences$Editor: android.content.SharedPreferences$Editor putString(java.lang.String)>",
         "<android.content.SharedPreferences$Editor: android.content.SharedPreferences$Editor putstring(java.lang.String,java.lang.String)>",
     ):
-        assert reg.match(parse_method_sig(mutated)) == []
+        assert reg.match(parse_method_sig(mutated)) == ()
 
 
 def _registry(lines: str, tmp_path) -> SinkRegistry:
@@ -193,7 +195,38 @@ def _registry(lines: str, tmp_path) -> SinkRegistry:
 def test_star_expands_to_receiver_and_all_args(tmp_path):
     reg = _registry("log\t<a.B: int d(int,int)>\t*\n", tmp_path)
     (spec,) = reg.specs
-    assert spec.positions == frozenset({"recv", "arg0", "arg1"})
+    assert spec.positions == (0, 1, 2)  # the receiver, argument 0, argument 1
+
+
+def test_two_spellings_of_one_argument_are_one_position(tmp_path):
+    (spec,) = _registry("log\t<a.B: int d(int,int)>\targ01, arg1\n", tmp_path).specs
+    assert spec.positions == (2,)
+
+
+@st.composite
+def _position_lists(draw):
+    """(arity, position tokens): recv, or argN spelled with leading zeros."""
+    arity = draw(st.integers(0, 4))
+    recv = st.just("recv")
+    arg = st.builds(
+        lambda n, zeros: f"arg{'0' * zeros}{n}", st.integers(0, arity - 1), st.integers(0, 2)
+    )
+    return arity, draw(st.lists(recv | arg if arity else recv, min_size=1, max_size=6))
+
+
+@given(_position_lists())
+def test_positions_load_to_operand_offsets(tmp_path_factory, drawn):
+    arity, tokens = drawn
+    params = ",".join(["int"] * arity)
+    path = tmp_path_factory.mktemp("sinks") / "sinks.tsv"
+    path.write_text(
+        f"log\t<a.B: int d({params})>\t{', '.join(tokens)}\n"
+        f"net\t<a.B: int d({params})>\t*\n"
+    )
+    listed, star = load_sinks(path).specs
+    want = {0 if t == "recv" else int(t[3:]) + 1 for t in tokens}
+    assert listed.positions == tuple(sorted(want))
+    assert star.positions == tuple(range(arity + 1))
 
 
 def test_spec_signature_is_the_rendered_signature(tmp_path):
@@ -212,7 +245,7 @@ def test_spec_signature_is_the_rendered_signature(tmp_path):
 def test_dual_category_sink(tmp_path):
     sig = "<a.B: void send(java.lang.String)>"
     reg = _registry(f"net\t{sig}\targ0\nlog\t{sig}\targ0\n", tmp_path)
-    cats = {s.category for s in reg.match(parse_method_sig(sig))}
+    cats = {reg.specs[i].category for i in reg.match(parse_method_sig(sig))}
     assert cats == {"net", "log"}
 
 
@@ -253,5 +286,6 @@ def test_match_sink_on_statement(tmp_path):
         ],
     )
     stmts = [s for _, _, s in bundle.iter_statements()]
-    (spec,) = load_default_sinks().match(stmts[1].expr.sig)
-    assert spec.category == "log"
+    reg = load_default_sinks()
+    (i,) = reg.match(stmts[1].expr.sig)
+    assert reg.specs[i].category == "log"

@@ -5,15 +5,16 @@ from __future__ import annotations
 import dataclasses
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import uitaint
 from uitaint.fixtures import FixtureSpec, generate
 from uitaint.gui import extract_views, join_rtable
 from uitaint.ir import (
     AppBundle,
     CodeUnit,
-    MethodSig,
     StmtId,
     parse_bundle,
     parse_method_sig,
@@ -21,10 +22,9 @@ from uitaint.ir import (
 from uitaint.pi import classify
 from uitaint.pipeline import load_config
 from uitaint.sources_sinks import (
-    SinkRegistry,
-    SinkSpec,
     SourcePoint,
     load_default_sinks,
+    load_sinks,
     resolve_sources,
 )
 from uitaint.taint import (
@@ -287,27 +287,33 @@ def test_unreached_sink_is_silent(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "pkg,expected",
+    "pkg,expected,app",
     [
-        ("android.view", "platform"),
-        ("androidx.core.widget", "platform"),
-        ("java.io", "platform"),
-        ("javax.crypto", "platform"),
-        ("kotlin.jvm", "platform"),
-        ("kotlinx.coroutines", "platform"),
-        ("dalvik.system", "platform"),
-        ("com.gotokeep.yoga.intl", "first"),
-        ("com.gotokeep.yoga", "first"),
-        ("com.gotokeep", "first"),
-        ("com.gotokeep.other.tool", "first"),
-        ("com.gotokeeper", "third"),
-        ("io.branch.referral", "third"),
-        ("com.facebook.ads", "third"),
-        ("", "third"),
-    ],
+        pytest.param(pkg, expected, "com.gotokeep.yoga.intl", id=f"{pkg}-{expected}")
+        for pkg, expected in (
+            ("android.view", "platform"),
+            ("androidx.core.widget", "platform"),
+            ("java.io", "platform"),
+            ("javax.crypto", "platform"),
+            ("kotlin.jvm", "platform"),
+            ("kotlinx.coroutines", "platform"),
+            ("dalvik.system", "platform"),
+            ("com.gotokeep.yoga.intl", "first"),
+            ("com.gotokeep.yoga", "first"),
+            ("com.gotokeep", "first"),
+            ("com.gotokeep.other.tool", "first"),
+            ("com.gotokeeper", "third"),
+            ("io.branch.referral", "third"),
+            ("com.facebook.ads", "third"),
+            ("", "third"),
+        )
+    ]
+    # an app package of one, two or three segments is first party, and so
+    # is a package under it
+    + [(p, "first", app) for app in ("app", "com.app", "com.app.pro") for p in (app, f"{app}.ui")],
 )
-def test_classify_package(pkg, expected):
-    assert classify_package(pkg, "com.gotokeep.yoga.intl") == expected
+def test_classify_package(pkg, expected, app):
+    assert classify_package(pkg, app) == expected
 
 
 def test_party_ignores_sink_callee_signature(tmp_path):
@@ -462,17 +468,13 @@ def test_adding_sinks_never_removes_leaks(tmp_path):
         )
     }
     base = _leaks(tmp_path, code, sinks=SINKS)
-    extra = SinkRegistry(
-        SINKS.specs
-        + (
-            SinkSpec(
-                "net",
-                MethodSig("com.app.Main", "void", "custom", ("java.lang.String",)),
-                frozenset({"recv"}),
-                "<com.app.Main: void custom(java.lang.String)>",
-            ),
-        )
+    wider = tmp_path / "sinks.tsv"
+    wider.write_text(
+        (Path(uitaint.__file__).parent / "data" / "sinks.tsv").read_text()
+        + "net\t<com.app.Main: void custom(java.lang.String)>\trecv\n"
     )
+    extra = load_sinks(wider)
+    assert extra.specs[:-1] == SINKS.specs
     widened = _leaks(tmp_path / "again", code, sinks=extra)
 
     def key(lk):
