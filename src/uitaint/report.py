@@ -96,11 +96,7 @@ def emit_report(
     from .taint import Party
 
     labeled = [v for v in views if v.pi is not None]
-    steps: dict[StmtId, tuple[list, str]] = {}
-    for lk in leaks:
-        for s in lk.path:
-            if s not in steps:
-                steps[s] = (list(s), render_statement(bundle.statement(s)))
+    steps: dict[StmtId, tuple[list, str]] = {}  # one step and text per statement
     sources: dict[StmtId, dict] = {}  # one source dict per statement
     # one sink dict per (sink statement, signature), also where a signature
     # is registered in two categories
@@ -115,9 +111,12 @@ def emit_report(
         sink = sinks.get(key := (lk.sink_stmt, spec.signature))
         if sink is None:
             sink = sinks[key] = {"stmt": list(lk.sink_stmt), "signature": spec.signature}
-        path, path_text = [], []  # one lookup per statement
+        path, path_text = [], []
         for s in lk.path:
-            step, text = steps[s]
+            step_text = steps.get(s)
+            if step_text is None:
+                step_text = steps[s] = (list(s), render_statement(bundle.statement(s)))
+            step, text = step_text
             path.append(step)
             path_text.append(text)
         leak_docs.append({
@@ -177,15 +176,14 @@ _SCALARS = {
 
 
 def _dict_layout(shape: tuple, sep: str, close: str) -> tuple:
-    """(getter of the values in sorted key order, the text parts around
-    them) of a dict whose keys in insertion order are shape."""
+    """(getter of the values in sorted key order, the text before the first
+    value, the text after each value) of a dict whose keys in insertion
+    order are shape."""
     keys = sorted(shape)
     # itemgetter of one key returns the value, not a 1-tuple
     get = itemgetter(*keys) if len(keys) > 1 else lambda d, k=keys[0]: (d[k],)
-    parts = [None] * (2 * len(keys) + 1)
-    parts[::2] = [sep + _SCALARS[str](k) + ": " for k in keys] + [close]
-    parts[0] = "{" + parts[0][1:]
-    return get, parts
+    texts = [sep + _SCALARS[str](k) + ": " for k in keys]
+    return get, "{" + texts[0][1:], (*texts[1:], close)
 
 
 def serialize_report(doc: dict) -> str:
@@ -195,29 +193,26 @@ def serialize_report(doc: dict) -> str:
     Each dict shape (its keys in insertion order) is laid out once per
     depth and call: its sorted keys, each key's ``"key": `` text with
     the separator and indentation before it, and an itemgetter of its
-    values in that order. A dict's text is one join of its layout's parts
-    and its values' texts; a list's is one join of its items' texts on the
-    separator, with the brackets fixed onto the first and last. A dict
-    document's join takes the items' texts, separators and brackets of
-    each of its non-empty lists instead of the list's text, so the report's
-    leaks are not joined into a second report-sized text first. A
-    container reached again at the same depth (emit_report shares path
-    statements, sources and sinks) is rendered once per call: its text is
-    memoised from the second time it is reached, so one that appears once
-    costs a memo entry and no text. The document's last part holds the
-    closing bracket and the final newline. The document must not change
-    while it is written. A value json cannot write raises TypeError. The
-    per-call state is an argument of module-level functions, not a
-    closure's, so a call leaves no reference cycle and its memos die when
-    it returns.
+    values in that order. A dict's text is one join of its layout's texts
+    and its values' texts, where a non-empty list value gives its
+    brackets, separators and items' texts, not a text of its own: the
+    report's leaks are not joined into a second report-sized text first,
+    nor each leak's path into a text that its leak then copies. A list's
+    text is one join of its items' texts on the separator, with the
+    brackets fixed onto the first and last. A dict or list item reached
+    again at the same depth (emit_report shares path statements, sources
+    and sinks) is rendered once per call: its text is memoised from the
+    second time it is reached, so one that appears once costs a memo entry
+    and no text. The document's closing bracket ends in the final newline.
+    The document must not change while it is written. A value json cannot
+    write raises TypeError. The per-call state is an argument of
+    module-level functions, not a closure's, so a call leaves no reference
+    cycle and its memos die when it returns.
     """
-    levels = [_level(0), _level(1), _level(2)]
-    if isinstance(doc, dict) and doc:
-        return _document(doc, levels)
-    if isinstance(doc, (list, tuple)) and doc:
-        return _render(doc, 0, levels)
+    if isinstance(doc, (dict, list, tuple)) and doc:
+        return _render(doc, 0, [])
     write = _SCALARS.get(type(doc))
-    return (_render(doc, 0, levels) if write is None else write(doc)) + "\n"
+    return (_render(doc, 0, []) if write is None else write(doc)) + "\n"
 
 
 def _level(depth: int) -> tuple:
@@ -229,42 +224,15 @@ def _level(depth: int) -> tuple:
     return {}, {}, "," + close + "  ", close + "}" + end, close + "]" + end
 
 
-def _document(doc: dict, levels: list) -> str:
-    """The text of a non-empty dict document: one join of its layout's
-    parts and its values' texts, where a non-empty list value gives its
-    brackets, separators and items' texts, not a text of its own. The item
-    loop repeats _render's: one helper for both cost a call per container,
-    2-3% of serialize time on many small reports."""
-    scalar = _SCALARS.get
-    get, parts = _dict_layout(tuple(doc), *levels[0][2:4])
-    _, _, sep, _, list_close = levels[1]
-    item_memo = levels[2][0]
-    out = [parts[0]]
-    for v, part in zip(get(doc), parts[2::2]):
-        write = scalar(type(v))
-        if write is not None:
-            out.append(write(v))
-        elif not (isinstance(v, (list, tuple)) and v):
-            out.append(_render(v, 1, levels))
-        else:
-            out.append("[" + sep[1:])
-            for item in v:
-                write = scalar(type(item))
-                if write is not None:
-                    out += write(item), sep
-                else:
-                    out += item_memo.get(id(item)) or _render(item, 2, levels), sep
-            out[-1] = list_close
-        out.append(part)
-    return "".join(out)
-
-
 def _render(o, depth: int, levels: list) -> str:
     """The text of o, any value but a str, int, float, bool or None, at
     depth; levels holds each depth's _level."""
-    if depth == len(levels) - 1:  # add the children's level
-        levels.append(_level(depth + 1))
+    while len(levels) < depth + 3:  # up to the grandchildren's level
+        levels.append(_level(len(levels)))
     memo, layouts, sep, dict_close, list_close = levels[depth]
+    child = depth + 1
+    child_memo = levels[child][0]
+    scalar = _SCALARS.get
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -272,36 +240,46 @@ def _render(o, depth: int, levels: list) -> str:
         layout = layouts.get(shape)
         if layout is None:
             layout = layouts[shape] = _dict_layout(shape, sep, dict_close)
-        get, parts = layout
-        values = get(o)
+        get, head, tails = layout
+        _, _, item_sep, _, items_close = levels[child]
+        item_memo = levels[child + 1][0]
+        out = [head]
+        for v, tail in zip(get(o), tails):
+            write = scalar(type(v))
+            if write is not None:
+                out.append(write(v))
+            elif not (isinstance(v, (list, tuple)) and v):
+                out.append(child_memo.get(id(v)) or _render(v, child, levels))
+            else:  # the list's items, inline and never memoised
+                out.append("[" + item_sep[1:])
+                for item in v:
+                    write = scalar(type(item))
+                    if write is not None:
+                        out += write(item), item_sep
+                    else:
+                        out += item_memo.get(id(item)) or _render(item, child + 1, levels), item_sep
+                out[-1] = items_close
+            out.append(tail)
+        text = "".join(out)
     elif isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        values, parts = o, None
+        texts = []
+        append = texts.append
+        for v in o:
+            write = scalar(type(v))
+            if write is not None:
+                append(write(v))
+            else:
+                append(child_memo.get(id(v)) or _render(v, child, levels))
+        texts[0] = "[" + sep[1:] + texts[0]
+        texts[-1] += list_close
+        text = sep.join(texts)
     else:  # a subclass of str, int or float, as json takes them
         base = next((t for t in (str, int, float) if isinstance(o, t)), None)
         if base is None:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         return _SCALARS[base](o)
-    child = depth + 1
-    child_memo = levels[child][0]
-    scalar = _SCALARS.get
-    texts = []
-    append = texts.append
-    for v in values:
-        write = scalar(type(v))
-        if write is not None:
-            append(write(v))
-        else:
-            append(child_memo.get(id(v)) or _render(v, child, levels))
-    if parts is None:
-        texts[0] = "[" + sep[1:] + texts[0]
-        texts[-1] += list_close
-        text = sep.join(texts)
-    else:
-        parts = parts.copy()
-        parts[1::2] = texts
-        text = "".join(parts)
     key = id(o)
     memo[key] = text if key in memo else ""  # "": reached once, no text kept
     return text

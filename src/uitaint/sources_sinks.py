@@ -102,11 +102,12 @@ def load_sinks(path) -> SinkRegistry:
             sig = parse_method_sig(sig_text)
         except IrSyntaxError as e:
             raise SinkSyntaxError(f"{where}: {e.message}")
-        if (sig, category) in seen:
-            raise SinkSyntaxError(f"{where}: duplicate sink {sig_text}")
-        seen.add((sig, category))
-        positions = _parse_positions(pos_text, len(sig.param_types), where)
+        # match ignores the return type, so a duplicate does too
         key = (sig.declaring_class, sig.name, sig.param_types)
+        if (key, category) in seen:
+            raise SinkSyntaxError(f"{where}: duplicate sink {sig_text}")
+        seen.add((key, category))
+        positions = _parse_positions(pos_text, len(sig.param_types), where)
         index[key] = index.get(key, ()) + (len(specs),)
         specs.append(SinkSpec(category, sig, positions, sig_text))
     return SinkRegistry(tuple(specs), index)

@@ -29,11 +29,11 @@ from uitaint.gui import extract_views, join_rtable
 from uitaint.ir import parse_bundle
 from uitaint.pi import classify
 from uitaint.pipeline import load_config
-from uitaint.report import emit_report
+from uitaint.report import emit_report, serialize_report
 from uitaint.sources_sinks import resolve_sources
 from uitaint.taint import build_graph, extract_leaks
 
-STAGES = ("parse", "gui+pi", "sources", "graph", "leaks", "emit")
+STAGES = ("parse", "gui+pi", "sources", "graph", "leaks", "emit", "serialize")
 ROUNDS = 9
 
 
@@ -72,7 +72,8 @@ def stage_seconds(app) -> dict[str, float]:
     )
     graph = _timed(times, "graph", build_graph, bundle, sources, sinks)
     leaks = _timed(times, "leaks", extract_leaks, graph)
-    _timed(times, "emit", emit_report, bundle, views, leaks, diag, unmatched)
+    doc = _timed(times, "emit", emit_report, bundle, views, leaks, diag, unmatched)
+    _timed(times, "serialize", serialize_report, doc)
     return times
 
 

@@ -107,12 +107,14 @@ _CONTAINERS = st.lists(_VALUES, min_size=1, max_size=4) | st.dictionaries(
 @st.composite
 def _docs_with_shared_parts(draw):
     """A drawn document holding one container three times at one depth and
-    again at two others, so the writer's memo is hit."""
+    again at others, so the writer's memo is hit; a shared list is also
+    written inline as a dict value at depth 3, three times."""
     doc = draw(st.dictionaries(_TEXT, _VALUES, max_size=4))
     shared = draw(_CONTAINERS)
     doc["same depth"] = [shared, shared, shared]
     doc["depth 1"] = shared
     doc["depth 3"] = {"k": [shared]}
+    doc["depth 3 in dicts"] = [{"a": shared, "b": shared}, {"a": shared}]
     return doc
 
 
@@ -244,13 +246,15 @@ def test_writer_matches_json_dumps_on_every_built_report(tmp_path, monkeypatch):
 
 
 def test_writer_peak_memory_above_the_document_is_bounded(tmp_path):
-    """Writing a 400-source report allocates at most 2.7 times its text at peak.
+    """Writing a 400-source report allocates at most 2.56 times its text at peak.
 
     On this fixture (0.83 MB of text) the writer of commit 7610a9e peaked
     at 2.87 times the text above the document, mostly for a set that held
-    the id of every container beside the memo. The peak cannot fall below
-    twice the text, because the final join holds its parts and its result
-    at once.
+    the id of every container beside the memo. A writer that joined each
+    leak's path lists into texts of their own, and memoised them, read
+    2.61-2.62; joining every dict from its list values' items reads
+    2.50-2.51. The peak cannot fall below twice the text, because the
+    final join holds its parts and its result at once.
     """
     bundle, _ = generate(FixtureSpec(seed=1, n_sources=400, n_decoys=40), tmp_path / "fx")
     doc = analyze_bundle(bundle)
@@ -262,7 +266,7 @@ def test_writer_peak_memory_above_the_document_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(text) > 800_000
-    assert (peak - before) / len(text) <= 2.7
+    assert (peak - before) / len(text) <= 2.56
 
 
 # analyze one bundle in a fresh interpreter, then print the report's length

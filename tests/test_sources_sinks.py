@@ -273,8 +273,15 @@ def test_sink_file_errors(tmp_path, line, exc):
 
 def test_duplicate_sig_category_rejected(tmp_path):
     sig = "<a.B: void f(int)>"
-    with pytest.raises(SinkSyntaxError, match="duplicate"):
-        _registry(f"net\t{sig}\targ0\nnet\t{sig}\t*\n", tmp_path)
+    editor = "android.content.SharedPreferences$Editor"
+    put = "putString(java.lang.String,java.lang.String)>\targ1\n"
+    for text in [
+        f"net\t{sig}\targ0\nnet\t{sig}\t*\n",
+        # match ignores the return type, so these two would match one call twice
+        f"localstore\t<{editor}: {editor} {put}localstore\t<{editor}: void {put}",
+    ]:
+        with pytest.raises(SinkSyntaxError, match="duplicate"):
+            _registry(text, tmp_path)
 
 
 def test_match_sink_on_statement(tmp_path):
