@@ -188,8 +188,7 @@ def cmd_aggregate(args) -> int:
         with contextlib.suppress(OSError, ReportError):  # but a bundle's report would be lost
             parse_report(own := reports_dir / "summary.json")
             raise UsageError(f"{own} is a bundle's report; aggregate into another --out")
-    reports = [parse_report(p) for p in paths]
-    summary = aggregate(reports)
+    summary = aggregate(map(parse_report, paths))  # one report parsed at a time
     out_dir.mkdir(parents=True, exist_ok=True)
     write_summary(summary, out_dir / "summary.json")
     export_csv(summary, out_dir)

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import time
+from collections import Counter
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -21,6 +22,8 @@ from .errors import BadEnvironment, EmptyCorpus, ReportError
 from .pi import CATEGORY_OF, DESTINATIONS, KIND_ORDER, KINDS, PI_GROUPS
 
 if TYPE_CHECKING:  # aggregate, explain and the writers run without the analyzer
+    from collections.abc import Iterable
+
     from .gui import ViewElement
     from .ir import AppBundle, StmtId
     from .sources_sinks import SourceDiagnostics
@@ -328,122 +331,97 @@ def parse_report(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# aggregation and CSV export
+
+_STATS = ("median", "average", "max")  # of one party's leak counts per app
+_LEAK_PARTIES = (*_PARTIES, "total")
+
+# each summary table's columns, in CSV order; aggregate builds its rows from them
+_COLUMNS = {
+    "leak_stats": ("basis", "party", *_STATS),
+    "destinations": ("destination", "leaks", "pct_of_leaks", *_PARTIES),
+    "pi_by_destination": ("pi", *DESTINATIONS, "total"),
+    "prevalence": ("pi", "apps_collecting", "fraction"),
+    "view_types": ("view_class", "views", "share", "top_pi"),
+}
+# each float column's decimal places: aggregate rounds to them, export_csv prints them
+_PLACES = {"average": 2, "pct_of_leaks": 2, "fraction": 4, "share": 4}
 
 
-def _lower_median(values: list[int]):
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
+def _row(columns: tuple, values) -> dict:
+    """The row of columns holding values, each float column rounded to its places."""
+    return {c: round(v, _PLACES[c]) if c in _PLACES else v for c, v in zip(columns, values)}
 
 
-def _party_stats(counts: list[int]) -> dict:
-    return {
-        "median": _lower_median(counts),
-        "average": round(sum(counts) / len(counts), 2),
-        "max": max(counts),
-    }
-
-
-def aggregate(reports: list[dict]) -> dict:
+def aggregate(reports: Iterable[dict]) -> dict:
     """Fold per-app reports into the corpus summary document.
 
+    reports is read once, and only counts are kept: each app's first-,
+    third-party and total leak counts, and counters keyed by table cell.
     Leak-count stats use the lower median and are computed twice: over all
-    apps and over apps with at least one leak (empty markers when no app
+    apps and over apps with at least one leak (None cells when no app
     leaks). The per-PI destination table counts each app at most once per
     (PI, destination) cell; the destination table counts every leak.
     """
-    if not reports:
-        raise EmptyCorpus("no reports to aggregate")
-
-    per_app_party = []  # (first_count, third_count) per report
-    dest_party = {c: {p: 0 for p in _PARTIES} for c in DESTINATIONS}
-    pi_dest_apps = {k: {c: set() for c in DESTINATIONS} for k in KINDS}
-    collectors = {name: set() for name, _ in PI_GROUPS}
-    view_counter: dict[str, dict[str, int]] = {}
-
-    for idx, report in enumerate(reports):
-        first = third = 0
-        for leak in report["leaks"]:
+    apps = []  # (first, third, total) leaks of each app
+    dest_party = Counter()  # (destination, party) -> leaks
+    pi_dest = Counter()  # (PI kind, destination) -> apps with such a leak
+    groups = Counter()  # PI group -> apps with a labeled view of a kind in it
+    view_kinds = Counter()  # (view class, PI kind) -> labeled views
+    for report in reports:
+        leaks, views = report["leaks"], report["views"]
+        first = 0
+        for leak in leaks:
             party = leak["party"]
-            dest = leak["destination"]
-            dest_party[dest][party] += 1
-            pi_dest_apps[leak["pi_kind"]][dest].add(idx)
-            if party == "first":
-                first += 1
-            else:
-                third += 1
-        per_app_party.append((first, third))
-        for view in report["views"]:
-            kind = view["pi_kind"]
-            for name, kinds in PI_GROUPS:
-                if kind in kinds:
-                    collectors[name].add(idx)
-            counter = view_counter.setdefault(view["view_class"], {})
-            counter[kind] = counter.get(kind, 0) + 1
-
-    total_leaks = sum(f + t for f, t in per_app_party)
-    n_apps = len(reports)
+            dest_party[leak["destination"], party] += 1
+            first += party == "first"
+        apps.append((first, len(leaks) - first, len(leaks)))
+        pi_dest.update({(leak["pi_kind"], leak["destination"]) for leak in leaks})
+        kinds = {view["pi_kind"] for view in views}
+        groups.update(name for name, group in PI_GROUPS if not kinds.isdisjoint(group))
+        view_kinds.update((view["view_class"], view["pi_kind"]) for view in views)
+    if not apps:
+        raise EmptyCorpus("no reports to aggregate")
+    total_leaks = dest_party.total()
 
     leak_stats = {}
-    for basis, rows in (
-        ("all_apps", per_app_party),
-        ("leaking_apps", [(f, t) for f, t in per_app_party if f + t > 0]),
-    ):
-        if rows:
-            leak_stats[basis] = {
-                "apps": len(rows),
-                "first": _party_stats([f for f, _ in rows]),
-                "third": _party_stats([t for _, t in rows]),
-                "total": _party_stats([f + t for f, t in rows]),
-            }
-        else:
-            leak_stats[basis] = {"apps": 0, "first": None, "third": None, "total": None}
+    for basis, rows in (("all_apps", apps), ("leaking_apps", [a for a in apps if a[2]])):
+        stats = leak_stats[basis] = {"apps": len(rows), **dict.fromkeys(_LEAK_PARTIES)}
+        for party, counts in zip(_LEAK_PARTIES, map(sorted, zip(*rows))):
+            median = counts[(len(counts) - 1) // 2]  # the lower one, not interpolated
+            stats[party] = _row(_STATS, (median, sum(counts) / len(counts), counts[-1]))
 
     destinations = []
-    for cat in DESTINATIONS:
-        first = dest_party[cat]["first"]
-        third = dest_party[cat]["third"]
+    for dest in DESTINATIONS:
+        first, third = (dest_party[dest, party] for party in _PARTIES)
         leaks = first + third
-        pct = round(100.0 * leaks / total_leaks, 2) if total_leaks else 0.0
-        destinations.append(
-            {"destination": cat, "leaks": leaks, "pct_of_leaks": pct,
-             "first": first, "third": third}
-        )
+        pct = 100.0 * leaks / total_leaks if total_leaks else 0.0
+        destinations.append(_row(_COLUMNS["destinations"], (dest, leaks, pct, first, third)))
 
     pi_by_destination = []
     for kind in KINDS:
-        cells = {c: len(pi_dest_apps[kind][c]) for c in DESTINATIONS}
-        pi_by_destination.append({"pi": kind, **cells, "total": sum(cells.values())})
+        cells = [pi_dest[kind, dest] for dest in DESTINATIONS]
+        pi_by_destination.append(_row(_COLUMNS["pi_by_destination"], (kind, *cells, sum(cells))))
 
     prevalence = [
-        {
-            "pi": name,
-            "apps_collecting": len(collectors[name]),
-            "fraction": round(len(collectors[name]) / n_apps, 4),
-        }
+        _row(_COLUMNS["prevalence"], (name, groups[name], groups[name] / len(apps)))
         for name, _ in PI_GROUPS
     ]
 
-    labeled_total = sum(sum(c.values()) for c in view_counter.values())
-    view_types = []
-    for view_class in sorted(
-        view_counter, key=lambda vc: (-sum(view_counter[vc].values()), vc)
-    ):
-        counter = view_counter[view_class]
-        count = sum(counter.values())
-        top = sorted(counter.items(), key=lambda kv: (-kv[1], KIND_ORDER[kv[0]]))[:3]
-        view_types.append(
-            {
-                "view_class": view_class,
-                "views": count,
-                "share": round(count / labeled_total, 4) if labeled_total else 0.0,
-                "top_pi": ";".join(f"{k}:{n}" for k, n in top),
-            }
-        )
+    class_views, top = Counter(), {}  # per view class: labeled views, "kind:n" texts
+    by_count = sorted(view_kinds.items(), key=lambda kv: (-kv[1], KIND_ORDER[kv[0][1]]))
+    for (view_class, kind), n in by_count:
+        class_views[view_class] += n
+        top.setdefault(view_class, []).append(f"{kind}:{n}")
+    labeled = class_views.total()
+    view_types = [
+        _row(_COLUMNS["view_types"], (view_class, n, n / labeled, ";".join(top[view_class][:3])))
+        for view_class, n in sorted(class_views.items(), key=lambda kv: (-kv[1], kv[0]))
+    ]
 
     return {
         "schema_version": SCHEMA_VERSION,
-        "n_apps": n_apps,
+        "n_apps": len(apps),
         "total_leaks": total_leaks,
         "leak_stats": leak_stats,
         "destinations": destinations,
@@ -457,58 +435,37 @@ def write_summary(summary: dict, path) -> None:
     write_atomic(path, serialize_report(summary))
 
 
-# ---------------------------------------------------------------------------
-# CSV export
-
-
 def export_csv(summary: dict, out_dir) -> list[Path]:
-    """Write the five corpus CSVs into out_dir; returns the paths written."""
+    """Write one CSV per summary table into out_dir; returns the paths written.
+
+    leak_stats has a row per (basis, party), its cells empty where no app
+    leaks, and pi_by_destination ends in a row of column totals.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    leak_stats = []
-    for basis in ("all_apps", "leaking_apps"):
-        for party in ("first", "third", "total"):
-            cell = summary["leak_stats"][basis][party]
-            if cell is None:
-                leak_stats.append([basis, party, "", "", ""])
-            else:
-                leak_stats.append(
-                    [basis, party, cell["median"], f"{cell['average']:.2f}", cell["max"]]
-                )
-    pi_rows = summary["pi_by_destination"]
-    col_totals = [sum(row[c] for row in pi_rows) for c in DESTINATIONS]
-    pi_table = [[row["pi"], *(row[c] for c in DESTINATIONS), row["total"]] for row in pi_rows]
-    pi_table.append(["total", *col_totals, sum(col_totals)])
-    tables = (
-        ("leak_stats.csv", ["basis", "party", "median", "average", "max"], leak_stats),
-        (
-            "destinations.csv",
-            ["destination", "leaks", "pct_of_leaks", "first", "third"],
-            [[row["destination"], row["leaks"], f"{row['pct_of_leaks']:.2f}",
-              row["first"], row["third"]] for row in summary["destinations"]],
-        ),
-        ("pi_by_destination.csv", ["pi", *DESTINATIONS, "total"], pi_table),
-        (
-            "prevalence.csv",
-            ["pi", "apps_collecting", "fraction"],
-            [[row["pi"], row["apps_collecting"], f"{row['fraction']:.4f}"]
-             for row in summary["prevalence"]],
-        ),
-        (
-            "view_types.csv",
-            ["view_class", "views", "share", "top_pi"],
-            [[row["view_class"], row["views"], f"{row['share']:.4f}", row["top_pi"]]
-             for row in summary["view_types"]],
-        ),
+    stats, pi_rows = summary["leak_stats"], summary["pi_by_destination"]
+    pi_columns = _COLUMNS["pi_by_destination"]
+    totals = ("total", *(sum(row[c] for row in pi_rows) for c in pi_columns[1:]))
+    tables = dict(
+        summary,
+        leak_stats=[
+            dict(zip(_COLUMNS["leak_stats"], (basis, party)),
+                 **(stats[basis][party] or dict.fromkeys(_STATS, "")))
+            for basis in stats for party in _LEAK_PARTIES
+        ],
+        pi_by_destination=[*pi_rows, dict(zip(pi_columns, totals))],
     )
-
     written = []
-    for name, header, rows in tables:
+    for name, columns in _COLUMNS.items():
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        written.append(out_dir / name)
+        writer.writerow(columns)
+        for row in tables[name]:
+            values = (row[c] for c in columns)
+            writer.writerow(
+                f"{v:.{_PLACES[c]}f}" if isinstance(v, float) else v
+                for c, v in zip(columns, values)
+            )
+        written.append(out_dir / f"{name}.csv")
         write_atomic(written[-1], buf.getvalue())
     return written

@@ -748,6 +748,17 @@ def test_malformed_report_exits_2(tmp_path, capsys, command, doc, message):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_a_bad_report_after_good_ones_exits_2_before_anything_is_written(tmp_path, capsys):
+    """aggregate folds each report as it parses it, so the bad one is read
+    after the good ones have been counted; still no summary or CSV appears."""
+    reports = _write_report(tmp_path, _minimal_report()).parent
+    (reports / "zz.json").write_text(json.dumps(_with("leaks", "party", "fourth")))
+    out = tmp_path / "summary"
+    assert main(["aggregate", "--reports", str(reports), "--out", str(out)]) == 2
+    assert "zz.json: leaks[0] has a missing or bad 'party'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "epoch", ["abc", "99999999999999999999", "٣", "1_700_000_000", " 1700000000", "+5"]
 )
