@@ -85,14 +85,14 @@ def _diag_line(report: dict) -> str:
 
 def cmd_analyze(args) -> int:
     from .pipeline import analyze_bundle
-    from .report import serialize_report, write_atomic
+    from .report import serialize_report, write_atomic, write_slices
 
     report = analyze_bundle(args.app, args.widgets, args.lexicon, args.sinks)
     text = serialize_report(report)
     if args.out:
         write_atomic(args.out, text)
     else:
-        sys.stdout.write(text)
+        write_slices(sys.stdout, text)
     print(_diag_line(report), file=sys.stderr)
     return 0
 

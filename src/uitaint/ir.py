@@ -49,8 +49,10 @@ MAX_RESOURCE_ID = 0xFFFFFFFF
 # ---------------------------------------------------------------------------
 # model
 
-# Model values are NamedTuples, cheaper to define than dataclasses. As tuples,
-# Reg("x") == StrConst("x") and NullConst() is falsy: test optionals `is None`.
+# Model values are NamedTuples, cheaper to define than dataclasses. An atom
+# is a register's name (a str, "this" for the receiver), an integer
+# constant's int, a StrConst or a NullConst, so its type tells it apart.
+# NullConst() is an empty tuple and falsy: test optionals `is None`.
 
 
 class StmtId(NamedTuple):
@@ -61,16 +63,6 @@ class StmtId(NamedTuple):
     ordinal: int
 
 
-class Reg(NamedTuple):
-    """A local register. The receiver pseudo-register is spelled "this"."""
-
-    name: str
-
-
-class IntConst(NamedTuple):
-    value: int
-
-
 class StrConst(NamedTuple):
     value: str
 
@@ -79,7 +71,7 @@ class NullConst(NamedTuple):
     pass
 
 
-Atom = Reg | IntConst | StrConst | NullConst
+Atom = str | int | StrConst | NullConst
 
 
 class MethodSig(NamedTuple):
@@ -101,41 +93,41 @@ class FieldSig(NamedTuple):
 
 class InvokeExpr(NamedTuple):
     kind: str
-    receiver: Reg | None
+    receiver: str | None
     sig: MethodSig
     args: tuple[Atom, ...]
 
 
 class AssignAtom(NamedTuple):
     sid: StmtId
-    dst: Reg
+    dst: str
     src: Atom
 
 
 class AssignCast(NamedTuple):
     sid: StmtId
-    dst: Reg
+    dst: str
     cast_type: str
-    src: Reg
+    src: str
 
 
 class FieldRead(NamedTuple):
     sid: StmtId
-    dst: Reg
+    dst: str
     fld: FieldSig
-    base: Reg | None  # None for static reads
+    base: str | None  # None for static reads
 
 
 class FieldWrite(NamedTuple):
     sid: StmtId
     fld: FieldSig
-    base: Reg | None
+    base: str | None
     value: Atom
 
 
 class InvokeStmt(NamedTuple):
     sid: StmtId
-    result: Reg | None
+    result: str | None
     expr: InvokeExpr
 
 
@@ -289,13 +281,13 @@ def _col(m, g, text):
 
 
 def _reg(name, shared, m, g, what="register"):
-    """The one Reg in shared of a register name that is not reserved, from
+    """The one copy in shared of a register name that is not reserved, from
     group g of match m."""
     value = shared.get(name)
     if value is None:
         if name in RESERVED:
             raise _LineError(_col(m, g, name), f"{name!r} cannot be used as a {what}")
-        value = shared[name] = _new(Reg, (name,))
+        value = shared[name] = name
     return value
 
 
@@ -314,21 +306,21 @@ def _atom(text, shared, m, g):
         return StrConst(_unescape(text[1:-1]))
     if first in "-0123456789":
         if "x" in text or "X" in text:
-            return IntConst(int(text, 16))
+            return int(text, 16)
         try:
-            return IntConst(int(text))
+            return int(text)
         except ValueError:  # more digits than int() converts
             raise _LineError(_col(m, g, text), "integer literal too long") from None
     if text == "null":
         return NullConst()
     if text == "this":
-        return Reg("this")
+        return "this"
     return _reg(text, shared, m, g)
 
 
 def _names(*atoms):
     """The names of the registers among atoms."""
-    return [a.name for a in atoms if type(a) is Reg]
+    return [a for a in atoms if type(a) is str]
 
 
 def _statement(line, shared):
@@ -350,7 +342,7 @@ def _statement(line, shared):
         elif kind == "staticinvoke":
             raise _LineError(m.start(3) + 1, "staticinvoke takes no receiver")
         else:
-            recv = Reg("this") if recv == "this" else _reg(recv, shared, m, 3, "receiver")
+            recv = "this" if recv == "this" else _reg(recv, shared, m, 3, "receiver")
         sig = _sig(sig_text, shared, cls_name, rtype, name, params)
         args = tuple(_atom(a, shared, m, 9) for a in _ATOMS.findall(args)) if args else ()
         if len(args) != len(sig.param_types):
@@ -550,10 +542,10 @@ def _escape(s):
 
 def render_atom(atom: Atom) -> str:
     match atom:
-        case Reg(name):
-            return name
-        case IntConst(v):
-            return str(v)
+        case str():
+            return atom
+        case int():
+            return str(atom)
         case StrConst(v):
             return f'"{_escape(v)}"'
         case NullConst():
@@ -562,7 +554,7 @@ def render_atom(atom: Atom) -> str:
 
 
 def render_invoke(expr: InvokeExpr) -> str:
-    recv = f"{expr.receiver.name}." if expr.receiver is not None else ""
+    recv = f"{expr.receiver}." if expr.receiver is not None else ""
     args = ", ".join(render_atom(a) for a in expr.args)
     return f"{expr.kind} {recv}{render_method_sig(expr.sig)}({args})"
 
@@ -570,17 +562,17 @@ def render_invoke(expr: InvokeExpr) -> str:
 def render_statement(stmt: Statement) -> str:
     match stmt:
         case AssignAtom(dst=d, src=a):
-            return f"{d.name} = {render_atom(a)}"
+            return f"{d} = {render_atom(a)}"
         case AssignCast(dst=d, cast_type=t, src=s):
-            return f"{d.name} = ({t}) {s.name}"
+            return f"{d} = ({t}) {s}"
         case FieldRead(dst=d, fld=f, base=b):
-            base = f"{b.name}." if b is not None else ""
-            return f"{d.name} = {base}{render_field_sig(f)}"
+            base = f"{b}." if b is not None else ""
+            return f"{d} = {base}{render_field_sig(f)}"
         case FieldWrite(fld=f, base=b, value=v):
-            base = f"{b.name}." if b is not None else ""
+            base = f"{b}." if b is not None else ""
             return f"{base}{render_field_sig(f)} = {render_atom(v)}"
         case InvokeStmt(result=r, expr=e):
-            lhs = f"{r.name} = " if r is not None else ""
+            lhs = f"{r} = " if r is not None else ""
             return f"{lhs}{render_invoke(e)}"
         case ReturnStmt(value=v):
             return "return" if v is None else f"return {render_atom(v)}"

@@ -288,6 +288,16 @@ def _render(o, depth: int, levels: list) -> str:
     return text
 
 
+_SLICE = 1 << 16  # characters per write
+
+
+def write_slices(fh, text: str) -> None:
+    """Write text to the text-mode file fh a slice at a time, so only one
+    slice is ever encoded at once, not a bytes copy of the whole text."""
+    for start in range(0, len(text), _SLICE):
+        fh.write(text[start:start + _SLICE])
+
+
 def write_atomic(path, text: str) -> None:
     """Write text to path as UTF-8 through a temp file in the same directory
     and a rename, so a failed write leaves whatever was at path untouched.
@@ -297,7 +307,8 @@ def write_atomic(path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write_slices(fh, text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -358,6 +369,8 @@ def aggregate(reports: Iterable[dict]) -> dict:
 
     reports is read once, and only counts are kept: each app's first-,
     third-party and total leak counts, and counters keyed by table cell.
+    No part of a report outlives its fold, so an iterable that parses
+    reports as it goes holds one at a time.
     Leak-count stats use the lower median and are computed twice: over all
     apps and over apps with at least one leak (None cells when no app
     leaks). The per-PI destination table counts each app at most once per
@@ -368,18 +381,15 @@ def aggregate(reports: Iterable[dict]) -> dict:
     pi_dest = Counter()  # (PI kind, destination) -> apps with such a leak
     groups = Counter()  # PI group -> apps with a labeled view of a kind in it
     view_kinds = Counter()  # (view class, PI kind) -> labeled views
-    for report in reports:
-        leaks, views = report["leaks"], report["views"]
-        first = 0
-        for leak in leaks:
-            party = leak["party"]
-            dest_party[leak["destination"], party] += 1
-            first += party == "first"
+    for leaks, views in map(itemgetter("leaks", "views"), reports):
+        dest_party.update((leak["destination"], leak["party"]) for leak in leaks)
+        first = sum(leak["party"] == "first" for leak in leaks)
         apps.append((first, len(leaks) - first, len(leaks)))
         pi_dest.update({(leak["pi_kind"], leak["destination"]) for leak in leaks})
         kinds = {view["pi_kind"] for view in views}
         groups.update(name for name, group in PI_GROUPS if not kinds.isdisjoint(group))
         view_kinds.update((view["view_class"], view["pi_kind"]) for view in views)
+        del leaks, views  # before the next report is read
     if not apps:
         raise EmptyCorpus("no reports to aggregate")
     total_leaks = dest_party.total()

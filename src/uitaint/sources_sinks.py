@@ -18,11 +18,9 @@ from .ir import (
     AppBundle,
     AssignAtom,
     FieldRead,
-    IntConst,
     InvokeExpr,
     InvokeStmt,
     MethodSig,
-    Reg,
     StmtId,
     parse_method_sig,
 )
@@ -138,8 +136,8 @@ def _is_find_view_by_id(expr: InvokeExpr) -> bool:
     return expr.sig.name == "findViewById" and expr.sig.param_types == ("int",)
 
 
-def _register_constants(body, rtable) -> dict[Reg, set]:
-    """Register -> every integer constant assigned to it anywhere in body.
+def _register_constants(body, rtable) -> dict[str, set]:
+    """Register name -> every integer constant assigned to it anywhere in body.
 
     A static read of an R$id field counts through the resource table; a read
     of a name the table lacks adds None, which poisons the register.
@@ -147,8 +145,8 @@ def _register_constants(body, rtable) -> dict[Reg, set]:
     found = {}
     for s in body.statements:
         kind = type(s)
-        if kind is AssignAtom and type(s.src) is IntConst:
-            value = s.src.value
+        if kind is AssignAtom and type(s.src) is int:
+            value = s.src
         elif kind is FieldRead and s.base is None and s.fld.simple_class_name == "R$id":
             value = rtable.get(s.fld.name)
         else:
@@ -170,9 +168,9 @@ def _find_view_sites(body, rtable):
         if type(stmt) is not InvokeStmt or not _is_find_view_by_id(stmt.expr):
             continue
         arg = stmt.expr.args[0]
-        if type(arg) is IntConst:
-            yield stmt, arg.value
-        elif type(arg) is Reg:
+        if type(arg) is int:
+            yield stmt, arg
+        elif type(arg) is str:
             if constants is None:
                 constants = _register_constants(body, rtable)
             values = constants.get(arg, ())
@@ -208,6 +206,5 @@ def resolve_sources(
                 diag.unlabeled_id_skips += 1
                 continue
             diag.resolved += 1
-            result = stmt.result.name if stmt.result is not None else None
-            sources.append(SourcePoint(stmt.sid, view, result))
+            sources.append(SourcePoint(stmt.sid, view, stmt.result))
     return sources, diag

@@ -22,7 +22,6 @@ from .ir import (
     FieldWrite,
     InvokeStmt,
     MethodBody,
-    Reg,
     ReturnStmt,
     StmtId,
     method_token,
@@ -99,7 +98,7 @@ def build_graph(
 
         def reg(atom):
             """The node of a register atom of this method, or None for a constant."""
-            return ids.setdefault((cls, mtok, atom.name), len(ids)) if type(atom) is Reg else None
+            return ids.setdefault((cls, mtok, atom), len(ids)) if type(atom) is str else None
 
         # dispatch on the exact type and unpack: class patterns, which test
         # each case in turn, cost about four times as much per statement
@@ -154,17 +153,17 @@ def _add_call_edges(sid, expr, result, callee: MethodBody, returns, reg, node, a
         rets = returns.get((ccls, cmtok))
         if rets is None:  # a callee's body is scanned once, at its first call
             rets = returns[ccls, cmtok] = [
-                s for s in callee.statements if type(s) is ReturnStmt and type(s.value) is Reg
+                s for s in callee.statements if type(s) is ReturnStmt and type(s.value) is str
             ]
         for s in rets:
             # the return statement labels the edge so cross-class hops
             # surface in the witness path
-            add_edge(node((ccls, cmtok, s.value.name)), reg(result), s.sid)
+            add_edge(node((ccls, cmtok, s.value)), reg(result), s.sid)
 
 
 def _add_opaque_edges(sid, expr, result, reg, add_edge):
     # only registers that gain an edge get an id, so the ids stay dense
-    args = [a for a in expr.args if type(a) is Reg]
+    args = [a for a in expr.args if type(a) is str]
     recv = expr.receiver
     if result is not None:
         for a in args if recv is None else [*args, recv]:

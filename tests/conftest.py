@@ -23,13 +23,11 @@ from uitaint.ir import (
     FieldRead,
     FieldSig,
     FieldWrite,
-    IntConst,
     InvokeExpr,
     InvokeStmt,
     MethodBody,
     MethodSig,
     NullConst,
-    Reg,
     ReturnStmt,
     StmtId,
     StrConst,
@@ -456,16 +454,16 @@ def reference_add_call_edges(sid, expr, result, callee: MethodBody, reg, node, a
         for s in callee.statements:
             # the return statement labels the edge so cross-class hops
             # surface in the witness path
-            if isinstance(s, ReturnStmt) and isinstance(s.value, Reg):
-                add_edge(node((ccls, cmtok, s.value.name)), reg(result), s.sid)
+            if isinstance(s, ReturnStmt) and isinstance(s.value, str):
+                add_edge(node((ccls, cmtok, s.value)), reg(result), s.sid)
 
 
-def _reference_constant_candidates(reg: Reg, body, rtable):
+def _reference_constant_candidates(reg: str, body, rtable):
     values = set()
     poisoned = False
     for s in body.statements:
         match s:
-            case AssignAtom(dst=d, src=IntConst(value=v)) if d == reg:
+            case AssignAtom(dst=d, src=int(v)) if d == reg:
                 values.add(v)
             case FieldRead(dst=d, fld=f, base=None) if (
                 d == reg and f.simple_class_name == "R$id"
@@ -482,9 +480,9 @@ def reference_resolve_arg(expr: InvokeExpr, body, rtable) -> int | None:
     """The id a findViewById call site of body resolves to, or None: the
     oracle for sources_sinks._find_view_sites."""
     arg = expr.args[0]
-    if isinstance(arg, IntConst):
-        return arg.value
-    if not isinstance(arg, Reg) or arg.name == "this":
+    if isinstance(arg, int):
+        return arg
+    if not isinstance(arg, str) or arg == "this":
         return None
     values, poisoned = _reference_constant_candidates(arg, body, rtable)
     if poisoned or len(values) != 1:
@@ -690,12 +688,12 @@ class _Parser:
             self.error(f"expected {what}")
         if t.value in RESERVED:
             self.error(f"{t.value!r} cannot be used as a {what}")
-        return Reg(self.next().value)
+        return self.next().value
 
     def atom(self):
         t = self.peek()
         if t.kind == "int":
-            return IntConst(self.next().value)
+            return self.next().value
         if t.kind == "str":
             return StrConst(self.next().value)
         if t.kind == "ident":
@@ -704,7 +702,7 @@ class _Parser:
                 return NullConst()
             if t.value == "this":
                 self.next()
-                return Reg("this")
+                return "this"
             return self.register()
         self.error("expected atom")
 
@@ -751,7 +749,7 @@ class _Parser:
                 self.error("expected receiver register")
             if t.value == "this":
                 self.next()
-                receiver = Reg("this")
+                receiver = "this"
             else:
                 receiver = self.register("receiver")
             self.expect_punct(".")
@@ -851,7 +849,7 @@ class _Parser:
         if not self.at_punct(")"):
             while True:
                 ptypes.append(self.type_name())
-                pnames.append(self.register("parameter").name)
+                pnames.append(self.register("parameter"))
                 if not self.at_punct(","):
                     break
                 self.next()
@@ -889,41 +887,41 @@ class _Parser:
         for s in body.statements:
             match s:
                 case AssignAtom(dst=d) | AssignCast(dst=d) | FieldRead(dst=d):
-                    assigned.add(d.name)
-                case InvokeStmt(result=Reg(name=rn)):
+                    assigned.add(d)
+                case InvokeStmt(result=str(rn)):
                     assigned.add(rn)
 
         def reads_of(s):
             out = []
             match s:
-                case AssignAtom(src=a) | ReturnStmt(value=a) if isinstance(a, Reg):
+                case AssignAtom(src=a) | ReturnStmt(value=a) if isinstance(a, str):
                     out.append(a)
                 case AssignCast(src=r):
                     out.append(r)
-                case FieldRead(base=Reg() as b):
+                case FieldRead(base=str() as b):
                     out.append(b)
                 case FieldWrite(base=b, value=v):
-                    if isinstance(b, Reg):
+                    if isinstance(b, str):
                         out.append(b)
-                    if isinstance(v, Reg):
+                    if isinstance(v, str):
                         out.append(v)
                 case InvokeStmt(expr=e):
                     if e.receiver is not None:
                         out.append(e.receiver)
-                    out.extend(a for a in e.args if isinstance(a, Reg))
+                    out.extend(a for a in e.args if isinstance(a, str))
             return out
 
         for s, line in zip(body.statements, lines):
             for r in reads_of(s):
-                if r.name == "this":
+                if r == "this":
                     if body.is_static:
                         raise IrSyntaxError(
                             "'this' read in a static method", self.filename, line, 1
                         )
                     continue
-                if r.name not in assigned:
+                if r not in assigned:
                     raise IrSyntaxError(
-                        f"register {r.name!r} is read but never assigned",
+                        f"register {r!r} is read but never assigned",
                         self.filename,
                         line,
                         1,
@@ -960,9 +958,10 @@ class _Parser:
 def typed(value):
     """value in a form that compares type for type.
 
-    The model's NamedTuples compare as plain tuples, so Reg("x") ==
-    StrConst("x") and NullConst() == (); a code unit's rendering tells its
-    atoms and statements apart, and the type tells any other value apart.
+    The model's NamedTuples compare as plain tuples, so NullConst() == ()
+    and a statement or signature equals a tuple of another type with the
+    same items; a code unit's rendering tells its atoms and statements
+    apart, and the type tells any other value apart.
     A dict (a bundle's code units) compares value by value.
     """
     if isinstance(value, CodeUnit):

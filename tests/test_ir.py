@@ -27,13 +27,11 @@ from uitaint.ir import (
     FieldRead,
     FieldSig,
     FieldWrite,
-    IntConst,
     InvokeExpr,
     InvokeStmt,
     MethodBody,
     MethodSig,
     NullConst,
-    Reg,
     ReturnStmt,
     StmtId,
     StrConst,
@@ -57,6 +55,7 @@ from conftest import (
     reference_parse_method_sig,
     typed,
     write_bundle,
+    write_hub_bundle,
 )
 
 SIMPLE = """\
@@ -93,7 +92,7 @@ def test_parse_simple_unit_shape():
         "ReturnStmt",
     ]
     assert unit.methods[1].is_static
-    assert unit.methods[1].statements[0].value == IntConst(42)
+    assert typed(unit.methods[1].statements[0].value) == typed(42)
 
 
 def test_statement_ids_are_dense_and_ordered():
@@ -118,7 +117,7 @@ def test_hex_literals_parse_and_render_decimal():
         "class a.B\nmethod static int f():\n  r1 = 0x7f0800e5\n  return r1\n"
     )
     stmt = unit.methods[0].statements[0]
-    assert typed(stmt.src) == typed(IntConst(0x7F0800E5))
+    assert typed(stmt.src) == typed(0x7F0800E5)
     assert render_statement(stmt) == "r1 = 2131230949"
 
 
@@ -221,9 +220,9 @@ class ProgramGen:
     def atom(self, regs):
         pick = self.rng.random()
         if pick < 0.35 and regs:
-            return Reg(self.rng.choice(regs))
+            return self.rng.choice(regs)
         if pick < 0.6:
-            return IntConst(self.rng.choice((-7, 0, 1, 42, 0x7F0800E5, -2**31)))
+            return self.rng.choice((-7, 0, 1, 42, 0x7F0800E5, -2**31))
         if pick < 0.8:
             return StrConst(self.rng.choice(_STRINGS))
         return NullConst()
@@ -243,32 +242,32 @@ class ProgramGen:
     def statement(self, sid, regs, is_static):
         """Returns (stmt, newly assigned register or None)."""
         rng = self.rng
-        dst = Reg(f"$v{sid.ordinal}")
+        dst = f"$v{sid.ordinal}"
         choice = rng.randrange(6)
         if choice == 0:
-            src = Reg("this") if (not is_static and rng.random() < 0.2) \
+            src = "this" if (not is_static and rng.random() < 0.2) \
                 else self.atom(regs)
-            return AssignAtom(sid, dst, src), dst.name
+            return AssignAtom(sid, dst, src), dst
         if choice == 1 and regs:
-            return AssignCast(sid, dst, rng.choice(_TYPES), Reg(rng.choice(regs))), dst.name
+            return AssignCast(sid, dst, rng.choice(_TYPES), rng.choice(regs)), dst
         if choice == 2:
-            base = Reg(rng.choice(regs)) if regs and rng.random() < 0.5 else None
-            return FieldRead(sid, dst, self.field_sig(), base), dst.name
+            base = rng.choice(regs) if regs and rng.random() < 0.5 else None
+            return FieldRead(sid, dst, self.field_sig(), base), dst
         if choice == 3 and regs:
-            base = Reg(rng.choice(regs)) if rng.random() < 0.5 else None
+            base = rng.choice(regs) if rng.random() < 0.5 else None
             return FieldWrite(sid, self.field_sig(), base, self.atom(regs)), None
         # invoke
         kind = rng.choice(("virtualinvoke", "interfaceinvoke", "specialinvoke",
                            "staticinvoke"))
         receiver = None if kind == "staticinvoke" else (
-            Reg(rng.choice(regs)) if regs else None)
+            rng.choice(regs) if regs else None)
         if kind != "staticinvoke" and receiver is None:
             kind = "staticinvoke"
         sig = self.method_sig(rng.randrange(3))
         args = tuple(self.atom(regs) for _ in sig.param_types)
         result = dst if rng.random() < 0.6 else None
         stmt = InvokeStmt(sid, result, InvokeExpr(kind, receiver, sig, args))
-        return stmt, (result.name if result else None)
+        return stmt, result
 
     def method(self, cls, index):
         rng = self.rng
@@ -399,8 +398,11 @@ def _register_names(unit):
     for m in unit.methods:
         names.update(m.params)
         for s in m.statements:
-            atoms = (*s, s.expr.receiver, *s.expr.args) if type(s) is InvokeStmt else s
-            names.update(a.name for a in atoms if type(a) is Reg)
+            if type(s) is InvokeStmt:
+                atoms = (s.result, s.expr.receiver, *s.expr.args)
+            else:  # every str field but a cast's type is a register
+                atoms = s._replace(cast_type=None) if type(s) is AssignCast else s
+            names.update(a for a in atoms if type(a) is str)
     return names - {"this"}
 
 
@@ -602,11 +604,70 @@ def test_null_in_every_atom_position_parses_as_null():
     unit = parse_code_unit(NULLS)
     assign, write, call, ret = unit.methods[0].statements
     assert type(assign.src) is NullConst and type(write.value) is NullConst
-    assert [type(a) for a in call.expr.args] == [NullConst, Reg]
+    assert [type(a) for a in call.expr.args] == [NullConst, str]
     assert type(ret.value) is NullConst
     assert unit.methods[1].statements[0].value is None
     assert render_code_unit(unit) == NULLS
     assert typed(unit) == typed(reference_parse_code_unit(NULLS))
+
+
+def test_a_register_and_a_string_of_one_spelling_parse_unequal():
+    unit = parse_code_unit('class a.B\nmethod void f(int y):\n  x = y\n  x = "y"\n')
+    read, const = unit.methods[0].statements
+    assert read._replace(sid=const.sid) != const
+    assert read.src == "y" and const.src == StrConst("y")
+
+
+def _registers_and_atoms(s):
+    """The register positions of statement s (None where a position is
+    empty) and its atom positions."""
+    kind = type(s)
+    if kind is AssignAtom:
+        return (s.dst,), (s.src,)
+    if kind is AssignCast:
+        return (s.dst, s.src), ()
+    if kind is FieldRead:
+        return (s.dst, s.base), ()
+    if kind is FieldWrite:
+        return (s.base,), (s.value,)
+    if kind is InvokeStmt:
+        return (s.result, s.expr.receiver), s.expr.args
+    return (), (() if s.value is None else (s.value,))
+
+
+_REGISTER = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+
+
+def test_a_register_is_its_name_and_an_integer_constant_its_int(tmp_path):
+    """In the bundles of tests/data, fixture seeds 1, 7 and 29 and a hub,
+    each statement renders as its line and holds one kind of value per
+    position: a register name is a str, an integer constant an int, a
+    string constant a StrConst and null a NullConst. Each register name is
+    one object wherever a bundle's statements use it."""
+    apps = [*sorted(DATA.iterdir()), write_hub_bundle(tmp_path / "hub", 12, 12)]
+    apps += [generate(FixtureSpec(seed=seed), tmp_path / f"fx{seed}")[0] for seed in (1, 7, 29)]
+    kinds = set()
+    for app in apps:
+        bundle = parse_bundle(app)
+        names = {}  # register name -> its first object in this bundle
+        for path in sorted((app / "code").rglob("*.jtac")):
+            text = path.read_text(encoding="utf-8")
+            unit = bundle.code_units[text.split("\n", 1)[0].split(" ")[1]]
+            lines = [line for line in text.split("\n") if line[:2] == "  " and line.strip()]
+            stmts = [s for m in unit.methods for s in m.statements]
+            assert [f"  {render_statement(s)}" for s in stmts] == lines, path
+            for s in stmts:
+                registers, atoms = _registers_and_atoms(s)
+                for r in registers:
+                    assert r is None or type(r) is str and _REGISTER.fullmatch(r), (path, s)
+                    assert r is None or names.setdefault(r, r) is r, (path, s)
+                for a in atoms:
+                    kinds.add(type(a))
+                    assert type(a) in (int, StrConst, NullConst) or (
+                        type(a) is str and _REGISTER.fullmatch(a) and a != "null"), (path, s)
+                    assert type(a) is not str or names.setdefault(a, a) is a, (path, s)
+                    assert type(a) is not StrConst or type(a.value) is str, (path, s)
+    assert kinds == {str, int, StrConst, NullConst}
 
 
 class _CountingPattern:
@@ -774,7 +835,7 @@ def _chain_bundle(tmp_path):
 def _call(cls, name, params=()):
     sig = MethodSig(cls, "void", name, tuple(params))
     kind = "virtualinvoke"
-    return InvokeExpr(kind, Reg("r0"), sig, tuple(IntConst(0) for _ in params))
+    return InvokeExpr(kind, "r0", sig, tuple(0 for _ in params))
 
 
 def test_resolve_exact_class(tmp_path):
