@@ -1,7 +1,7 @@
 """GUI element extraction from layout XML files.
 
-Walks layout documents in document order, keeps the elements that can accept
-user input according to a widget registry, and joins their id names against
+Walks layout documents in document order, keeps the elements whose tags are
+in the widget registry's set of input tags, and joins their id names against
 the bundle's resource-id table.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import WidgetSyntaxError
 from .ir import LayoutDoc
@@ -32,19 +31,9 @@ class ViewElement:
     pi: str | None = None  # one of pi.KINDS once classified
 
 
-class WidgetRegistry(NamedTuple):
-    """The view classes that accept user input."""
-
-    input_capable: frozenset[str]
-
-    def is_input(self, tag: str) -> bool:
-        # dotted tags are custom views; assume they accept input
-        return tag in self.input_capable or "." in tag
-
-
 @functools.cache
-def load_widget_registry(path) -> WidgetRegistry:
-    """Load a registry file, or the built-in one for None: `input:Name` lines.
+def load_widget_registry(path) -> frozenset[str]:
+    """The `input:Name` tags of a registry file, or the built-in one for None.
 
     `container:Name` lines are accepted and ignored; the layout walker
     descends into every tag whatever the registry says. Memoised by path,
@@ -62,10 +51,10 @@ def load_widget_registry(path) -> WidgetRegistry:
             inputs.add(name)
         elif kind != "container":
             raise WidgetSyntaxError(f"{where}: unknown widget kind {kind!r}")
-    return WidgetRegistry(frozenset(inputs))
+    return frozenset(inputs)
 
 
-def default_widget_registry() -> WidgetRegistry:
+def default_widget_registry() -> frozenset[str]:
     return load_widget_registry(None)
 
 
@@ -89,7 +78,7 @@ def _clean_id(value: str) -> str:
     return value
 
 
-def extract_views(layout: LayoutDoc, registry: WidgetRegistry) -> list[ViewElement]:
+def extract_views(layout: LayoutDoc, inputs: frozenset[str]) -> list[ViewElement]:
     """Collect input-capable view elements from one layout, in document order.
 
     Container and unknown tags are traversed but not emitted; dotted tags are
@@ -100,7 +89,8 @@ def extract_views(layout: LayoutDoc, registry: WidgetRegistry) -> list[ViewEleme
         if not isinstance(element.tag, str):
             continue
         tag = _local_name(element.tag)
-        if not registry.is_input(tag):
+        # dotted tags are custom views; assume they accept input
+        if tag not in inputs and "." not in tag:
             continue
         raw_id = _attr(element, "id")
         views.append(

@@ -56,19 +56,17 @@ PI_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = tuple(
 )
 
 
-_CAMEL_LOWER_UPPER = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
-_CAMEL_ACRONYM = re.compile(r"(?<=[A-Z])(?=[A-Z][a-z])")
-_NON_ALPHA = re.compile(r"[^A-Za-z]+")
+_TOKEN = re.compile(r"[A-Z]+(?![a-z])|[A-Z]?[a-z]+")
 
 
 def tokenize(s: str) -> list[str]:
-    """Split on camelCase boundaries, digits and separators; lowercase.
+    """The ASCII acronyms and words of s, lowercased; anything else splits.
 
     "weightEditText" -> ["weight", "edit", "text"]
+    "XMLHttpRequest" -> ["xml", "http", "request"]
     "fear8name"      -> ["fear", "name"]
     """
-    s = _CAMEL_ACRONYM.sub(" ", _CAMEL_LOWER_UPPER.sub(" ", s))
-    return [t.lower() for t in _NON_ALPHA.split(s) if t]
+    return [t.lower() for t in _TOKEN.findall(s)]
 
 
 class LexEntry(NamedTuple):

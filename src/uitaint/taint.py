@@ -2,10 +2,10 @@
 
 The taint graph's nodes are dense int ids, numbered in build order: one per
 method-local register (keyed by class, method and name) and one per field
-cell (keyed by field signature, shared by every object instance). Edges are
-labeled with the statement that induces them; a leak is the shortest labeled
-path from a findViewById source to a tainted position of a registered sink
-call.
+cell (keyed by the field's signature in the class that declares it, shared
+by every object instance). Edges are labeled with the statement that induces
+them; a leak is the shortest labeled path from a findViewById source to a
+tainted position of a registered sink call.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .ir import (
     AssignAtom,
     AssignCast,
     FieldRead,
+    FieldSig,
     FieldWrite,
     InvokeStmt,
     MethodBody,
@@ -74,7 +75,8 @@ def build_graph(
 
     Edge rules, all flow-insensitive:
       assignments and casts copy operand to destination (constants add no
-      edge); field reads and writes go through the signature-keyed cell;
+      edge); field reads and writes go through the cell of the field's
+      declaration, so a field named through a subclass is its superclass's;
       calls resolved in the bundle bind arguments to parameters, the receiver
       to the callee's `this`, and return atoms to the call result; calls that
       leave the bundle get a conservative summary (arguments and receiver
@@ -86,10 +88,17 @@ def build_graph(
     # name) or by a field's FieldSig (class, type, name); the two never
     # collide, because a method token contains "(" and a type never does
     ids: dict[tuple[str, str, str], int] = {}
+    cells: dict[FieldSig, int] = {}  # a field signature as written -> its cell's node
     returns = {}  # callee (class, method token) -> its statements that return a register
 
     def node(key) -> int:
         return ids.setdefault(key, len(ids))
+
+    def cell(f: FieldSig) -> int:
+        n = cells.get(f)
+        if n is None:
+            n = cells[f] = node(_declaration(f, bundle.code_units))
+        return n
 
     def add_edge(src: int, dst: int, label: StmtId):
         adjacency.setdefault(src, set()).add((dst, label))
@@ -113,11 +122,11 @@ def build_graph(
                 add_edge(reg(s), reg(d), sid)
             elif kind is FieldRead:
                 sid, d, f, _ = stmt
-                add_edge(node(f), reg(d), sid)
+                add_edge(cell(f), reg(d), sid)
             elif kind is FieldWrite:
                 sid, f, _, v = stmt
                 if (n := reg(v)) is not None:
-                    add_edge(n, node(f), sid)
+                    add_edge(n, cell(f), sid)
             elif kind is InvokeStmt:
                 sid, result, expr = stmt
                 callee = resolve_call(expr, bundle)
@@ -139,6 +148,21 @@ def build_graph(
         if sp.result_reg is not None
     }
     return TaintGraph(bundle, adjacency, seeds, sink_feeds, registry.specs)
+
+
+def _declaration(f: FieldSig, units) -> FieldSig:
+    """The signature of the field f names in the first class up f's in-bundle
+    superclass chain that declares a field of f's type and name, or f itself
+    when none does. The walk stops as resolve_call's does."""
+    cls = f.declaring_class
+    seen = set()
+    while cls in units and cls not in seen:
+        declared = FieldSig(cls, f.type, f.name)
+        if declared in units[cls].fields:
+            return declared
+        seen.add(cls)
+        cls = units[cls].superclass
+    return f
 
 
 def _add_call_edges(sid, expr, result, callee: MethodBody, returns, reg, node, add_edge):

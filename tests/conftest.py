@@ -35,7 +35,7 @@ from uitaint.ir import (
     parse_code_unit,
     render_code_unit,
 )
-from uitaint.pi import KIND_ORDER, tokenize
+from uitaint.pi import KIND_ORDER
 from uitaint.taint import Leak, Party, _third_party_classes, classify_package, package_of
 
 DATA = Path(__file__).parent / "data"
@@ -118,23 +118,27 @@ def write_hub_bundle(root: Path, n_sources: int = 2, n_sinks: int = 3) -> Path:
 
 _SHAPE = "com.shape.app.Main"
 _SHAPE_FIND = f"<{_SHAPE}: android.view.View findViewById(int)>"
-SHAPES = ("sites", "callers", "methods")
+SHAPES = ("sites", "callers", "methods", "fields")
 
 
 def write_shape_bundle(root: Path, shape: str, k: int) -> Path:
-    """A one-class bundle of one of SHAPES, which each hold k of one thing:
+    """A bundle of one of SHAPES, which each hold k of one thing:
 
     - "sites": one method with k findViewById($iN) sites, each $iN read from
       an R$id field; every tenth name is missing from the table, and that
       $iN also reads the name before it;
     - "callers": k call sites on one callee of k statements (k >= 2);
-    - "methods": k methods, each called once.
+    - "methods": k methods, each called once;
+    - "fields": k subclasses of the main class, each with a static method
+      that writes the main class's field f named through its own class; the
+      main class calls each one and reads f through its own name.
 
     The "sites" views, and the one view of the others, are labeled email;
-    a Log.d call sinks the last findViewById or call result.
+    a Log.d call sinks the last findViewById or call result, or f.
     """
     main = [f"class {_SHAPE} extends android.app.Activity", "",
             "method void onCreate(android.os.Bundle b1):", "  r0 = this"]
+    code = {}
     if shape == "sites":
         names, callees = [f"v{n}" for n in range(k) if n % 10 != 9], []
         for n in range(k):
@@ -154,12 +158,22 @@ def write_shape_bundle(root: Path, shape: str, k: int) -> Path:
             called = [f"m{n}" for n in range(k)]
             callees = [line for m in called for line in
                        (f"method java.lang.String {m}(java.lang.String p0):", "  return p0")]
+        elif shape == "fields":
+            called, callees = [], []
+            main[2:2] = ["field java.lang.String f", ""]
+            for n in range(k):
+                sub = f"com.shape.app.S{n}"
+                main.append(f"  staticinvoke <{sub}: void put(java.lang.String)>($s)")
+                code[f"S{n}.jtac"] = (f"class {sub} extends {_SHAPE}\n\n"
+                                      "method static void put(java.lang.String p0):\n"
+                                      f"  <{sub}: java.lang.String f> = p0\n")
+            main.append(f"  $r = <{_SHAPE}: java.lang.String f>")
         else:
             raise ValueError(f"unknown shape {shape!r}")
         sig = "<{}: java.lang.String {}(java.lang.String)>"
         main += [f"  $r{n} = virtualinvoke r0.{sig.format(_SHAPE, m)}($s)"
                  for n, m in enumerate(called)]
-        last = f"$r{k - 1}"
+        last = f"$r{k - 1}" if called else "$r"
     main.append(f'  staticinvoke {HUB_LOG}("t", {last})')
     layout = (
         '<LinearLayout xmlns:android="http://schemas.android.com/apk/res/android">\n'
@@ -169,7 +183,7 @@ def write_shape_bundle(root: Path, shape: str, k: int) -> Path:
     return write_bundle(
         root, package="com.shape.app",
         rtable="".join(f"id {v} 0x{0x7F010000 + int(v[1:]):08x}\n" for v in names),
-        layouts={"main.xml": layout}, code={"Main.jtac": "\n".join(main + callees) + "\n"},
+        layouts={"main.xml": layout}, code={"Main.jtac": "\n".join(main + callees) + "\n", **code},
     )
 
 
@@ -494,6 +508,18 @@ def reference_resolve_arg(expr: InvokeExpr, body, rtable) -> int | None:
 # lexicon scan: pi.classify as it was before the term table, kept as it was
 
 
+_CAMEL_LOWER_UPPER = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+_CAMEL_ACRONYM = re.compile(r"(?<=[A-Z])(?=[A-Z][a-z])")
+_NON_ALPHA = re.compile(r"[^A-Za-z]+")
+
+
+def reference_tokenize(s: str) -> list[str]:
+    """pi.tokenize as it was before its one pattern: split at camelCase
+    boundaries, then on every run of characters other than ASCII letters."""
+    s = _CAMEL_ACRONYM.sub(" ", _CAMEL_LOWER_UPPER.sub(" ", s))
+    return [t.lower() for t in _NON_ALPHA.split(s) if t]
+
+
 def _scan_weight(entry):
     """Character length of the term; longer terms are more specific."""
     return sum(len(t) for t in entry.tokens)
@@ -510,7 +536,7 @@ def scan_classify(view, lexicon):
     for signal in (view.id_name, view.hint, view.text):
         if not signal:
             continue
-        tokens = tokenize(signal)
+        tokens = reference_tokenize(signal)
         if not tokens:
             continue
         matched = [e for e in lexicon.entries if _scan_matches(tokens, e)]

@@ -1,4 +1,4 @@
-"""Stage times of the pipeline on the three bundle shapes of
+"""Stage times of the pipeline on the four bundle shapes of
 conftest.write_shape_bundle, at growing k.
 
 Run from the repository root as

@@ -66,7 +66,7 @@ def test_matches_naive_walk_oracle():
 
     def walk(el):
         tag = el.tag.rsplit("}", 1)[-1]
-        if registry.is_input(tag):
+        if tag in registry or "." in tag:
             expected.append(tag)
         for child in el:
             walk(child)
@@ -114,9 +114,13 @@ def test_registry_file_round_trip(tmp_path):
     p = tmp_path / "widgets.txt"
     p.write_text("# comment\ninput:EditText\ncontainer:LinearLayout\n\ninput:Switch\n")
     reg = load_widget_registry(p)
-    assert reg.is_input("EditText") and reg.is_input("Switch")
-    assert not reg.is_input("LinearLayout")
-    assert not reg.is_input("TextView")
+    assert reg == {"EditText", "Switch"}
+    xml = """<LinearLayout>
+      <EditText /><TextView /><Switch /><com.vendor.Picker /><LinearLayout />
+    </LinearLayout>"""
+    assert [v.view_class for v in extract_views(_layout(xml), reg)] == [
+        "EditText", "Switch", "com.vendor.Picker"
+    ]
 
 
 @pytest.mark.parametrize("line", ["EditText", "input:", "widget:EditText", "input:A B"])
@@ -129,11 +133,15 @@ def test_registry_file_rejects(tmp_path, line):
 
 def test_default_registry_covers_standard_inputs():
     reg = default_widget_registry()
-    for tag in ("EditText", "CheckBox", "RadioButton", "Switch", "SeekBar",
-                "Spinner", "DatePicker", "Button"):
-        assert reg.is_input(tag), tag
-    for tag in ("LinearLayout", "FrameLayout", "ScrollView"):
-        assert not reg.is_input(tag), tag
+    inputs = ("EditText", "CheckBox", "RadioButton", "Switch", "SeekBar",
+              "Spinner", "DatePicker", "Button")
+    containers = ("LinearLayout", "FrameLayout", "ScrollView")
+    for tag in inputs:
+        assert tag in reg, tag
+    for tag in containers:
+        assert tag not in reg, tag
+    xml = "<FrameLayout>" + "".join(f"<{tag} />" for tag in containers + inputs) + "</FrameLayout>"
+    assert [v.view_class for v in extract_views(_layout(xml), reg)] == list(inputs)
 
 
 # ---------------------------------------------------------------------------

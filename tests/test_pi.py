@@ -25,7 +25,7 @@ from uitaint.pi import (
     load_lexicon,
     tokenize,
 )
-from conftest import scan_classify
+from conftest import reference_tokenize, scan_classify
 
 LEX = load_default_lexicon()
 
@@ -51,6 +51,26 @@ def _view(id_name=None, hint=None, text=None):
 )
 def test_tokenize(raw, tokens):
     assert tokenize(raw) == tokens
+
+
+# ASCII letters on both sides of each case change, digits, separators, and
+# letters and digits outside ASCII, among them a title-case letter
+_TOKEN_ALPHABET = "aAbBkKyYzZ09_- .$\t" + "éßİı٣²ǅ"
+_PRINTABLE = "".join(map(chr, range(32, 127)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.sampled_from(_TOKEN_ALPHABET) | st.sampled_from(_PRINTABLE), max_size=24))
+def test_tokenize_matches_the_three_pattern_tokenizer(s):
+    assert tokenize(s) == reference_tokenize(s)
+
+
+def test_tokenize_matches_the_three_pattern_tokenizer_on_seeded_strings():
+    rng = random.Random(33)
+    for _ in range(20_000):
+        alphabet = rng.choice((_TOKEN_ALPHABET, _PRINTABLE))
+        s = "".join(rng.choices(alphabet, k=rng.randrange(16)))
+        assert tokenize(s) == reference_tokenize(s), s
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -182,6 +183,83 @@ def test_field_is_cell_keyed_by_signature_not_base(tmp_path):
         )
     }
     assert _leaks(tmp_path / "b", code2) == []
+
+
+_PANIC = "com.panic.shield.exposure"
+_PANIC_FIND = f"<{_PANIC}.CreateHierarchy: android.view.View findViewById(int)>"
+_PANIC_EDITOR = f"<{_PANIC}.CreateHierarchy: android.content.SharedPreferences$Editor prefsEditor()>"
+
+
+def _panic_hierarchy(root, written, read, sub_decls=""):
+    """tests/data/panic_shield with CreateHierarchy extending an in-bundle
+    Base that declares `keep`: onCreate writes the fear8name view into keep
+    named through class `written`, and later() reads keep named through class
+    `read` into putString."""
+    app = root / "panic_shield"
+    shutil.copytree(DATA / "panic_shield", app)
+    (app / "code" / "Base.jtac").write_text(
+        f"class {_PANIC}.Base extends android.app.Activity\n\nfield java.lang.Object keep\n"
+    )
+    (app / "code" / "CreateHierarchy.jtac").write_text(
+        f"class {_PANIC}.CreateHierarchy extends {_PANIC}.Base\n{sub_decls}\n"
+        "method void onCreate(android.os.Bundle b1):\n"
+        "  r0 = this\n"
+        f"  $r1 = virtualinvoke r0.{_PANIC_FIND}(2131230960)\n"
+        f"  r0.<{_PANIC}.{written}: java.lang.Object keep> = $r1\n\n"
+        "method void later():\n"
+        "  r0 = this\n"
+        f"  $r2 = r0.<{_PANIC}.{read}: java.lang.Object keep>\n"
+        f"  $r3 = staticinvoke {_PANIC_EDITOR}()\n"
+        f'  interfaceinvoke $r3.{PUT_STRING}("fear8name", $r2)\n\n'
+        "method static android.content.SharedPreferences$Editor prefsEditor():\n"
+        "  return null\n"
+    )
+    return app
+
+
+@pytest.mark.parametrize("written,read", [
+    ("CreateHierarchy", "Base"),
+    ("Base", "CreateHierarchy"),
+    ("CreateHierarchy", "CreateHierarchy"),
+    ("Base", "Base"),
+])
+def test_a_field_named_through_a_subclass_is_its_declaring_class_cell(tmp_path, written, read):
+    # javac names an inherited field through the subclass, so a write
+    # through one class and a read through the other meet in Base's cell
+    report = uitaint.analyze_bundle(_panic_hierarchy(tmp_path, written, read))
+    (leak,) = report["leaks"]
+    assert leak["destination"] == "localstore"
+    assert [step[1:] for step in leak["path"]] == [
+        ["onCreate(android.os.Bundle)", 1], ["onCreate(android.os.Bundle)", 2],
+        ["later()", 1], ["later()", 3],
+    ]
+
+
+def test_a_field_a_subclass_redeclares_is_a_cell_of_its_own(tmp_path):
+    # CreateHierarchy's own keep shadows Base's, as in Java
+    app = _panic_hierarchy(tmp_path, "CreateHierarchy", "Base",
+                           sub_decls="\nfield java.lang.Object keep\n")
+    assert uitaint.analyze_bundle(app)["leaks"] == []
+
+
+def test_a_field_no_class_of_a_superclass_cycle_declares_keeps_its_signature(tmp_path):
+    # A and B extend each other and neither declares f: each signature is
+    # its own cell, and the walk up the chain ends
+    code = {
+        "A.jtac": "class com.app.A extends com.app.B\n",
+        "B.jtac": "class com.app.B extends com.app.A\n",
+        "Main.jtac": _main([
+            "r0 = this",
+            f"$r1 = virtualinvoke r0.{FIND}(100)",
+            "r0.<com.app.A: java.lang.String f> = $r1",
+            "$r2 = r0.<com.app.A: java.lang.String f>",
+            "$r3 = r0.<com.app.B: java.lang.String f>",
+            f'staticinvoke {LOG_D}("t", $r3)',
+            f'staticinvoke {LOG_D}("t", $r2)',
+        ]),
+    }
+    (leak,) = _leaks(tmp_path, code)
+    assert _ordinals(leak) == [1, 2, 3, 6]
 
 
 def test_diamond_keeps_lexicographically_first_witness(tmp_path):
