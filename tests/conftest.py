@@ -444,6 +444,22 @@ def reference_resolve_call(expr: InvokeExpr, bundle: AppBundle) -> MethodBody | 
     return None
 
 
+def reference_field_declaration(fld: FieldSig, bundle: AppBundle) -> FieldSig:
+    """The oracle for the cell taint.build_graph gives a field access: the
+    declaration of fld's type and name in the first class up its in-bundle
+    superclass chain that declares one, or fld itself when none does."""
+    cls = fld.declaring_class
+    seen = set()
+    while cls is not None and cls in bundle.code_units and cls not in seen:
+        seen.add(cls)
+        unit = bundle.code_units[cls]
+        for f in unit.fields:
+            if f.type == fld.type and f.name == fld.name:
+                return f
+        cls = unit.superclass
+    return fld
+
+
 def reference_statement_index(bundle: AppBundle) -> dict[StmtId, object]:
     """Statement id -> statement over all code in sorted class order: the
     oracle for AppBundle.statement and for the order of iter_statements."""

@@ -11,7 +11,15 @@ import pytest
 
 from uitaint.fixtures import FixtureSpec, generate
 from uitaint.gui import extract_views, join_rtable
-from uitaint.ir import AppBundle, InvokeStmt, parse_bundle, parse_code_unit, resolve_call
+from uitaint.ir import (
+    AppBundle,
+    FieldRead,
+    FieldWrite,
+    InvokeStmt,
+    parse_bundle,
+    parse_code_unit,
+    resolve_call,
+)
 from uitaint.pi import classify
 from uitaint.pipeline import load_config
 from uitaint.sources_sinks import _find_view_sites, resolve_sources
@@ -22,6 +30,7 @@ from conftest import (
     mini_labeled_views,
     random_mini_bundle,
     reference_add_call_edges,
+    reference_field_declaration,
     reference_resolve_arg,
     reference_resolve_call,
     reference_statement_index,
@@ -30,25 +39,31 @@ from conftest import (
 )
 
 _OVERLOADS = (("f", ""), ("f", "int"), ("g", "int"))
+# (type, name) of each field a class may declare; two share a name
+_FIELDS = (("int", "a"), ("java.lang.String", "a"), ("int", "b"))
 
 
 def _hierarchy_bundle(rng: random.Random) -> AppBundle:
     """Six classes, each extending one of them (itself and cycles included),
     a class outside the bundle or nothing, and each declaring some of three
-    overloads; h.Caller calls every overload on each of them and on a class
-    outside the bundle. The classes are in random order."""
+    overloads and of three fields; h.Caller calls every overload, and reads
+    and writes every field, on each of them and on a class outside the
+    bundle. The classes are in random order."""
     names = [f"h.C{i}" for i in range(6)]
     units = {}
     for name in names:
         sup = rng.choice([*names, "android.app.Activity", None])
         lines = [f"class {name}" + (f" extends {sup}" if sup else "")]
+        lines += [f"field {t} {f}" for t, f in _FIELDS if rng.random() < 0.4]
         for m, p in _OVERLOADS:
             if rng.random() < 0.4:
                 lines += [f"method void {m}({p and p + ' p0'}):", "  return"]
         units[name] = parse_code_unit("\n".join(lines) + "\n", name)
-    calls = ["class h.Caller", "method void run():", "  r0 = this"]
-    calls += [f"  virtualinvoke r0.<{name}: void {m}({p})>({p and '1'})"
-              for name in [*names, "h.Outside"] for m, p in _OVERLOADS]
+    calls = ["class h.Caller", "method void run():", "  r0 = this", "  r1 = 1"]
+    for name in [*names, "h.Outside"]:
+        calls += [f"  virtualinvoke r0.<{name}: void {m}({p})>({p and '1'})" for m, p in _OVERLOADS]
+        for t, f in _FIELDS:
+            calls += [f"  r2 = r0.<{name}: {t} {f}>", f"  r0.<{name}: {t} {f}> = r1"]
     units["h.Caller"] = parse_code_unit("\n".join(calls) + "\n", "Caller")
     # a bundle's classes come in file order, not class order
     return AppBundle("h", [], {}, dict(rng.sample(sorted(units.items()), len(units))))
@@ -83,6 +98,46 @@ def test_resolve_call_matches_the_superclass_scan(bundles):
                 calls += 1
                 assert resolve_call(s.expr, bundle) is reference_resolve_call(s.expr, bundle)
     assert calls
+
+
+def test_hierarchy_bundles_hold_self_extension_and_cycles():
+    loops = set()
+    for bundle in _bundles("hierarchy", None):
+        units = bundle.code_units
+        for name in units:
+            chain, cls = [], name
+            while cls in units and cls not in chain:
+                chain.append(cls)
+                cls = units[cls].superclass
+            if cls in chain:
+                loops.add(len(chain) - chain.index(cls))
+    assert 1 in loops and max(loops) > 1
+
+
+def test_field_cells_match_the_superclass_scan(bundles):
+    """Each field access's edge touches the cell of the declaration that a
+    scan up the superclass chain finds: two accesses share a cell iff the
+    scan finds the same declaration for both."""
+    sinks = load_config()[2]
+    accesses = 0
+    for bundle in bundles:
+        graph = build_graph(bundle, [], sinks)
+        # a field statement labels exactly one edge: cell -> register for a
+        # read, register -> cell for a write of a register
+        edge = {label: (src, dst) for src, out in graph.adjacency.items() for dst, label in out}
+        cells = {}
+        for _, _, s in bundle.iter_statements():
+            if type(s) is FieldRead:
+                node = edge[s.sid][0]
+            elif type(s) is FieldWrite and type(s.value) is str:
+                node = edge[s.sid][1]
+            else:
+                continue
+            accesses += 1
+            assert cells.setdefault(reference_field_declaration(s.fld, bundle), node) == node
+        assert len(set(cells.values())) == len(cells)
+    # every case but the shapes without fields reads or writes some
+    assert accesses or not any(u.fields for b in bundles for u in b.code_units.values())
 
 
 def test_statement_lookup_matches_the_statement_index(bundles):
