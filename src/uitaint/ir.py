@@ -91,13 +91,6 @@ class FieldSig(NamedTuple):
         return self.declaring_class.rsplit(".", 1)[-1]
 
 
-class InvokeExpr(NamedTuple):
-    kind: str
-    receiver: str | None
-    sig: MethodSig
-    args: tuple[Atom, ...]
-
-
 class AssignAtom(NamedTuple):
     sid: StmtId
     dst: str
@@ -128,7 +121,10 @@ class FieldWrite(NamedTuple):
 class InvokeStmt(NamedTuple):
     sid: StmtId
     result: str | None
-    expr: InvokeExpr
+    kind: str  # one of INVOKE_KINDS
+    receiver: str | None  # None for staticinvoke
+    sig: MethodSig
+    args: tuple[Atom, ...]
 
 
 class ReturnStmt(NamedTuple):
@@ -348,8 +344,7 @@ def _statement(line, shared):
         if len(args) != len(sig.param_types):
             message = f"{len(args)} argument(s) for {len(sig.param_types)} parameter(s)"
             raise _LineError(m.start(2) + 1, message)
-        expr = _new(InvokeExpr, (kind, recv, sig, args))
-        return InvokeStmt, (result, expr), _names(recv, *args), dst
+        return InvokeStmt, (result, kind, recv, sig, args), _names(recv, *args), dst
     m = _ASSIGN_LINE.fullmatch(line)
     if m:
         dst, base, sig_text, cls_name, ftype, name, cast_type, src, atom = m.groups()
@@ -379,7 +374,7 @@ def _statement(line, shared):
 def _header(line):
     """What _parse_lines keeps of one method header line, whose checks that
     depend only on its text have passed: (return type, name, parameter
-    types, parameter names, is static, method token)."""
+    types, parameter names, is static)."""
     m = _METHOD_LINE.fullmatch(line)
     # after "method ", the word "static" is the keyword, never a return type
     if m is None or (m[1] is None and m[2][:6] == "static" and m[2][6:7] in ("", ".", "[")):
@@ -398,8 +393,7 @@ def _header(line):
             col += len(t) + len(n) + 3
     if len(set(pnames)) != len(pnames):
         raise _LineError(1, "duplicate parameter name")
-    token = f"{name}({','.join(ptypes)})"  # method_token of its signature
-    return rtype, name, ptypes, pnames, static is not None, token
+    return rtype, name, ptypes, pnames, static is not None
 
 
 def _parse_lines(text, shared, filename):
@@ -415,7 +409,7 @@ def _parse_lines(text, shared, filename):
     every class.
     """
     class_name = superclass = None
-    fields, methods, seen = [], [], set()
+    fields, methods, tokens = [], [], set()
     head = None  # (sig, params, is_static, line number) of the method being read
     lines = text.split("\n")
     try:
@@ -439,15 +433,16 @@ def _parse_lines(text, shared, filename):
                 entry = shared.get(line)
                 if entry is None:
                     entry = shared[line] = _header(line)
-                rtype, name, ptypes, pnames, is_static, token = entry
+                rtype, name, ptypes, pnames, is_static = entry
                 if class_name is None:
                     raise _LineError(1, "expected class declaration")
-                if (name, ptypes) in seen:
+                sig = _new(MethodSig, (class_name, rtype, name, ptypes))
+                token = method_token(sig)
+                if token in tokens:
                     raise _LineError(1, f"duplicate method {token}")
-                seen.add((name, ptypes))
+                tokens.add(token)
                 if head is not None:
                     methods.append(_method_body(head, statements, read, assigned, lines, shared))
-                sig = _new(MethodSig, (class_name, rtype, name, ptypes))
                 head = (sig, pnames, is_static, lineno)
                 statements, read, assigned = [], set(), set(pnames)
             elif line[:6] == "field ":
@@ -529,7 +524,7 @@ def parse_method_sig(text: str) -> MethodSig:
 
 
 def render_method_sig(sig: MethodSig) -> str:
-    return f"<{sig.declaring_class}: {sig.return_type} {sig.name}({','.join(sig.param_types)})>"
+    return f"<{sig.declaring_class}: {sig.return_type} {method_token(sig)}>"
 
 
 def render_field_sig(fld: FieldSig) -> str:
@@ -553,12 +548,6 @@ def render_atom(atom: Atom) -> str:
     raise TypeError(f"not an atom: {atom!r}")
 
 
-def render_invoke(expr: InvokeExpr) -> str:
-    recv = f"{expr.receiver}." if expr.receiver is not None else ""
-    args = ", ".join(render_atom(a) for a in expr.args)
-    return f"{expr.kind} {recv}{render_method_sig(expr.sig)}({args})"
-
-
 def render_statement(stmt: Statement) -> str:
     match stmt:
         case AssignAtom(dst=d, src=a):
@@ -571,9 +560,10 @@ def render_statement(stmt: Statement) -> str:
         case FieldWrite(fld=f, base=b, value=v):
             base = f"{b}." if b is not None else ""
             return f"{base}{render_field_sig(f)} = {render_atom(v)}"
-        case InvokeStmt(result=r, expr=e):
+        case InvokeStmt(result=r, kind=k, receiver=b, sig=sig, args=args):
             lhs = f"{r} = " if r is not None else ""
-            return f"{lhs}{render_invoke(e)}"
+            recv = f"{b}." if b is not None else ""
+            return f"{lhs}{k} {recv}{render_method_sig(sig)}({', '.join(map(render_atom, args))})"
         case ReturnStmt(value=v):
             return "return" if v is None else f"return {render_atom(v)}"
     raise TypeError(f"not a statement: {stmt!r}")
@@ -748,21 +738,27 @@ def parse_bundle(app_dir) -> AppBundle:
     return AppBundle(app_package, layouts, rtable, code_units)
 
 
-def resolve_call(expr: InvokeExpr, bundle: AppBundle) -> MethodBody | None:
-    """Resolve a call site to a method body within the bundle, or None.
-
-    The statically named class and its superclass chain are looked up in
-    the bundle's method table by the call's method token (name and
-    parameter types); the walk stops as soon as the chain leaves the bundle
-    or comes back to a class it has seen. No subclasses are ever considered.
-    """
-    token = method_token(expr.sig)
-    cls = expr.sig.declaring_class
+def superclass_chain(bundle: AppBundle, cls: str):
+    """Yield the code unit of cls, then of each class up its superclass
+    chain, until the chain leaves the bundle or comes back to a class it
+    has passed. Calls and field accesses bind to a class by this one walk;
+    no subclass is ever considered."""
+    units = bundle.code_units
     seen = set()
-    while cls in bundle.code_units and cls not in seen:
-        body = bundle.methods.get((cls, token))
+    while cls in units and cls not in seen:
+        seen.add(cls)
+        unit = units[cls]
+        yield unit
+        cls = unit.superclass
+
+
+def resolve_call(call: InvokeStmt, bundle: AppBundle) -> MethodBody | None:
+    """The body, in the first class up the superclass chain of the class the
+    call's signature names, of the method of the call's method token (name
+    and parameter types), or None when no class on the chain has one."""
+    token = method_token(call.sig)
+    for unit in superclass_chain(bundle, call.sig.declaring_class):
+        body = bundle.methods.get((unit.class_name, token))
         if body is not None:
             return body
-        seen.add(cls)
-        cls = bundle.code_units[cls].superclass
     return None

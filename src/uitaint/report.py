@@ -316,15 +316,17 @@ def write_atomic(path, text: str) -> None:
 
 
 def parse_report(path) -> dict:
-    """Read a report file; ReportError unless aggregate and explain can read it."""
+    """Read a report file, a leading UTF-8 byte-order mark skipped;
+    ReportError unless aggregate and explain can read it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise ReportError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ReportError(f"{path}: not a JSON object")
-    if (version := doc.get("schema_version")) != SCHEMA_VERSION:
+    # the version is an int: True and 1.0 equal 1 but are other JSON values
+    if type(version := doc.get("schema_version")) is not int or version != SCHEMA_VERSION:
         raise ReportError(f"{path}: schema_version {version!r}, expected {SCHEMA_VERSION}")
     for section, checks in _ITEM_CHECKS.items():
         items = doc.get(section)

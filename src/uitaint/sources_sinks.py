@@ -18,7 +18,6 @@ from .ir import (
     AppBundle,
     AssignAtom,
     FieldRead,
-    InvokeExpr,
     InvokeStmt,
     MethodSig,
     StmtId,
@@ -130,10 +129,10 @@ class SourceDiagnostics:
         self.sites = self.resolved = self.unlabeled_id_skips = self.unresolved_arg_skips = 0
 
 
-def _is_find_view_by_id(expr: InvokeExpr) -> bool:
+def _is_find_view_by_id(call: InvokeStmt) -> bool:
     # matched by name and arity on any receiver class: decompiled bundles
     # call it through Activity, View, Dialog and arbitrary subclasses
-    return expr.sig.name == "findViewById" and expr.sig.param_types == ("int",)
+    return call.sig.name == "findViewById" and call.sig.param_types == ("int",)
 
 
 def _register_constants(body, rtable) -> dict[str, set]:
@@ -165,9 +164,9 @@ def _find_view_sites(body, rtable):
     """
     constants = None
     for stmt in body.statements:
-        if type(stmt) is not InvokeStmt or not _is_find_view_by_id(stmt.expr):
+        if type(stmt) is not InvokeStmt or not _is_find_view_by_id(stmt):
             continue
-        arg = stmt.expr.args[0]
+        arg = stmt.args[0]
         if type(arg) is int:
             yield stmt, arg
         elif type(arg) is str:

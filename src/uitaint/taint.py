@@ -27,6 +27,7 @@ from .ir import (
     StmtId,
     method_token,
     resolve_call,
+    superclass_chain,
 )
 from .sources_sinks import SinkRegistry, SinkSpec, SourcePoint
 
@@ -97,7 +98,7 @@ def build_graph(
     def cell(f: FieldSig) -> int:
         n = cells.get(f)
         if n is None:
-            n = cells[f] = node(_declaration(f, bundle.code_units))
+            n = cells[f] = node(_declaration(f, bundle))
         return n
 
     def add_edge(src: int, dst: int, label: StmtId):
@@ -128,14 +129,14 @@ def build_graph(
                 if (n := reg(v)) is not None:
                     add_edge(n, cell(f), sid)
             elif kind is InvokeStmt:
-                sid, result, expr = stmt
-                callee = resolve_call(expr, bundle)
+                sid, _, _, recv, sig, args = stmt
+                callee = resolve_call(stmt, bundle)
                 if callee is not None:
-                    _add_call_edges(sid, expr, result, callee, returns, reg, node, add_edge)
+                    _add_call_edges(stmt, callee, returns, reg, node, add_edge)
                 else:
-                    _add_opaque_edges(sid, expr, result, reg, add_edge)
-                if sink_ids := registry.match(expr.sig):
-                    operands = (expr.receiver, *expr.args)
+                    _add_opaque_edges(stmt, reg, add_edge)
+                if sink_ids := registry.match(sig):
+                    operands = (recv, *args)
                     for i in sink_ids:
                         for pos in registry.specs[i].positions:
                             if (n := reg(operands[pos])) is not None:
@@ -150,29 +151,26 @@ def build_graph(
     return TaintGraph(bundle, adjacency, seeds, sink_feeds, registry.specs)
 
 
-def _declaration(f: FieldSig, units) -> FieldSig:
-    """The signature of the field f names in the first class up f's in-bundle
+def _declaration(f: FieldSig, bundle: AppBundle) -> FieldSig:
+    """The signature of the field f names in the first class up f's
     superclass chain that declares a field of f's type and name, or f itself
-    when none does. The walk stops as resolve_call's does."""
-    cls = f.declaring_class
-    seen = set()
-    while cls in units and cls not in seen:
-        declared = FieldSig(cls, f.type, f.name)
-        if declared in units[cls].fields:
+    when none does."""
+    for unit in superclass_chain(bundle, f.declaring_class):
+        declared = FieldSig(unit.class_name, f.type, f.name)
+        if declared in unit.fields:
             return declared
-        seen.add(cls)
-        cls = units[cls].superclass
     return f
 
 
-def _add_call_edges(sid, expr, result, callee: MethodBody, returns, reg, node, add_edge):
+def _add_call_edges(call: InvokeStmt, callee: MethodBody, returns, reg, node, add_edge):
+    sid, result, _, recv, _, args = call
     ccls = callee.sig.declaring_class
     cmtok = method_token(callee.sig)
-    for i, arg in enumerate(expr.args):
+    for i, arg in enumerate(args):
         if (n := reg(arg)) is not None:
             add_edge(n, node((ccls, cmtok, callee.params[i])), sid)
-    if expr.receiver is not None and not callee.is_static:
-        add_edge(reg(expr.receiver), node((ccls, cmtok, "this")), sid)
+    if recv is not None and not callee.is_static:
+        add_edge(reg(recv), node((ccls, cmtok, "this")), sid)
     if result is not None:
         rets = returns.get((ccls, cmtok))
         if rets is None:  # a callee's body is scanned once, at its first call
@@ -185,10 +183,10 @@ def _add_call_edges(sid, expr, result, callee: MethodBody, returns, reg, node, a
             add_edge(node((ccls, cmtok, s.value)), reg(result), s.sid)
 
 
-def _add_opaque_edges(sid, expr, result, reg, add_edge):
+def _add_opaque_edges(call: InvokeStmt, reg, add_edge):
     # only registers that gain an edge get an id, so the ids stay dense
-    args = [a for a in expr.args if type(a) is str]
-    recv = expr.receiver
+    sid, result, _, recv, _, args = call
+    args = [a for a in args if type(a) is str]
     if result is not None:
         for a in args if recv is None else [*args, recv]:
             add_edge(reg(a), reg(result), sid)

@@ -23,7 +23,6 @@ from uitaint.ir import (
     FieldRead,
     FieldSig,
     FieldWrite,
-    InvokeExpr,
     InvokeStmt,
     MethodBody,
     MethodSig,
@@ -429,10 +428,10 @@ def reference_extract_leaks(graph) -> list[Leak]:
 # findViewById site
 
 
-def reference_resolve_call(expr: InvokeExpr, bundle: AppBundle) -> MethodBody | None:
+def reference_resolve_call(call: InvokeStmt, bundle: AppBundle) -> MethodBody | None:
     """The oracle for ir.resolve_call."""
-    name, params = expr.sig.name, expr.sig.param_types
-    cls = expr.sig.declaring_class
+    name, params = call.sig.name, call.sig.param_types
+    cls = call.sig.declaring_class
     seen = set()
     while cls is not None and cls in bundle.code_units and cls not in seen:
         seen.add(cls)
@@ -469,17 +468,18 @@ def reference_statement_index(bundle: AppBundle) -> dict[StmtId, object]:
     }
 
 
-def reference_add_call_edges(sid, expr, result, callee: MethodBody, reg, node, add_edge):
+def reference_add_call_edges(call: InvokeStmt, callee: MethodBody, reg, node, add_edge):
     """The oracle for taint._add_call_edges, which scans a callee's
     statements for its returns once per callee: this scans them at every
     call site."""
+    sid, result = call.sid, call.result
     ccls = callee.sig.declaring_class
     cmtok = method_token(callee.sig)
-    for i, arg in enumerate(expr.args):
+    for i, arg in enumerate(call.args):
         if (n := reg(arg)) is not None:
             add_edge(n, node((ccls, cmtok, callee.params[i])), sid)
-    if expr.receiver is not None and not callee.is_static:
-        add_edge(reg(expr.receiver), node((ccls, cmtok, "this")), sid)
+    if call.receiver is not None and not callee.is_static:
+        add_edge(reg(call.receiver), node((ccls, cmtok, "this")), sid)
     if result is not None:
         for s in callee.statements:
             # the return statement labels the edge so cross-class hops
@@ -506,10 +506,10 @@ def _reference_constant_candidates(reg: str, body, rtable):
     return values, poisoned
 
 
-def reference_resolve_arg(expr: InvokeExpr, body, rtable) -> int | None:
+def reference_resolve_arg(call: InvokeStmt, body, rtable) -> int | None:
     """The id a findViewById call site of body resolves to, or None: the
     oracle for sources_sinks._find_view_sites."""
-    arg = expr.args[0]
+    arg = call.args[0]
     if isinstance(arg, int):
         return arg
     if not isinstance(arg, str) or arg == "this":
@@ -776,7 +776,9 @@ class _Parser:
         self.expect_punct(">", cls=MalformedSignature)
         return MethodSig(cls_name, rtype, mname, tuple(params))
 
-    def invoke_expr(self):
+    def invoke_call(self):
+        """(kind, receiver, signature, arguments) of the call an invoke
+        statement makes."""
         kind_tok = self.peek()
         kind = self.expect_ident("invoke kind")
         if kind not in INVOKE_KINDS:
@@ -809,7 +811,7 @@ class _Parser:
                 f"{len(args)} argument(s) for {len(sig.param_types)} parameter(s)",
                 kind_tok,
             )
-        return InvokeExpr(kind, receiver, sig, tuple(args))
+        return kind, receiver, sig, tuple(args)
 
     # -- statements
 
@@ -822,8 +824,7 @@ class _Parser:
                 value = self.atom()
             stmt = ReturnStmt(make_sid(), value)
         elif t.kind == "ident" and t.value in INVOKE_KINDS:
-            expr = self.invoke_expr()
-            stmt = InvokeStmt(make_sid(), None, expr)
+            stmt = InvokeStmt(make_sid(), None, *self.invoke_call())
         elif t.kind == "ident" and t.value.endswith("invoke"):
             self.error(f"unknown invoke kind {t.value!r}", t, UnknownInvokeKind)
         elif self.at_punct("<"):
@@ -852,8 +853,7 @@ class _Parser:
     def assignment_rhs(self, dst, make_sid):
         t = self.peek()
         if t.kind == "ident" and t.value in INVOKE_KINDS:
-            expr = self.invoke_expr()
-            return InvokeStmt(make_sid(), dst, expr)
+            return InvokeStmt(make_sid(), dst, *self.invoke_call())
         if t.kind == "ident" and t.value.endswith("invoke"):
             self.error(f"unknown invoke kind {t.value!r}", t, UnknownInvokeKind)
         if self.at_punct("("):
@@ -947,10 +947,10 @@ class _Parser:
                         out.append(b)
                     if isinstance(v, str):
                         out.append(v)
-                case InvokeStmt(expr=e):
-                    if e.receiver is not None:
-                        out.append(e.receiver)
-                    out.extend(a for a in e.args if isinstance(a, str))
+                case InvokeStmt(receiver=b, args=args):
+                    if b is not None:
+                        out.append(b)
+                    out.extend(a for a in args if isinstance(a, str))
             return out
 
         for s, line in zip(body.statements, lines):

@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import sys
+from codecs import BOM_UTF8
 from collections import Counter
 from pathlib import Path
 
@@ -717,6 +718,18 @@ def test_minimal_report_is_accepted(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["aggregate", "explain"])
+def test_report_with_a_byte_order_mark_is_read_as_without_one(tmp_path, capsys, command):
+    text = json.dumps(_minimal_report()).encode()
+    outputs = []
+    for name, data in [("plain", text), ("bom", BOM_UTF8 + text)]:
+        (tmp_path / name).mkdir()
+        assert _run_on_report(_write_report(tmp_path / name, data), command) == 0
+        summary = tmp_path / name / "summary" / "summary.json"
+        outputs.append((capsys.readouterr().out, summary.exists() and summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["aggregate", "explain"])
 @pytest.mark.parametrize(
     "doc,message",
     [
@@ -725,6 +738,9 @@ def test_minimal_report_is_accepted(tmp_path, command):
         (b'{"schema_version": 1, "leaks": [], "views": ["\xff"]}', "not a UTF-8 JSON file"),
         ([1, 2], "not a JSON object"),
         ({**_minimal_report(), "schema_version": 2}, "schema_version 2, expected 1"),
+        ({**_minimal_report(), "schema_version": True}, "schema_version True, expected 1"),
+        ({**_minimal_report(), "schema_version": 1.0}, "schema_version 1.0, expected 1"),
+        ({**_minimal_report(), "schema_version": "1"}, "schema_version '1', expected 1"),
         ({"schema_version": 1, "views": []}, "'leaks' is missing or not a list"),
         ({**_minimal_report(), "views": [7]}, "views[0] is not an object"),
         (_with("leaks", "destination", None), "leaks[0] has a missing or bad 'destination': None"),
@@ -736,7 +752,8 @@ def test_minimal_report_is_accepted(tmp_path, command):
         (_with("leaks", "pi_kind", ["email"]), "leaks[0] has a missing or bad 'pi_kind': ['email']"),
         (_with("views", "pi_kind", "shoe_size"), "views[0] has a missing or bad 'pi_kind': 'shoe_size'"),
     ],
-    ids=["bad-json", "deep-nesting", "bad-utf8", "array", "schema-version", "no-leaks", "view-not-object",
+    ids=["bad-json", "deep-nesting", "bad-utf8", "array", "schema-version",
+         "schema-version-true", "schema-version-float", "schema-version-str", "no-leaks", "view-not-object",
          "no-destination", "no-path-text", "empty-path-text", "no-view-class",
          "party-fourth", "bad-destination", "unhashable-pi-kind", "bad-view-pi-kind"],
 )

@@ -27,7 +27,6 @@ from uitaint.ir import (
     FieldRead,
     FieldSig,
     FieldWrite,
-    InvokeExpr,
     InvokeStmt,
     MethodBody,
     MethodSig,
@@ -266,7 +265,7 @@ class ProgramGen:
         sig = self.method_sig(rng.randrange(3))
         args = tuple(self.atom(regs) for _ in sig.param_types)
         result = dst if rng.random() < 0.6 else None
-        stmt = InvokeStmt(sid, result, InvokeExpr(kind, receiver, sig, args))
+        stmt = InvokeStmt(sid, result, kind, receiver, sig, args)
         return stmt, result
 
     def method(self, cls, index):
@@ -399,7 +398,7 @@ def _register_names(unit):
         names.update(m.params)
         for s in m.statements:
             if type(s) is InvokeStmt:
-                atoms = (s.result, s.expr.receiver, *s.expr.args)
+                atoms = (s.result, s.receiver, *s.args)
             else:  # every str field but a cast's type is a register
                 atoms = s._replace(cast_type=None) if type(s) is AssignCast else s
             names.update(a for a in atoms if type(a) is str)
@@ -604,7 +603,7 @@ def test_null_in_every_atom_position_parses_as_null():
     unit = parse_code_unit(NULLS)
     assign, write, call, ret = unit.methods[0].statements
     assert type(assign.src) is NullConst and type(write.value) is NullConst
-    assert [type(a) for a in call.expr.args] == [NullConst, str]
+    assert [type(a) for a in call.args] == [NullConst, str]
     assert type(ret.value) is NullConst
     assert unit.methods[1].statements[0].value is None
     assert render_code_unit(unit) == NULLS
@@ -631,7 +630,7 @@ def _registers_and_atoms(s):
     if kind is FieldWrite:
         return (s.base,), (s.value,)
     if kind is InvokeStmt:
-        return (s.result, s.expr.receiver), s.expr.args
+        return (s.result, s.receiver), s.args
     return (), (() if s.value is None else (s.value,))
 
 
@@ -705,7 +704,7 @@ def test_parse_bundle_keeps_no_signature_memo(tmp_path, monkeypatch):
     monkeypatch.setattr(ir, "_SIG", sig_pattern)
 
     def call_sigs(bundle):
-        return [s.expr.sig for _, _, s in bundle.iter_statements() if type(s) is InvokeStmt]
+        return [s.sig for _, _, s in bundle.iter_statements() if type(s) is InvokeStmt]
 
     first = call_sigs(parse_bundle(write_bundle(tmp_path / "one", code=code)))
     # each distinct statement and method header line is parsed once per
@@ -834,8 +833,8 @@ def _chain_bundle(tmp_path):
 
 def _call(cls, name, params=()):
     sig = MethodSig(cls, "void", name, tuple(params))
-    kind = "virtualinvoke"
-    return InvokeExpr(kind, "r0", sig, tuple(0 for _ in params))
+    sid = StmtId("com.app.Caller", "run()", 0)
+    return InvokeStmt(sid, None, "virtualinvoke", "r0", sig, tuple(0 for _ in params))
 
 
 def test_resolve_exact_class(tmp_path):

@@ -96,11 +96,13 @@ def test_resolve_call_matches_the_superclass_scan(bundles):
         for _, _, s in bundle.iter_statements():
             if type(s) is InvokeStmt:
                 calls += 1
-                assert resolve_call(s.expr, bundle) is reference_resolve_call(s.expr, bundle)
+                assert resolve_call(s, bundle) is reference_resolve_call(s, bundle)
     assert calls
 
 
 def test_hierarchy_bundles_hold_self_extension_and_cycles():
+    """Some hierarchy class extends itself and some superclass cycle is
+    longer, so the call and field differentials walk both."""
     loops = set()
     for bundle in _bundles("hierarchy", None):
         units = bundle.code_units
@@ -152,10 +154,10 @@ def test_find_view_sites_match_the_per_site_scan(bundles):
     for bundle in bundles:
         for method in bundle.methods.values():
             want = [
-                (s.sid, reference_resolve_arg(s.expr, method, bundle.rtable))
+                (s.sid, reference_resolve_arg(s, method, bundle.rtable))
                 for s in method.statements
                 if type(s) is InvokeStmt
-                and s.expr.sig.name == "findViewById" and s.expr.sig.param_types == ("int",)
+                and s.sig.name == "findViewById" and s.sig.param_types == ("int",)
             ]
             got = [(s.sid, value) for s, value in _find_view_sites(method, bundle.rtable)]
             assert got == want
@@ -169,8 +171,8 @@ def _labeled_views(bundle, widgets, lexicon):
 
 
 def test_graph_matches_the_per_call_site_return_scan(bundles, monkeypatch):
-    def rescan(sid, expr, result, callee, returns, *closures):
-        reference_add_call_edges(sid, expr, result, callee, *closures)
+    def rescan(call, callee, returns, *closures):
+        reference_add_call_edges(call, callee, *closures)
 
     widgets, lexicon, sinks = load_config()
     for bundle in bundles:

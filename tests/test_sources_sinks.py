@@ -294,5 +294,5 @@ def test_match_sink_on_statement(tmp_path):
     )
     stmts = [s for _, _, s in bundle.iter_statements()]
     reg = load_default_sinks()
-    (i,) = reg.match(stmts[1].expr.sig)
+    (i,) = reg.match(stmts[1].sig)
     assert reg.specs[i].category == "log"
