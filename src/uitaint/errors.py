@@ -5,31 +5,27 @@ class AnalysisError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class BundleError(AnalysisError):
-    """A problem with the files that make up an app bundle."""
-
-
-class MissingManifest(BundleError):
+class MissingManifest(AnalysisError):
     pass
 
 
-class MalformedManifest(BundleError):
+class MalformedManifest(AnalysisError):
     pass
 
 
-class DuplicateClass(BundleError):
+class DuplicateClass(AnalysisError):
     pass
 
 
-class RTableSyntaxError(BundleError):
+class RTableSyntaxError(AnalysisError):
     pass
 
 
-class XmlSyntaxError(BundleError):
+class XmlSyntaxError(AnalysisError):
     pass
 
 
-class IrSyntaxError(BundleError):
+class IrSyntaxError(AnalysisError):
     """Syntax error in a code unit, with a file:line:col location."""
 
     def __init__(self, message, file="<unit>", line=0, col=0):
@@ -40,31 +36,27 @@ class IrSyntaxError(BundleError):
         self.col = col
 
 
-class ConfigError(AnalysisError):
-    """A problem with a lexicon, sink registry or widget registry file."""
-
-
-class LexiconSyntaxError(ConfigError):
+class LexiconSyntaxError(AnalysisError):
     pass
 
 
-class DuplicateTerm(ConfigError):
+class DuplicateTerm(AnalysisError):
     pass
 
 
-class SinkSyntaxError(ConfigError):
+class SinkSyntaxError(AnalysisError):
     pass
 
 
-class BadPosition(ConfigError):
+class BadPosition(AnalysisError):
     pass
 
 
-class WidgetSyntaxError(ConfigError):
+class WidgetSyntaxError(AnalysisError):
     pass
 
 
-class InvalidSpec(ConfigError):
+class InvalidSpec(AnalysisError):
     """A fixture generation spec with impossible or missing parameters."""
 
 

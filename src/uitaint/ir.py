@@ -12,9 +12,10 @@ A code unit is one class in a Jimple-like textual form, one statement per line:
 There is no control flow in this representation; statement order only matters
 for the (class, method, ordinal) statement ids. The renderer's spelling is
 the language: each line is blank (nothing but blanks, tabs or carriage
-returns) or matches the pattern of one line form, down to every blank, and
-an integer literal may also be written in 0x hex. Any other text raises
-IrSyntaxError at file:line:col.
+returns) or matches the pattern of one line form, down to every blank, but
+an integer literal may also be written in 0x hex and a string literal may
+hold a raw tab or carriage return. Any other text raises IrSyntaxError at
+file:line:col.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ MAX_RESOURCE_ID = 0xFFFFFFFF
 
 # Model values are NamedTuples, cheaper to define than dataclasses. An atom
 # is a register's name (a str, "this" for the receiver), an integer
-# constant's int, a StrConst or a NullConst, so its type tells it apart.
-# NullConst() is an empty tuple and falsy: test optionals `is None`.
+# constant's int, or a Const, so its type tells it apart. The analysis
+# reads no string or null value, so a Const holds its rendered text.
 
 
 class StmtId(NamedTuple):
@@ -63,15 +64,13 @@ class StmtId(NamedTuple):
     ordinal: int
 
 
-class StrConst(NamedTuple):
-    value: str
+class Const(NamedTuple):
+    """A string literal or null, as the renderer writes it: "k" or null."""
+
+    text: str
 
 
-class NullConst(NamedTuple):
-    pass
-
-
-Atom = str | int | StrConst | NullConst
+Atom = str | int | Const
 
 
 class MethodSig(NamedTuple):
@@ -194,20 +193,12 @@ class AppBundle:
 # ---------------------------------------------------------------------------
 # names and literals
 
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
-
 # A string literal without its closing quote: raw characters other than a
-# quote, backslash or newline, and the escapes of _ESCAPES.
+# quote, backslash or newline, and the escapes \n \t \r \" \\.
 _STR_BODY = r'"(?:[^"\\\n]|\\[nt"\\r])*'
 # Digit and letter classes are spelled out because \d and \w also take
 # non-ASCII digits and letters such as "²", "٣" and "é".
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
-_ESCAPE = re.compile(r"\\(.)")
-
-
-def _unescape(body):
-    return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +287,12 @@ def _base(name, shared, m, g, what="register"):
 
 
 def _atom(text, shared, m, g):
-    """The atom spelled text, from group g of match m."""
+    """The atom spelled text, from group g of match m. A raw tab or
+    carriage return in a string literal is kept as its escape, which is
+    how the renderer spells it."""
     first = text[0]
     if first == '"':
-        return StrConst(_unescape(text[1:-1]))
+        return Const(text.replace("\t", "\\t").replace("\r", "\\r"))
     if first in "-0123456789":
         if "x" in text or "X" in text:
             return int(text, 16)
@@ -308,7 +301,7 @@ def _atom(text, shared, m, g):
         except ValueError:  # more digits than int() converts
             raise _LineError(_col(m, g, text), "integer literal too long") from None
     if text == "null":
-        return NullConst()
+        return Const(text)
     if text == "this":
         return "this"
     return _reg(text, shared, m, g)
@@ -531,20 +524,14 @@ def render_field_sig(fld: FieldSig) -> str:
     return f"<{fld.declaring_class}: {fld.type} {fld.name}>"
 
 
-def _escape(s):
-    return "".join(_UNESCAPES.get(c, c) for c in s)
-
-
 def render_atom(atom: Atom) -> str:
     match atom:
         case str():
             return atom
         case int():
             return str(atom)
-        case StrConst(v):
-            return f'"{_escape(v)}"'
-        case NullConst():
-            return "null"
+        case Const(text):
+            return text
     raise TypeError(f"not an atom: {atom!r}")
 
 

@@ -32,13 +32,12 @@ class SinkSpec(NamedTuple):
 
     positions are ascending offsets into a call's (receiver, *args): 0 is
     the receiver and i + 1 is argument i, resolved from the registry file's
-    `recv`, `argN` and `*` at load time. signature is sig's text in the
-    registry file, which parse_method_sig accepts only as the renderer
+    `recv`, `argN` and `*` at load time. signature is the method's text in
+    the registry file, which parse_method_sig accepts only as the renderer
     spells it.
     """
 
     category: str  # one of pi.DESTINATIONS
-    sig: MethodSig
     positions: tuple[int, ...]
     signature: str
 
@@ -106,7 +105,7 @@ def load_sinks(path) -> SinkRegistry:
         seen.add((key, category))
         positions = _parse_positions(pos_text, len(sig.param_types), where)
         index[key] = index.get(key, ()) + (len(specs),)
-        specs.append(SinkSpec(category, sig, positions, sig_text))
+        specs.append(SinkSpec(category, positions, sig_text))
     return SinkRegistry(tuple(specs), index)
 
 

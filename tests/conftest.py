@@ -20,16 +20,15 @@ from uitaint.ir import (
     AssignAtom,
     AssignCast,
     CodeUnit,
+    Const,
     FieldRead,
     FieldSig,
     FieldWrite,
     InvokeStmt,
     MethodBody,
     MethodSig,
-    NullConst,
     ReturnStmt,
     StmtId,
-    StrConst,
     method_token,
     parse_code_unit,
     render_code_unit,
@@ -577,6 +576,8 @@ class MalformedSignature(IrSyntaxError):
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+# how the renderer spells each character that _ESCAPES decodes to
+_UNESCAPES = {c: "\\" + e for e, c in _ESCAPES.items()}
 
 # A string literal without its closing quote: raw characters other than a
 # quote, backslash or newline, and the escapes of _ESCAPES.
@@ -737,11 +738,12 @@ class _Parser:
         if t.kind == "int":
             return self.next().value
         if t.kind == "str":
-            return StrConst(self.next().value)
+            value = "".join(_UNESCAPES.get(c, c) for c in self.next().value)
+            return Const(f'"{value}"')
         if t.kind == "ident":
             if t.value == "null":
                 self.next()
-                return NullConst()
+                return Const("null")
             if t.value == "this":
                 self.next()
                 return "this"
@@ -1000,7 +1002,7 @@ class _Parser:
 def typed(value):
     """value in a form that compares type for type.
 
-    The model's NamedTuples compare as plain tuples, so NullConst() == ()
+    The model's NamedTuples compare as plain tuples, so Const("k") == ("k",)
     and a statement or signature equals a tuple of another type with the
     same items; a code unit's rendering tells its atoms and statements
     apart, and the type tells any other value apart.

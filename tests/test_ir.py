@@ -24,16 +24,15 @@ from uitaint.ir import (
     AssignAtom,
     AssignCast,
     CodeUnit,
+    Const,
     FieldRead,
     FieldSig,
     FieldWrite,
     InvokeStmt,
     MethodBody,
     MethodSig,
-    NullConst,
     ReturnStmt,
     StmtId,
-    StrConst,
     method_token,
     parse_bundle,
     parse_code_unit,
@@ -120,15 +119,23 @@ def test_hex_literals_parse_and_render_decimal():
     assert render_statement(stmt) == "r1 = 2131230949"
 
 
-def test_string_escapes_round_trip():
-    text = (
-        'class a.B\nmethod static void f():\n'
-        '  r1 = "a\\nb\\tc\\rd\\"e\\\\f"\n  return\n'
-    )
+_ESCAPED = '"a\\nb\\tc\\rd\\"e\\\\f"'
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [_ESCAPED, _ESCAPED.replace("\\t", "\t"), _ESCAPED.replace("\\r", "\r")],
+    ids=["escaped", "raw-tab", "raw-cr"],
+)
+def test_string_escapes_round_trip(literal):
+    """A raw tab or carriage return in a string literal parses equal to its
+    escape and renders as it."""
+    text = f"class a.B\nmethod static void f():\n  r1 = {literal}\n  return\n"
     unit = parse_code_unit(text)
-    assert typed(unit.methods[0].statements[0].src) == typed(StrConst('a\nb\tc\rd"e\\f'))
-    reparsed = parse_code_unit(render_code_unit(unit))
-    assert typed(reparsed) == typed(unit)
+    assert typed(unit.methods[0].statements[0].src) == typed(Const(_ESCAPED))
+    rendered = render_code_unit(unit)
+    assert rendered == text.replace(literal, _ESCAPED)
+    assert typed(parse_code_unit(rendered)) == typed(unit)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +212,8 @@ _TYPES = ("int", "boolean", "java.lang.String", "byte[]", "com.gen.Thing",
           "android.view.View", "long[][]")
 _CLASSES = ("com.gen.Alpha", "com.gen.sub.Beta", "org.other.Gamma$Inner",
             "io.lib.Delta", "a.b.R$id")
-_STRINGS = ("", "plain", "sp ace", 'q"uote', "new\nline", "tab\tsep",
-            "back\\slash", "ret\rurn")
+_STRINGS = ('""', '"plain"', '"sp ace"', '"q\\"uote"', '"new\\nline"', '"tab\\tsep"',
+            '"back\\\\slash"', '"ret\\rurn"')
 _NAMES = ("f0", "f1", "value$x", "m0", "m1", "run2")
 
 
@@ -223,8 +230,8 @@ class ProgramGen:
         if pick < 0.6:
             return self.rng.choice((-7, 0, 1, 42, 0x7F0800E5, -2**31))
         if pick < 0.8:
-            return StrConst(self.rng.choice(_STRINGS))
-        return NullConst()
+            return Const(self.rng.choice(_STRINGS))
+        return Const("null")
 
     def field_sig(self):
         return FieldSig(self.rng.choice(_CLASSES), self.rng.choice(_TYPES),
@@ -581,9 +588,9 @@ def test_every_built_in_sink_signature_equals_the_reference_parse():
     specs = load_sinks(None).specs
     assert len(specs) > 20
     for spec in specs:
-        text = render_method_sig(spec.sig)
-        assert typed(spec.sig) == typed(reference_parse_method_sig(text))
-        assert typed(parse_method_sig(text)) == typed(spec.sig)
+        sig = parse_method_sig(spec.signature)
+        assert typed(sig) == typed(reference_parse_method_sig(spec.signature))
+        assert render_method_sig(sig) == spec.signature
 
 
 NULLS = """\
@@ -602,9 +609,8 @@ method static void h():
 def test_null_in_every_atom_position_parses_as_null():
     unit = parse_code_unit(NULLS)
     assign, write, call, ret = unit.methods[0].statements
-    assert type(assign.src) is NullConst and type(write.value) is NullConst
-    assert [type(a) for a in call.args] == [NullConst, str]
-    assert type(ret.value) is NullConst
+    assert typed(assign.src) == typed(write.value) == typed(ret.value) == typed(Const("null"))
+    assert [type(a) for a in call.args] == [Const, str] and call.args[0] == Const("null")
     assert unit.methods[1].statements[0].value is None
     assert render_code_unit(unit) == NULLS
     assert typed(unit) == typed(reference_parse_code_unit(NULLS))
@@ -614,7 +620,7 @@ def test_a_register_and_a_string_of_one_spelling_parse_unequal():
     unit = parse_code_unit('class a.B\nmethod void f(int y):\n  x = y\n  x = "y"\n')
     read, const = unit.methods[0].statements
     assert read._replace(sid=const.sid) != const
-    assert read.src == "y" and const.src == StrConst("y")
+    assert read.src == "y" and typed(const.src) == typed(Const('"y"'))
 
 
 def _registers_and_atoms(s):
@@ -641,7 +647,7 @@ def test_a_register_is_its_name_and_an_integer_constant_its_int(tmp_path):
     """In the bundles of tests/data, fixture seeds 1, 7 and 29 and a hub,
     each statement renders as its line and holds one kind of value per
     position: a register name is a str, an integer constant an int, a
-    string constant a StrConst and null a NullConst. Each register name is
+    string constant or null a Const of its text. Each register name is
     one object wherever a bundle's statements use it."""
     apps = [*sorted(DATA.iterdir()), write_hub_bundle(tmp_path / "hub", 12, 12)]
     apps += [generate(FixtureSpec(seed=seed), tmp_path / f"fx{seed}")[0] for seed in (1, 7, 29)]
@@ -661,12 +667,12 @@ def test_a_register_is_its_name_and_an_integer_constant_its_int(tmp_path):
                     assert r is None or type(r) is str and _REGISTER.fullmatch(r), (path, s)
                     assert r is None or names.setdefault(r, r) is r, (path, s)
                 for a in atoms:
-                    kinds.add(type(a))
-                    assert type(a) in (int, StrConst, NullConst) or (
+                    kinds.add("null" if a == Const("null") else type(a))
+                    assert type(a) in (int, Const) or (
                         type(a) is str and _REGISTER.fullmatch(a) and a != "null"), (path, s)
                     assert type(a) is not str or names.setdefault(a, a) is a, (path, s)
-                    assert type(a) is not StrConst or type(a.value) is str, (path, s)
-    assert kinds == {str, int, StrConst, NullConst}
+                    assert type(a) is not Const or a.text == "null" or a.text[0] == '"', (path, s)
+    assert kinds == {str, int, Const, "null"}
 
 
 class _CountingPattern:

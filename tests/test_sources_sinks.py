@@ -239,7 +239,7 @@ def test_spec_signature_is_the_rendered_signature(tmp_path):
     for reg in (load_default_sinks(), hand):
         assert reg.specs
         for spec in reg.specs:
-            assert spec.signature == render_method_sig(spec.sig)
+            assert spec.signature == render_method_sig(parse_method_sig(spec.signature))
 
 
 def test_dual_category_sink(tmp_path):
